@@ -3,12 +3,27 @@ projection to the underlying undirected simple graph."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
 class GraphInputError(ValueError):
     """Malformed graph input: loops, duplicate directed edges, bad vertex ids."""
+
+
+def _sorted_contains(adj: tuple[int, ...], v: int) -> bool:
+    i = bisect_left(adj, v)
+    return i < len(adj) and adj[i] == v
+
+
+def _raise_duplicate(pairs: Iterable[tuple[int, int]]) -> None:
+    """Raise for the first position that repeats an earlier pair."""
+    seen: set[tuple[int, int]] = set()
+    for pos, (u, v) in enumerate(pairs):
+        if (u, v) in seen:
+            raise GraphInputError(f"edge #{pos} ({u},{v}): duplicate directed edge")
+        seen.add((u, v))
 
 
 class Digraph:
@@ -19,7 +34,7 @@ class Digraph:
     immutable after construction and safe to share read-only across threads.
     """
 
-    __slots__ = ("n", "edges", "_edge_set", "_out", "_in", "orig_ids")
+    __slots__ = ("n", "edges", "_out", "_in", "orig_ids")
 
     def __init__(
         self,
@@ -29,9 +44,10 @@ class Digraph:
     ) -> None:
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
+        if not isinstance(pairs, Sequence):
+            pairs = list(pairs)  # reread by _raise_duplicate
         out: list[list[int]] = [[] for _ in range(n)]
         in_: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for pos, (u, v) in enumerate(pairs):
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphInputError(
@@ -39,20 +55,16 @@ class Digraph:
                 )
             if u == v:
                 raise GraphInputError(f"edge #{pos} ({u},{v}): loops are not allowed")
-            if (u, v) in seen:
-                raise GraphInputError(f"edge #{pos} ({u},{v}): duplicate directed edge")
-            seen.add((u, v))
             out[u].append(v)
             in_[v].append(u)
-        for adj in out:
-            adj.sort()
-        for adj in in_:
-            adj.sort()
+        if any(len(set(a)) < len(a) for a in out):
+            _raise_duplicate(pairs)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self._edge_set = seen
-        self._out = tuple(tuple(a) for a in out)
-        self._in = tuple(tuple(a) for a in in_)
+        self._out = tuple(tuple(sorted(a)) for a in out)
+        self._in = tuple(tuple(sorted(a)) for a in in_)
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            (u, v) for u, a in enumerate(self._out) for v in a
+        )
         self.orig_ids = orig_ids
 
     @classmethod
@@ -69,7 +81,7 @@ class Digraph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_set
+        return 0 <= u < self.n and _sorted_contains(self._out[u], v)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
@@ -103,12 +115,11 @@ class Digraph:
 
     def antiparallel_pairs(self) -> int:
         """Number of unordered pairs {u,v} with both (u,v) and (v,u) present."""
-        return sum(1 for (u, v) in self.edges if u < v and (v, u) in self._edge_set)
+        return sum(1 for (u, v) in self.edges if u < v and self.has_edge(v, u))
 
     def underlying(self) -> "UnderlyingGraph":
         """Forget orientation; antiparallel pairs collapse to one edge."""
-        und = {(u, v) if u < v else (v, u) for (u, v) in self.edges}
-        return UnderlyingGraph(self.n, und, orig_ids=self.orig_ids)
+        return UnderlyingGraph(self.n, self.edges, orig_ids=self.orig_ids)
 
     def induced(self, vertices: Iterable[int]) -> "Digraph":
         """Induced subgraph with dense relabeled ids; orig_ids records the map."""
@@ -134,7 +145,7 @@ class Digraph:
 class UnderlyingGraph:
     """Simple undirected graph (no loops, no parallel edges) on ids 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_edge_set", "orig_ids")
+    __slots__ = ("n", "edges", "_adj", "orig_ids")
 
     def __init__(
         self,
@@ -142,25 +153,19 @@ class UnderlyingGraph:
         edges: Iterable[tuple[int, int]],
         orig_ids: tuple[int, ...] | None = None,
     ) -> None:
-        norm: set[tuple[int, int]] = set()
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise GraphInputError(f"loop edge ({u},{v}) in undirected graph")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphInputError(f"edge ({u},{v}): vertex id out of range")
-            e = (u, v) if u < v else (v, u)
-            if e in norm:
-                continue
-            norm.add(e)
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
-        for a in adj:
-            a.sort()
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        self._adj = tuple(tuple(a) for a in adj)
-        self._edge_set = norm
+        self._adj = tuple(tuple(sorted(set(a))) for a in adj)
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            (u, v) for u, a in enumerate(self._adj) for v in a if u < v
+        )
         self.orig_ids = orig_ids
 
     @property
@@ -174,7 +179,7 @@ class UnderlyingGraph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        return 0 <= u < self.n and _sorted_contains(self._adj[u], v)
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by min vertex."""
@@ -290,11 +295,8 @@ def parse_edge_list(text: str) -> Digraph:
     ]
     if not lines:
         raise GraphInputError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphInputError(f"header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, lines[0].split())
     except ValueError as exc:
         raise GraphInputError(f"header must be 'n m', got {lines[0]!r}") from exc
     body = lines[1:]
@@ -302,13 +304,11 @@ def parse_edge_list(text: str) -> Digraph:
         raise GraphInputError(f"header promises {m} edges, found {len(body)}")
     pairs = []
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphInputError(f"bad edge line {ln!r}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            u, v = map(int, ln.split())
         except ValueError as exc:
             raise GraphInputError(f"bad edge line {ln!r}") from exc
+        pairs.append((u, v))
     return Digraph(n, pairs)
 
 
@@ -339,10 +339,10 @@ def parse_partition(text: str, n: int) -> Bipartition:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphInputError(f"bad partition line {ln!r}")
-        v, s = int(parts[0]), int(parts[1])
+        try:
+            v, s = map(int, ln.split())
+        except ValueError as exc:
+            raise GraphInputError(f"bad partition line {ln!r}") from exc
         if not 0 <= v < n:
             raise GraphInputError(f"partition line {ln!r}: vertex id out of range")
         if s not in (1, 2):

@@ -172,10 +172,9 @@ def random_min_outdeg(n: int, d: int, extra: float = 0.0, seed: int = 0) -> Digr
     rng = random.Random(seed)
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    others = list(range(n))
     for v in range(n):
-        pool = others[:v] + others[v + 1 :]
-        for w in rng.sample(pool, d):
+        for j in rng.sample(range(n - 1), d):
+            w = j if j < v else j + 1  # the j-th id other than v
             pairs.append((v, w))
             seen.add((v, w))
     attempts = round(extra * n)

@@ -286,8 +286,8 @@ def _polish(digraph: Digraph, partition: Bipartition, seed: int) -> Bipartition:
         return s.min_cut, s.total
 
     best = local_search(digraph, partition)
-    best_key = key(best)
     if digraph.n <= RESTART_MAX_N:
+        best_key = key(best)
         rng = random.Random(seed)
         for _ in range(RESTART_COUNT):
             start = Bipartition(
@@ -375,17 +375,17 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
         partition, removed = _sparse_branches(digraph, config, trace)
 
     if config.enable_local_search:
-        before = cut_stats(digraph, partition)
+        min_cut_before = cut_stats(digraph, partition).min_cut
         partition = _polish(digraph, partition, config.seed)
-        after = cut_stats(digraph, partition)
+    stats = cut_stats(digraph, partition)
+    if config.enable_local_search:
         trace.append(
             {
                 "step": "local_search",
-                "min_cut_before": before.min_cut,
-                "min_cut_after": after.min_cut,
+                "min_cut_before": min_cut_before,
+                "min_cut_after": stats.min_cut,
             }
         )
-    stats = cut_stats(digraph, partition)
     target = (guarantee_fraction(config.d) - exact_fraction(config.epsilon)) * m
     return PartitionResult(
         partition=partition,

@@ -110,6 +110,44 @@ def test_underlying_collapses_antiparallel(g):
     assert und.m == g.m - g.antiparallel_pairs()
 
 
+@st.composite
+def pair_lists(draw, max_n=7):
+    """(n, pairs) with loop-free pairs; repeats allowed unless drawn unique."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=1, max_value=n - 1),
+    ).map(lambda t: (t[0], (t[0] + t[1]) % n))
+    pairs = draw(st.lists(pair, max_size=3 * n, unique=draw(st.booleans())))
+    return n, pairs
+
+
+@given(pair_lists(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_adjacency_agrees_with_edge_set(case, as_generator):
+    n, pairs = case
+    edge_set = set(pairs)
+    norm = {(min(e), max(e)) for e in edge_set}
+    assert UnderlyingGraph(n, pairs).edges == tuple(sorted(norm))
+    arg = (e for e in pairs) if as_generator else pairs
+    if len(edge_set) < len(pairs):
+        second = next(pos for pos, e in enumerate(pairs) if e in pairs[:pos])
+        with pytest.raises(GraphInputError, match=rf"edge #{second} .*duplicate"):
+            Digraph(n, arg)
+        return
+    g = Digraph(n, arg)
+    assert g.edges == tuple(sorted(edge_set))
+    assert g.antiparallel_pairs() == sum(
+        1 for (u, v) in edge_set if u < v and (v, u) in edge_set
+    )
+    und = g.underlying()
+    assert und.edges == tuple(sorted(norm))
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            assert g.has_edge(u, v) == ((u, v) in edge_set)
+            assert und.has_edge(u, v) == ((min(u, v), max(u, v)) in norm)
+
+
 class TestUnderlying:
     def test_antiparallel_collapse(self):
         g = Digraph.from_edge_list([(0, 1), (1, 0)])
@@ -144,6 +182,10 @@ class TestInterchangeFormats:
     def test_header_mismatch(self):
         with pytest.raises(GraphInputError, match="promises"):
             parse_edge_list("2 3\n0 1\n")
+        with pytest.raises(GraphInputError, match="header must be"):
+            parse_edge_list("2\n0 1\n")
+        with pytest.raises(GraphInputError, match="bad edge line '0 1 1'"):
+            parse_edge_list("2 1\n0 1 1\n")
 
     def test_comments_ignored(self):
         g = parse_edge_list("# hello\n2 1\n# more\n0 1\n")
@@ -160,6 +202,10 @@ class TestInterchangeFormats:
             parse_partition("0 1\n", 2)
         with pytest.raises(GraphInputError, match="duplicate"):
             parse_partition("0 1\n0 2\n", 2)
+        with pytest.raises(GraphInputError, match="bad partition line '0 x'"):
+            parse_partition("0 x\n", 2)
+        with pytest.raises(GraphInputError, match="bad partition line '0 1 2'"):
+            parse_partition("0 1 2\n1 1\n", 2)
 
 
 def test_all_bipartitions_counts():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dicut.core import all_bipartitions, cut_stats
@@ -127,6 +129,25 @@ class TestRandomMinOutdeg:
     def test_d_too_large(self):
         with pytest.raises(ValueError):
             random_min_outdeg(5, 5, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, d, extra, seed",
+        [(10, 2, 0.0, 0), (30, 3, 1.0, 5), (200, 2, 0.5, 11), (12, 11, 0.0, 3),
+         (1500, 3, 0.2, 7)],
+    )
+    def test_matches_pool_sampler(self, n, d, extra, seed):
+        """Same edges as sampling each vertex's targets from a list of the
+        other ids (d = n - 1 included)."""
+        rng = random.Random(seed)
+        pairs: set[tuple[int, int]] = set()
+        for v in range(n):
+            pool = [w for w in range(n) if w != v]
+            pairs.update((v, w) for w in rng.sample(pool, d))
+        for _ in range(round(extra * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                pairs.add((u, v))
+        assert random_min_outdeg(n, d, extra, seed).edges == tuple(sorted(pairs))
 
 
 class TestGadgetSpec:
