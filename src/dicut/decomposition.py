@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Digraph, UnderlyingGraph
 
@@ -121,7 +121,25 @@ def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
     return False
 
 
+def _induced_adjacency(
+    neighbors: Callable[[int], Iterable[int]], keep: Sequence[int]
+) -> tuple[dict[int, int], list[list[int]]]:
+    """Relabel the sorted vertex list `keep` to 0..len(keep)-1, keeping its
+    order; returns that map and the adjacency restricted to `keep`."""
+    pos = {v: i for i, v in enumerate(keep)}
+    return pos, [[pos[u] for u in neighbors(v) if u in pos] for v in keep]
+
+
 def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Greedy matching, then augmenting-path search one connected component
+    at a time.
+
+    An augmenting path never leaves its root's component, so each component
+    is relabelled monotonically (sorted ids -> 0..size-1) and searched on its
+    own: a root costs O(component) instead of O(n), and roots are still tried
+    in increasing order, which keeps the result equal to the whole-graph loop.
+    Components with fewer than two exposed vertices hold no augmenting path.
+    """
     n = len(adj)
     match = [-1] * n
     for v in range(n):
@@ -131,9 +149,29 @@ def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
                     match[v] = u
                     match[u] = v
                     break
-    for v in range(n):
-        if match[v] == -1:
-            _augment(adj, match, v)
+    seen = bytearray(n)
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = 1
+                    comp.append(u)
+                    stack.append(u)
+        if sum(1 for v in comp if match[v] == -1) < 2:
+            continue
+        comp.sort()
+        local, sub_adj = _induced_adjacency(adj.__getitem__, comp)
+        sub_match = [local[match[v]] if match[v] != -1 else -1 for v in comp]
+        for i in range(len(comp)):
+            if sub_match[i] == -1:
+                _augment(sub_adj, sub_match, i)
+        for v, p in zip(comp, sub_match):
+            match[v] = comp[p] if p != -1 else -1
     return match
 
 
@@ -149,12 +187,7 @@ def _has_perfect_matching(graph: UnderlyingGraph, vertices: Iterable[int]) -> bo
         return False
     if not keep:
         return True
-    index = {v: i for i, v in enumerate(keep)}
-    adj: list[list[int]] = [[] for _ in keep]
-    for v in keep:
-        for u in graph.neighbors(v):
-            if u in index:
-                adj[index[v]].append(index[u])
+    _, adj = _induced_adjacency(graph.neighbors, keep)
     partner = _max_matching_partner(adj)
     return all(p != -1 for p in partner)
 
@@ -286,12 +319,7 @@ class _Grower:
         u, x, y, rest = violation
         # perfect matching of T minus {u,x,y} plus the edge xy exposes u free
         index = sorted(rest)
-        pos = {v: i for i, v in enumerate(index)}
-        adj: list[list[int]] = [[] for _ in index]
-        for v in index:
-            for t in self.graph.neighbors(v):
-                if t in pos:
-                    adj[pos[v]].append(pos[t])
+        _, adj = _induced_adjacency(self.graph.neighbors, index)
         sub = _max_matching_partner(adj)
         for i, p in enumerate(sub):
             self.partner[index[i]] = index[p]

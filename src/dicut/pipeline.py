@@ -69,6 +69,8 @@ class PipelineConfig:
             raise ValueError(f"d must be 2 or 3, got {self.d}")
         if not 0 < self.epsilon < 0.25:
             raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
 
     def dense_cutoff(self) -> float:
         base = self.dense_threshold
@@ -172,7 +174,11 @@ def min_gap(surpluses: Sequence[int]) -> GapPartition:
         if not (prefixes[k] >> target & 1):
             forward[i] = True
             target -= v
-    assert target == 0
+    if target != 0:
+        raise StructuralDiagnostic(
+            "subset-sum backtrack did not reach the chosen forward total",
+            {"surpluses": list(surpluses), "best_f": best_f, "left": target},
+        )
     return _assemble_gap(surpluses, forward, 2 * best_f - total)
 
 
@@ -229,7 +235,11 @@ def surplus_profile(
     delta_list = tuple(s for _, s in ranked if s >= theta)
     g = sum(s for _, s in ranked if s < theta)
     two_b = sum(stripped.degree(v) - abs(sg) for v, sg in zip(vertices, signed))
-    assert two_b % 2 == 0
+    if two_b % 2:
+        raise StructuralDiagnostic(
+            "odd buffer count: degree minus surplus must be even per vertex",
+            {"two_b": two_b, "large": list(vertices)},
+        )
     return SurplusProfile(vertices, signed, theta, huge, delta_list, g, two_b // 2)
 
 
@@ -241,8 +251,12 @@ def local_search(digraph: Digraph, partition: Bipartition) -> Bipartition:
     The tie-breaking plateau moves cost nothing on the primary objective but
     let the search walk out of shallow local optima on small instances.
     """
+    return _sweep(digraph, partition, cut_stats(digraph, partition))
+
+
+def _sweep(digraph: Digraph, partition: Bipartition, stats: CutStats) -> Bipartition:
+    """local_search from a partition whose cuts `stats` were already counted."""
     side = list(partition.side)
-    stats = cut_stats(digraph, partition)
     e12, e21 = stats.e12, stats.e21
     improved = True
     while improved:
@@ -273,19 +287,22 @@ def local_search(digraph: Digraph, partition: Bipartition) -> Bipartition:
     return Bipartition(tuple(side))
 
 
-def _polish(digraph: Digraph, partition: Bipartition, seed: int) -> Bipartition:
+def _polish(
+    digraph: Digraph, partition: Bipartition, stats: CutStats, seed: int
+) -> Bipartition:
     """Local search from the sampled partition; tiny instances also restart
     from a few seeded random partitions, keeping the best result seen.
 
     Sampler guarantees are asymptotic, so at very small n the hill climb does
-    real work; restarts are deterministic per seed.
+    real work; restarts are deterministic per seed.  `stats` are the cuts
+    of `partition`, already counted by the caller.
     """
 
     def key(p: Bipartition) -> tuple[int, int]:
         s = cut_stats(digraph, p)
         return s.min_cut, s.total
 
-    best = local_search(digraph, partition)
+    best = _sweep(digraph, partition, stats)
     if digraph.n <= RESTART_MAX_N:
         best_key = key(best)
         rng = random.Random(seed)
@@ -370,13 +387,16 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
             digraph, DENSE_EPSILON[config.d], config.seed, config.max_attempts
         )
         trace.append(_sampler_record("quarter", outcome))
-        partition = outcome.partition
+        partition, sampled = outcome.partition, outcome.stats
     else:
         partition, removed = _sparse_branches(digraph, config, trace)
+        sampled = None  # the sparse samplers count cuts on the stripped digraph
 
     if config.enable_local_search:
-        min_cut_before = cut_stats(digraph, partition).min_cut
-        partition = _polish(digraph, partition, config.seed)
+        if sampled is None:
+            sampled = cut_stats(digraph, partition)
+        min_cut_before = sampled.min_cut
+        partition = _polish(digraph, partition, sampled, config.seed)
     stats = cut_stats(digraph, partition)
     if config.enable_local_search:
         trace.append(

@@ -191,7 +191,8 @@ def second_moment_partition(
             return outcome
         if best is None or stats.min_cut > best.stats.min_cut:
             best = outcome
-    assert best is not None
+    if best is None:
+        raise ValueError("max_attempts must be at least 1")
     return best
 
 
@@ -276,5 +277,6 @@ def star_bisection(
             return outcome
         if best is None or stats.min_cut > best.stats.min_cut:
             best = outcome
-    assert best is not None
+    if best is None:
+        raise ValueError("max_attempts must be at least 1")
     return best

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from dicut.core import Digraph, UnderlyingGraph
 from dicut.decomposition import (
+    _augment,
+    _max_matching_partner,
     Matching,
     MatchingError,
     brute_force_tight_check,
@@ -48,7 +50,80 @@ def graphs(draw, max_n=10):
     return UnderlyingGraph(n, edges)
 
 
+@st.composite
+def multi_component_graphs(draw, max_n=80):
+    """Disjoint blocks (isolated vertices, odd cycles, flowers, random
+    pieces), a few bridges that may merge them, and a random relabelling so
+    the components' vertex ids interleave."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    kinds = ("isolated", "odd_cycle", "flower", "random")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=14)):
+        if kind == "isolated":
+            size, local = 1, []
+        elif kind == "odd_cycle":
+            size = draw(st.sampled_from((3, 5, 7, 9)))
+            local = [(i, (i + 1) % size) for i in range(size)]
+        elif kind == "flower":
+            # an odd cycle with a stem: the search must contract the blossom
+            cycle = draw(st.sampled_from((3, 5, 7)))
+            size = cycle + draw(st.integers(min_value=1, max_value=4))
+            local = [(i, (i + 1) % cycle) for i in range(cycle)]
+            local += [(max(i - 1, 0), i) for i in range(cycle, size)]
+        else:
+            size = draw(st.integers(min_value=2, max_value=10))
+            pool = [(u, v) for u in range(size) for v in range(u + 1, size)]
+            local = draw(st.lists(st.sampled_from(pool), unique=True))
+        if n + size > max_n:
+            break
+        edges += [(n + u, n + v) for u, v in local]
+        n += size
+    ids = st.integers(min_value=0, max_value=n - 1)
+    bridges = draw(st.lists(st.tuples(ids, ids), max_size=3))
+    edges += [(u, v) for u, v in bridges if u != v]
+    perm = draw(st.permutations(range(n)))
+    return UnderlyingGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def whole_graph_partner(adj):
+    """Reference: greedy pass, then one augmenting search over the whole
+    graph from every exposed vertex in id order."""
+    n = len(adj)
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+    for v in range(n):
+        if match[v] == -1:
+            _augment(adj, match, v)
+    return match
+
+
 class TestMaximumMatching:
+    @given(multi_component_graphs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_per_component_search_equals_whole_graph(self, g, reverse):
+        adj = [list(g.neighbors(v)) for v in range(g.n)]
+        if reverse:  # neighbour order steers the search; keep it arbitrary
+            adj = [a[::-1] for a in adj]
+        assert _max_matching_partner(adj) == whole_graph_partner(adj)
+
+    def test_size_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(41)
+        for n in (150, 300, 500):
+            for avg_degree in (1.5, 3.0):
+                g = random_undirected(rng, n, avg_degree / (n - 1))
+                ref = nx.Graph()
+                ref.add_nodes_from(range(n))
+                ref.add_edges_from(g.edges)
+                expected = len(nx.max_weight_matching(ref, maxcardinality=True))
+                assert maximum_matching(g).size == expected, (n, avg_degree)
+
     def test_path_four(self):
         p4 = UnderlyingGraph(4, [(0, 1), (1, 2), (2, 3)])
         m = maximum_matching(p4)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dicut
 import dicut.cli as cli_mod
 from dicut.cli import main
 from dicut.core import read_edge_list, read_partition
@@ -149,6 +154,42 @@ class TestCli:
 
         monkeypatch.setattr(cli_mod, "run", boom)
         assert main(["partition", "-i", str(graph_file), "--d", "2"]) == 3
+
+    def test_zero_max_attempts_exit_one(self, tmp_path, capsys):
+        graph_file = tmp_path / "g.el"
+        # k = 6 takes the structural branch, whose sampler never validated it
+        main(["gen", "lower_bound", "--d", "2", "--k", "6", "-o", str(graph_file)])
+        capsys.readouterr()
+        assert main(["partition", "-i", str(graph_file), "--d", "2",
+                     "--max-attempts", "0"]) == 1
+        assert capsys.readouterr().err == "error: max_attempts must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "gen_args, d",
+        [
+            (["lower_bound", "--d", "2", "--k", "6"], "2"),
+            (["random_min_outdeg", "--n", "40", "--d", "3", "--seed", "5"], "3"),
+        ],
+    )
+    def test_optimized_mode_parity(self, tmp_path, gen_args, d):
+        """`python -O` strips assert statements; the report must not change."""
+        graph_file = tmp_path / "g.el"
+        assert main(["gen", *gen_args, "-o", str(graph_file)]) == 0
+        src = str(Path(dicut.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def report(*flags):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "dicut.cli", "partition",
+                 "-i", str(graph_file), "--d", d, "--seed", "3", "--json"],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            data = json.loads(proc.stdout.splitlines()[-1])
+            del data["timings_ms"]
+            return data
+
+        assert report("-O") == report()
 
     def test_min_outdegree_violation_exit_one(self, tmp_path):
         graph_file = tmp_path / "g.el"

@@ -197,6 +197,10 @@ class TestRunD2:
         assert result.stats.min_cut == 0
         assert not result.meets_guarantee
 
+    def test_rejects_zero_max_attempts(self):
+        with pytest.raises(ValueError, match="max_attempts must be at least 1"):
+            PipelineConfig(d=2, max_attempts=0)
+
     def test_dense_branch_with_test_constants(self):
         g = random_min_outdeg(100, 2, extra=12, seed=3)
         assert g.m >= 1152 / 100 * g.n
@@ -344,6 +348,57 @@ class TestStructuralDiagnostics:
         monkeypatch.setattr(pipeline_mod, "gap_partition", fake)
         with pytest.raises(StructuralDiagnostic):
             run_d2(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
+
+
+    def test_odd_buffer_count_rejected(self):
+        class Inconsistent:  # degree disagrees with out- plus in-degree
+            def out_degree(self, v):
+                return 2
+
+            def in_degree(self, v):
+                return 0
+
+            def degree(self, v):
+                return 3
+
+        with pytest.raises(StructuralDiagnostic, match="odd buffer") as err:
+            surplus_profile(Inconsistent(), [5], 1)
+        assert err.value.payload == {"two_b": 1, "large": [5]}
+
+
+class TestCutCounting:
+    """run() counts the sampled and the final partition once each."""
+
+    def _count(self, monkeypatch):
+        calls = []
+        real = pipeline_mod.cut_stats
+
+        def counting(digraph, partition):
+            calls.append(partition)
+            return real(digraph, partition)
+
+        monkeypatch.setattr(pipeline_mod, "cut_stats", counting)
+        return calls
+
+    def test_structural_branch(self, monkeypatch):
+        g, _ = lower_bound_gadget(2, 20)
+        calls = self._count(monkeypatch)
+        result = run_d2(g, PipelineConfig(d=2, seed=1))
+        assert [r["branch"] for r in result.branch_trace if r["step"] == "gap"] == [
+            "structural"
+        ]
+        assert len(calls) == 2  # min_cut_before, then the final stats
+        assert calls[-1] == result.partition
+
+    def test_dense_branch_reuses_sampler_stats(self, monkeypatch):
+        g = random_min_outdeg(100, 2, extra=12, seed=3)
+        calls = self._count(monkeypatch)
+        result = run_d2(g, PipelineConfig(d=2, seed=3, test_constants=True))
+        sampled = result.branch_trace[2]
+        assert sampled["kind"] == "quarter"
+        polish = result.branch_trace[-1]
+        assert polish["min_cut_before"] == min(sampled["e12"], sampled["e21"])
+        assert calls == [result.partition]
 
 
 class TestResultInvariants:

@@ -210,6 +210,12 @@ class TestStarBisection:
         with pytest.raises(ValueError, match="cover"):
             star_bisection(g, (), (), dec, 0.05, seed=1)
 
+    def test_zero_attempts_rejected(self):
+        g = antiparallel_triangles(2)
+        dec = star_decompose(g, range(g.n), epsilon=0.25)
+        with pytest.raises(ValueError, match="max_attempts must be at least 1"):
+            star_bisection(g, (), (), dec, 0.05, seed=1, max_attempts=0)
+
     def test_determinism(self):
         g = antiparallel_triangles(5)
         dec = star_decompose(g, range(g.n), epsilon=0.25, prefer_antiparallel=True)
