@@ -12,7 +12,7 @@ Every run ends with an honest recomputation of the cut against its target.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -109,13 +109,18 @@ class SurplusProfile:
     delta_list: tuple[int, ...]
     g: int
     b: int
+    _signed_by_vertex: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_vertex = dict(zip(self.vertices, self.signed_surplus))
+        object.__setattr__(self, "_signed_by_vertex", by_vertex)
 
     @property
     def delta(self) -> int:
         return self.delta_list[0] if self.delta_list else 0
 
     def signed_of(self, v: int) -> int:
-        return self.signed_surplus[self.vertices.index(v)]
+        return self._signed_by_vertex[v]
 
     def surplus_of(self, v: int) -> int:
         return abs(self.signed_of(v))

@@ -22,6 +22,14 @@ from dicut.generators import GadgetSpec
 from dicut.pipeline import StructuralDiagnostic
 
 
+def _cli_env():
+    """The environment for a `python -m dicut.cli` child that imports this
+    checkout's package."""
+    src = str(Path(dicut.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestRunReport:
     def test_round_trip(self):
         task = BenchTask("demo", GadgetSpec("lower_bound", {"d": 2, "k": 2}), 2,
@@ -175,21 +183,63 @@ class TestCli:
         """`python -O` strips assert statements; the report must not change."""
         graph_file = tmp_path / "g.el"
         assert main(["gen", *gen_args, "-o", str(graph_file)]) == 0
-        src = str(Path(dicut.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
 
         def report(*flags):
             proc = subprocess.run(
                 [sys.executable, *flags, "-m", "dicut.cli", "partition",
                  "-i", str(graph_file), "--d", d, "--seed", "3", "--json"],
-                capture_output=True, text=True, env=env, check=True,
+                capture_output=True, text=True, env=_cli_env(), check=True,
             )
             data = json.loads(proc.stdout.splitlines()[-1])
             del data["timings_ms"]
             return data
 
         assert report("-O") == report()
+
+    def test_oracle_cap_exit_one(self, tmp_path):
+        graph_file = tmp_path / "cycle25.el"
+        graph_file.write_text(
+            "25 25\n" + "".join(f"{v} {(v + 1) % 25}\n" for v in range(25))
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "dicut.cli", "oracle", "-i", str(graph_file)],
+            capture_output=True, text=True, env=_cli_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: exact_judicious is capped at n <= 24, got 25\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            ["random_min_outdeg", "--n", "18", "--d", "2", "--seed", "9"],
+            ["lower_bound", "--d", "2", "--k", "5"],
+        ],
+    )
+    def test_hash_seed_determinism(self, tmp_path, gen_args):
+        """Reports must not depend on set or dict order under PYTHONHASHSEED."""
+        graph_file = tmp_path / "g.el"
+        assert main(["gen", *gen_args, "-o", str(graph_file)]) == 0
+
+        def reports(hash_seed):
+            out = []
+            for command in (["oracle"], ["partition", "--d", "2", "--seed", "3"]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dicut.cli", *command,
+                     "-i", str(graph_file), "--json"],
+                    capture_output=True, text=True, check=True,
+                    env=dict(_cli_env(), PYTHONHASHSEED=hash_seed),
+                )
+                data = json.loads(proc.stdout.splitlines()[-1])
+                data.pop("timings_ms", None)
+                out.append(data)
+            return out
+
+        first = reports("0")
+        assert first[0]["evaluated"] == 2 ** (first[0]["n"] - 1)
+        assert first[1]["branch_trace"]
+        assert reports("1") == first
+        assert reports("12345") == first
 
     def test_min_outdegree_violation_exit_one(self, tmp_path):
         graph_file = tmp_path / "g.el"

@@ -1,8 +1,19 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dicut.core import Digraph, UnderlyingGraph, all_bipartitions, cut_stats
+import dicut.oracle as oracle_mod
+from dicut.core import (
+    Bipartition,
+    Digraph,
+    UnderlyingGraph,
+    all_bipartitions,
+    cut_stats,
+)
+from dicut.generators import random_min_outdeg
 from dicut.oracle import (
     enumerate_perfect_matchings,
     exact_judicious,
@@ -14,7 +25,104 @@ from dicut.oracle import (
 from .conftest import random_digraph, random_undirected, triangle_graph
 
 
+def reference_exact_judicious(digraph):
+    """The plain Gray-code oracle: one vertex flips per step and the two
+    directional counts are updated from per-vertex neighbor masks; vertex 0
+    stays on side 1 and ties prefer the smallest side-2 bitmask."""
+    n = digraph.n
+    if n == 0:
+        return 0, Bipartition(()), 1
+    out_mask = [0] * n
+    in_mask = [0] * n
+    for u, v in digraph.edges:
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+    outdeg = [digraph.out_degree(v) for v in range(n)]
+    indeg = [digraph.in_degree(v) for v in range(n)]
+    side2 = e12 = e21 = 0
+    best = best_mask = 0
+    steps = 1 << (n - 1)
+    for code in range(1, steps):
+        v = (code & -code).bit_length()
+        bit = 1 << v
+        o2 = (out_mask[v] & side2).bit_count()
+        i2 = (in_mask[v] & side2).bit_count()
+        o1 = outdeg[v] - o2
+        i1 = indeg[v] - i2
+        if side2 & bit:  # side 2 -> side 1
+            e12 += o2 - i1
+            e21 += i2 - o1
+            side2 &= ~bit
+        else:  # side 1 -> side 2
+            e12 += i1 - o2
+            e21 += o1 - i2
+            side2 |= bit
+        value = e12 if e12 < e21 else e21
+        if value > best or (value == best and side2 < best_mask):
+            best = value
+            best_mask = side2
+    witness = Bipartition(tuple(2 if best_mask >> v & 1 else 1 for v in range(n)))
+    return best, witness, steps
+
+
+def _fields(result):
+    return result.optimum, result.witness, result.evaluated
+
+
+INNER = oracle_mod._INNER_BITS
+
+
+@st.composite
+def oracle_digraphs(draw):
+    """Digraphs on 0..16 vertices, weighted toward n = L-1..L+2 around the
+    inner block of L vertices, in shapes with many tied optima."""
+    n = draw(st.one_of(st.sampled_from(range(INNER - 1, INNER + 3)), st.integers(0, 16)))
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(["random", "edgeless", "complete", "antiparallel",
+                                  "copies"]))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    pairs = []
+    if shape == "random":
+        pairs = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and rng.random() < p]
+    elif shape == "complete":
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    elif shape == "antiparallel":
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    pairs += [(u, v), (v, u)]
+                elif rng.random() < p / 3:
+                    pairs.append((u, v) if rng.random() < 0.5 else (v, u))
+    elif shape == "copies":
+        # disjoint copies of one small digraph: every relabelling of the
+        # copies gives another optimum
+        k = draw(st.integers(1, 4))
+        base = [(u, v) for u in range(k) for v in range(k)
+                if u != v and rng.random() < p]
+        pairs = [(c + u, c + v) for c in range(0, n - k + 1, k) for u, v in base]
+    return Digraph(n, pairs)
+
+
 class TestExactJudicious:
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_digraphs())
+    def test_matches_gray_code_reference(self, g):
+        assert _fields(exact_judicious(g)) == reference_exact_judicious(g)
+
+    @pytest.mark.parametrize("inner", [1, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(g=oracle_digraphs())
+    def test_matches_reference_with_small_inner_block(self, inner, g):
+        # a small block walks many outer configurations on small graphs
+        with mock.patch.object(oracle_mod, "_INNER_BITS", inner):
+            result = exact_judicious(g)
+        assert _fields(result) == reference_exact_judicious(g)
+
+    def test_matches_reference_at_n20(self):
+        g = random_min_outdeg(20, 3, 1.0, seed=13)
+        assert _fields(exact_judicious(g)) == reference_exact_judicious(g)
+
     def test_three_cycle(self):
         g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
         result = exact_judicious(g)

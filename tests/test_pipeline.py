@@ -122,6 +122,20 @@ class TestSurplusProfile:
         assert prof.g == 0
         assert prof.b == 2  # the two balanced in/out pairs inside the core
 
+    def test_signed_lookup_matches_tuples(self):
+        g = random_min_outdeg(60, 2, 1.0, seed=3)
+        prof = surplus_profile(g, range(59, 0, -3), 1)
+        for v, s in zip(prof.vertices, prof.signed_surplus):
+            assert prof.signed_of(v) == s
+            assert prof.surplus_of(v) == abs(s)
+        # the lookup table takes no part in equality, hashing or repr
+        again = SurplusProfile(
+            prof.vertices, prof.signed_surplus, prof.theta, prof.huge,
+            prof.delta_list, prof.g, prof.b,
+        )
+        assert again == prof and hash(again) == hash(prof)
+        assert repr(again) == repr(prof) and "_signed" not in repr(prof)
+
     def test_pure_buffer(self):
         # hub with balanced in/out toward B: zero surplus, all buffer
         pairs = [(0, v) for v in range(1, 5)] + [(v, 0) for v in range(1, 5)]
