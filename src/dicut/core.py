@@ -34,7 +34,7 @@ class Digraph:
     immutable after construction and safe to share read-only across threads.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in", "orig_ids")
+    __slots__ = ("n", "m", "_out", "_in", "orig_ids")
 
     def __init__(
         self,
@@ -60,11 +60,9 @@ class Digraph:
         if any(len(set(a)) < len(a) for a in out):
             _raise_duplicate(pairs)
         self.n = n
+        self.m = sum(len(a) for a in out)
         self._out = tuple(tuple(sorted(a)) for a in out)
         self._in = tuple(tuple(sorted(a)) for a in in_)
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            (u, v) for u, a in enumerate(self._out) for v in a
-        )
         self.orig_ids = orig_ids
 
     @classmethod
@@ -77,8 +75,12 @@ class Digraph:
         return cls(n, pairs)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (u, v), sorted; rebuilt from the adjacency on each access."""
+        return tuple(self._pairs())
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        return ((u, v) for u, a in enumerate(self._out) for v in a)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and _sorted_contains(self._out[u], v)
@@ -115,11 +117,13 @@ class Digraph:
 
     def antiparallel_pairs(self) -> int:
         """Number of unordered pairs {u,v} with both (u,v) and (v,u) present."""
-        return sum(1 for (u, v) in self.edges if u < v and self.has_edge(v, u))
+        # a pair {u, v} is found twice: v in both lists of u, u in both lists of v
+        both = sum(len(set(o).intersection(i)) for o, i in zip(self._out, self._in))
+        return both // 2
 
     def underlying(self) -> "UnderlyingGraph":
         """Forget orientation; antiparallel pairs collapse to one edge."""
-        return UnderlyingGraph(self.n, self.edges, orig_ids=self.orig_ids)
+        return UnderlyingGraph(self.n, self._pairs(), orig_ids=self.orig_ids)
 
     def induced(self, vertices: Iterable[int]) -> "Digraph":
         """Induced subgraph with dense relabeled ids; orig_ids records the map."""
@@ -128,9 +132,7 @@ class Digraph:
             self._check_vertex(v)
         index = {v: i for i, v in enumerate(keep)}
         pairs = [
-            (index[u], index[v])
-            for (u, v) in self.edges
-            if u in index and v in index
+            (i, index[v]) for i, u in enumerate(keep) for v in self._out[u] if v in index
         ]
         return Digraph(len(keep), pairs, orig_ids=tuple(keep))
 
@@ -145,7 +147,7 @@ class Digraph:
 class UnderlyingGraph:
     """Simple undirected graph (no loops, no parallel edges) on ids 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "orig_ids")
+    __slots__ = ("n", "m", "_adj", "orig_ids")
 
     def __init__(
         self,
@@ -163,14 +165,13 @@ class UnderlyingGraph:
             adj[v].append(u)
         self.n = n
         self._adj = tuple(tuple(sorted(set(a))) for a in adj)
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            (u, v) for u, a in enumerate(self._adj) for v in a if u < v
-        )
+        self.m = sum(len(a) for a in self._adj) // 2
         self.orig_ids = orig_ids
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as (u, v) with u < v, sorted; rebuilt on each access."""
+        return tuple((u, v) for u, a in enumerate(self._adj) for v in a if u < v)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -209,7 +210,10 @@ class UnderlyingGraph:
         keep = sorted(set(vertices))
         index = {v: i for i, v in enumerate(keep)}
         edges = [
-            (index[u], index[v]) for (u, v) in self.edges if u in index and v in index
+            (i, index[v])
+            for i, u in enumerate(keep)
+            for v in self._adj[u]
+            if u < v and v in index
         ]
         return UnderlyingGraph(len(keep), edges, orig_ids=tuple(keep))
 
@@ -265,19 +269,20 @@ class CutStats:
 
 
 def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
-    """Exact directional counts by a single pass over the edges."""
+    """Exact directional counts by a single pass over the out-lists."""
     if len(partition) != digraph.n:
         raise ValueError(
             f"partition covers {len(partition)} vertices, digraph has {digraph.n}"
         )
     side = partition.side
     e12 = e21 = 0
-    for u, v in digraph.edges:
-        su, sv = side[u], side[v]
-        if su == 1 and sv == 2:
-            e12 += 1
-        elif su == 2 and sv == 1:
-            e21 += 1
+    for u, out in enumerate(digraph._out):
+        # sides are 1 or 2, so the side labels of out sum to len(out) + #side-2
+        twos = sum(map(side.__getitem__, out)) - len(out)
+        if side[u] == 1:
+            e12 += twos
+        else:
+            e21 += len(out) - twos
     return CutStats(e12, e21)
 
 
@@ -315,7 +320,7 @@ def parse_edge_list(text: str) -> Digraph:
 def format_edge_list(digraph: Digraph, comments: Sequence[str] = ()) -> str:
     out = [f"# {c}" for c in comments]
     out.append(f"{digraph.n} {digraph.m}")
-    out.extend(f"{u} {v}" for u, v in digraph.edges)
+    out.extend(f"{u} {v}" for u, v in digraph._pairs())
     return "\n".join(out) + "\n"
 
 

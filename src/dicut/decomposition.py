@@ -512,8 +512,7 @@ def star_decompose(
     digraph: Digraph,
     b_vertices: Iterable[int],
     *,
-    degree_cap: float | None = None,
-    epsilon: float | None = None,
+    epsilon: float,
     prefer_antiparallel: bool = False,
 ) -> StarDecomposition:
     """Decompose the underlying graph of D[B] into induced stars plus an
@@ -521,25 +520,24 @@ def star_decompose(
 
     U collects the non-free leftover vertices of a free-maximized maximum
     matching plus any leftover vertex whose degree in the *full* digraph
-    exceeds degree_cap (default 2*(m/n)/epsilon).  Every other leftover
-    vertex joins the star of its minimum-index free-neighbor edge.  With
+    exceeds degree_cap = 2*(m/n)/epsilon.  Every other leftover vertex
+    joins the star of its minimum-index free-neighbor edge.  With
     prefer_antiparallel, each 3-vertex tight component whose triangle lifts
     to an antiparallel pair gets its seed edge re-seated onto such an edge.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     b_list = sorted(set(b_vertices))
-    if degree_cap is None:
-        if epsilon is None:
-            raise ValueError("provide degree_cap or epsilon")
-        mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
-        degree_cap = mean_degree / epsilon
-    else:
-        mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
-        epsilon = mean_degree / degree_cap if degree_cap else 1.0
+    mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
+    degree_cap = mean_degree / epsilon
     sub = digraph.induced(b_list)
     orig = sub.orig_ids or tuple(range(sub.n))
     graph = sub.underlying()
     antiparallel = frozenset(
-        (u, v) for (u, v) in sub.edges if u < v and sub.has_edge(v, u)
+        (u, v)
+        for u in range(sub.n)
+        for v in sub.out_neighbors(u)
+        if u < v and sub.has_edge(v, u)
     )
 
     matching = maximize_free_vertices(graph, maximum_matching(graph))

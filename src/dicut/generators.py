@@ -64,9 +64,9 @@ def lower_bound_gadget(d: int, k: int) -> tuple[Digraph, int]:
     pairs.extend(core.edges)
     v0 = 0
     offset = 2 * d + 1
-    copy = eulerian_complete(2 * d - 1)
+    copy_edges = eulerian_complete(2 * d - 1).edges
     for _ in range(k):
-        pairs.extend((offset + u, offset + v) for u, v in copy.edges)
+        pairs.extend((offset + u, offset + v) for u, v in copy_edges)
         pairs.extend((offset + u, v0) for u in range(2 * d - 1))
         offset += 2 * d - 1
     graph = Digraph(k * (2 * d - 1) + (2 * d + 1), pairs)

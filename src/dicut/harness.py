@@ -6,7 +6,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 from .core import Bipartition, Digraph, cut_stats
@@ -45,25 +45,10 @@ class RunReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self, include_timings: bool = True) -> dict[str, Any]:
-        out = {
-            "schema_version": self.schema_version,
-            "instance": self.instance,
-            "config": self.config,
-            "n": self.n,
-            "m": self.m,
-            "partition": self.partition,
-            "e12": self.e12,
-            "e21": self.e21,
-            "min_cut": self.min_cut,
-            "guarantee": self.guarantee,
-            "achieved_ratio": self.achieved_ratio,
-            "meets_guarantee": self.meets_guarantee,
-            "removed_a_edges": self.removed_a_edges,
-            "branch_trace": list(self.branch_trace),
-            "oracle": self.oracle,
-        }
-        if include_timings:
-            out["timings_ms"] = self.timings_ms
+        out = asdict(self)
+        out["branch_trace"] = list(out["branch_trace"])
+        if not include_timings:
+            del out["timings_ms"]
         return out
 
     def to_json(self, include_timings: bool = True) -> str:
@@ -73,24 +58,9 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunReport":
-        return cls(
-            instance=data["instance"],
-            config=data["config"],
-            n=data["n"],
-            m=data["m"],
-            partition=data["partition"],
-            e12=data["e12"],
-            e21=data["e21"],
-            min_cut=data["min_cut"],
-            guarantee=data["guarantee"],
-            achieved_ratio=data["achieved_ratio"],
-            meets_guarantee=data["meets_guarantee"],
-            removed_a_edges=data["removed_a_edges"],
-            branch_trace=tuple(data["branch_trace"]),
-            oracle=data.get("oracle"),
-            timings_ms=data.get("timings_ms"),
-            schema_version=data["schema_version"],
-        )
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        kwargs["branch_trace"] = tuple(kwargs["branch_trace"])
+        return cls(**kwargs)
 
     def bipartition(self) -> Bipartition:
         return Bipartition(tuple(int(c) for c in self.partition))

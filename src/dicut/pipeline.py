@@ -135,7 +135,12 @@ def split_large(
     threshold = n**exponent
     large = tuple(v for v in range(n) if digraph.degree(v) >= threshold)
     aset = set(large)
-    kept = [e for e in digraph.edges if not (e[0] in aset and e[1] in aset)]
+    kept = [
+        (u, v)
+        for u in range(n)
+        for v in digraph.out_neighbors(u)
+        if not (u in aset and v in aset)
+    ]
     stripped = Digraph(n, kept)
     rest = tuple(v for v in range(n) if v not in aset)
     return large, rest, stripped, digraph.m - len(kept)
@@ -211,14 +216,14 @@ def _signed_surpluses(stripped: Digraph, large: Sequence[int]) -> list[int]:
 def gap_partition(stripped: Digraph, large: Sequence[int]) -> GapPartition:
     """min_gap over the large set's surpluses, lifted back to vertex ids and
     annotated with the exact forward/backward edge counts."""
-    aset = set(large)
-    if any(u in aset and v in aset for u, v in stripped.edges):
-        raise ValueError("gap partition requires the large set to induce no edges")
     surpluses = _signed_surpluses(stripped, large)
     raw = min_gap(surpluses)
     a1 = tuple(large[i] for i in raw.a1)
     a2 = tuple(large[i] for i in raw.a2)
     prof = edge_profile(stripped, a1, a2)
+    # the profile skips edges inside A1 or inside A2, so m - total counts them
+    if prof.a1a2 or prof.a2a1 or prof.total != stripped.m:
+        raise ValueError("gap partition requires the large set to induce no edges")
     m_a_f = prof.a1b + prof.ba2
     m_a_b = prof.ba1 + prof.a2b
     if m_a_f - m_a_b != raw.theta:

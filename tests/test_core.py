@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from dicut.core import (
     parse_edge_list,
     parse_partition,
 )
-from dicut.generators import eulerian_complete
+from dicut.generators import complete_antiparallel, eulerian_complete
 
 from .conftest import random_digraph
 
@@ -122,9 +123,9 @@ def pair_lists(draw, max_n=7):
     return n, pairs
 
 
-@given(pair_lists(), st.booleans())
+@given(pair_lists(), st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_adjacency_agrees_with_edge_set(case, as_generator):
+def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
     n, pairs = case
     edge_set = set(pairs)
     norm = {(min(e), max(e)) for e in edge_set}
@@ -140,12 +141,44 @@ def test_adjacency_agrees_with_edge_set(case, as_generator):
     assert g.antiparallel_pairs() == sum(
         1 for (u, v) in edge_set if u < v and (v, u) in edge_set
     )
+    assert g.m == len(edge_set)
+    keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+    index = {v: i for i, v in enumerate(keep)}
+    assert g.induced(keep).edges == tuple(
+        sorted((index[u], index[v]) for u, v in edge_set if u in index and v in index)
+    )
+    back = parse_edge_list(format_edge_list(g))
+    assert (back.n, back.edges) == (n, g.edges)
+    side = tuple(rng.choice((1, 2)) for _ in range(n))
+    stats = cut_stats(g, Bipartition(side))
+    assert (stats.e12, stats.e21) == (
+        sum(1 for u, v in edge_set if (side[u], side[v]) == (1, 2)),
+        sum(1 for u, v in edge_set if (side[u], side[v]) == (2, 1)),
+    )
     und = g.underlying()
     assert und.edges == tuple(sorted(norm))
+    assert und.m == len(norm)
+    assert und.induced(keep).edges == tuple(
+        sorted((index[u], index[v]) for u, v in norm if u in index and v in index)
+    )
     for u in range(-2, n + 2):
         for v in range(-2, n + 2):
             assert g.has_edge(u, v) == ((u, v) in edge_set)
             assert und.has_edge(u, v) == ((min(u, v), max(u, v)) in norm)
+
+
+def test_digraph_retains_adjacency_only():
+    # the sorted out- and in-lists hold one reference per edge each; a stored
+    # tuple of (u, v) tuples would add about 64 B per edge on top
+    pairs = complete_antiparallel(200).edges
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = Digraph(200, pairs)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / g.m < 32
 
 
 class TestUnderlying:

@@ -311,8 +311,11 @@ class TestStarDecompose:
         assert lifted == plain.star_edge_count() + seeded.sigma
 
     def test_requires_cap_or_epsilon(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             star_decompose(directed_triangles(1), range(3))
+        for epsilon in (0, -1):
+            with pytest.raises(ValueError):
+                star_decompose(directed_triangles(1), range(3), epsilon=epsilon)
 
     def test_high_degree_leftover(self):
         # hub has a huge full-digraph degree; as an unmatched free vertex it
@@ -322,7 +325,8 @@ class TestStarDecompose:
         pairs += [(hub, v) for v in range(4, 24)] + [(v, hub) for v in range(4, 24)]
         pairs += [(1, hub)]
         d = Digraph(24, pairs)
-        dec = star_decompose(d, [0, 1, 2, hub], degree_cap=5.0)
+        dec = star_decompose(d, [0, 1, 2, hub], epsilon=0.5)
+        assert dec.degree_cap < d.degree(hub)
         assert hub in dec.leftover
 
     @staticmethod

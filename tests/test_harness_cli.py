@@ -209,6 +209,20 @@ class TestCli:
         assert proc.stderr == "error: exact_judicious is capped at n <= 24, got 25\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("epsilon", ["0", "-1"])
+    def test_decompose_nonpositive_epsilon_exit_one(self, tmp_path, epsilon):
+        graph_file = tmp_path / "tri.el"
+        graph_file.write_text("3 3\n0 1\n1 2\n2 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dicut.cli", "decompose", "-i", str(graph_file),
+             "--epsilon", epsilon],
+            capture_output=True, text=True, env=_cli_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize(
         "gen_args",
         [

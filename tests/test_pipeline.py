@@ -28,6 +28,7 @@ from dicut.pipeline import (
     split_large,
     surplus_profile,
 )
+from dicut.samplers import edge_profile
 
 from .conftest import random_digraph
 
@@ -107,6 +108,27 @@ class TestGapPartitionOnDigraph:
         g = eulerian_complete(5)
         with pytest.raises(ValueError, match="induce no edges"):
             gap_partition(g, (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "pairs, crossing",
+        [
+            # min_gap puts 0 and 1 on one side: the edge (0, 1) lies inside it
+            ([(0, 1), (0, 2), (1, 2)], False),
+            # min_gap sets A1 = {0}, A2 = {1}: the edge (0, 1) crosses
+            ([(0, 1), (0, 2), (1, 3), (1, 4)], True),
+        ],
+    )
+    def test_rejects_each_edge_kind_inside_large_set(self, pairs, crossing):
+        g = Digraph.from_edge_list(pairs)
+        large = (0, 1)
+        raw = min_gap([g.out_degree(v) - g.in_degree(v) for v in large])
+        a1 = tuple(large[i] for i in raw.a1)
+        a2 = tuple(large[i] for i in raw.a2)
+        prof = edge_profile(g, a1, a2)
+        assert (prof.a1a2 + prof.a2a1 > 0) == crossing
+        assert (prof.total < g.m) != crossing
+        with pytest.raises(ValueError, match="induce no edges"):
+            gap_partition(g, large)
 
 
 class TestSurplusProfile:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dicut.core import Digraph, cut_stats
 from dicut.decomposition import star_decompose
@@ -12,6 +14,7 @@ from dicut.generators import (
     random_min_outdeg,
 )
 from dicut.samplers import (
+    EdgeProfile,
     SamplerConfig,
     edge_profile,
     exact_fraction,
@@ -56,6 +59,11 @@ class TestExpectedCuts:
         with pytest.raises(ValueError, match="overlap"):
             expected_cuts(three_cycle(), [0], [0], 0.5)
 
+    def test_out_of_range_rejected(self):
+        for a1 in ([3], [-1]):
+            with pytest.raises(ValueError, match="vertex ids"):
+                edge_profile(three_cycle(), a1, [])
+
     def test_empirical_mean_matches(self):
         g = random_min_outdeg(16, 2, 1.0, seed=9)
         a1, a2 = {0, 1}, {2}
@@ -77,6 +85,60 @@ class TestExpectedCuts:
             total += e12
         mean = total / draws
         assert abs(mean - e12_expect) < 0.3  # ~5 sigma at this sample size
+
+
+def full_scan_profile(digraph, a1, a2):
+    """Reference: classify every edge of the digraph with the full if-chain."""
+    s1, s2 = set(a1), set(a2)
+    counts = dict(a1a2=0, a2a1=0, a1b=0, ba1=0, a2b=0, ba2=0, bb=0)
+    for u, v in digraph.edges:
+        cu = 1 if u in s1 else 2 if u in s2 else 0
+        cv = 1 if v in s1 else 2 if v in s2 else 0
+        if cu == 1 and cv == 2:
+            counts["a1a2"] += 1
+        elif cu == 2 and cv == 1:
+            counts["a2a1"] += 1
+        elif cu == 1 and cv == 0:
+            counts["a1b"] += 1
+        elif cu == 0 and cv == 1:
+            counts["ba1"] += 1
+        elif cu == 2 and cv == 0:
+            counts["a2b"] += 1
+        elif cu == 0 and cv == 2:
+            counts["ba2"] += 1
+        elif cu == 0 and cv == 0:
+            counts["bb"] += 1
+    return EdgeProfile(**counts)
+
+
+@st.composite
+def labelled_digraphs(draw, max_n=9):
+    """(digraph, labels): label 0 is B, 1 is A1, 2 is A2; some antiparallel."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pool = [(u, v) for u in range(n) for v in range(n) if u < v]
+    chosen = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    pairs = []
+    for u, v in chosen:
+        pairs += draw(st.sampled_from([[(u, v)], [(v, u)], [(u, v), (v, u)]]))
+    labels = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n))
+    return Digraph(n, pairs), labels
+
+
+@given(labelled_digraphs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+@example((Digraph(3, [(0, 1), (1, 2)]), [0, 0, 0]), False)  # A1 = A2 = {}
+@example((Digraph(3, [(0, 1), (1, 0), (1, 2)]), [1, 1, 2]), False)  # inside A1
+@example((Digraph(3, [(0, 1), (1, 0), (2, 0)]), [2, 2, 1]), False)  # inside A2
+@example((Digraph(2, [(0, 1), (1, 0)]), [1, 2]), True)
+def test_edge_profile_matches_full_scan(case, overlap):
+    g, labels = case
+    a1 = [v for v, c in enumerate(labels) if c == 1]
+    a2 = [v for v, c in enumerate(labels) if c == 2]
+    if overlap and a1:
+        with pytest.raises(ValueError, match="overlap"):
+            edge_profile(g, a1, a2 + a1[:1])
+        return
+    assert edge_profile(g, a1, a2) == full_scan_profile(g, a1, a2)
 
 
 class TestSecondMoment:
