@@ -280,7 +280,10 @@ class _Grower:
             for v1 in boundary:
                 v2 = partner[v1]
                 if v2 in self.in_t:
-                    raise AssertionError("matched pair split by absorption set")
+                    raise MatchingError(
+                        f"matched pair ({v1},{v2}) split by the absorption set "
+                        f"of leftover vertex {self.w}"
+                    )
                 n1 = {t for t in graph.neighbors(v1) if t in self.in_t}
                 n2 = {t for t in graph.neighbors(v2) if t in self.in_t}
                 for w2 in graph.neighbors(v2):
@@ -305,7 +308,10 @@ class _Grower:
                 self._swap(v1, v2, anchor_of_v1=target in n1, target=target)
                 return True
             if not progressed:  # pragma: no cover - loop always acts
-                raise AssertionError("growth stalled")
+                raise MatchingError(
+                    f"growth stalled for leftover vertex {self.w} at boundary "
+                    f"{boundary}"
+                )
 
     def _finish_component(self) -> bool:
         violation = _tight_violation(self.graph, sorted(self.in_t))
@@ -585,9 +591,11 @@ def star_decompose(
         )
         leaves_of[i].append(w)
         if i in attach_at and attach_at[i] != v:
-            raise AssertionError(
-                "two leaves of one seed edge attach at different endpoints; "
-                "matching was not maximum"
+            a, b = seeds[i]
+            raise MatchingError(
+                f"two leaves of seed edge ({orig[a]},{orig[b]}) attach at "
+                f"different endpoints {orig[attach_at[i]]} and {orig[v]} (leaf "
+                f"{orig[w]}); matching was not maximum"
             )
         attach_at[i] = v
 

@@ -61,7 +61,6 @@ class PipelineConfig:
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     enable_local_search: bool = True
     test_constants: bool = False
-    dense_threshold: float | None = None
     large_degree_exponent: float = 0.75
 
     def __post_init__(self) -> None:
@@ -73,9 +72,7 @@ class PipelineConfig:
             raise ValueError("max_attempts must be at least 1")
 
     def dense_cutoff(self) -> float:
-        base = self.dense_threshold
-        if base is None:
-            base = DENSE_THRESHOLD[self.d]
+        base = DENSE_THRESHOLD[self.d]
         # --test-constants exists solely so tests can reach the dense branch
         # on feasible instances; results are watermarked non-conforming.
         return base / TEST_CONSTANT_SCALE if self.test_constants else base
@@ -130,34 +127,26 @@ def split_large(
     digraph: Digraph, exponent: float = 0.75
 ) -> tuple[tuple[int, ...], tuple[int, ...], Digraph, int]:
     """Separate vertices of total degree >= n^exponent and strip the edges
-    running inside that set; returns (A, B, stripped digraph, removed count)."""
+    running inside that set; returns (A, B, stripped digraph, removed count).
+
+    When no edge runs inside A the input itself (immutable) is returned as
+    the stripped digraph, so the common case costs O(n + vol A), no copy.
+    """
     n = digraph.n
     threshold = n**exponent
     large = tuple(v for v in range(n) if digraph.degree(v) >= threshold)
     aset = set(large)
+    rest = tuple(v for v in range(n) if v not in aset)
+    removed = sum(len(aset.intersection(digraph.out_neighbors(u))) for u in large)
+    if not removed:
+        return large, rest, digraph, 0
     kept = [
         (u, v)
         for u in range(n)
         for v in digraph.out_neighbors(u)
         if not (u in aset and v in aset)
     ]
-    stripped = Digraph(n, kept)
-    rest = tuple(v for v in range(n) if v not in aset)
-    return large, rest, stripped, digraph.m - len(kept)
-
-
-def greedy_gap(surpluses: Sequence[int]) -> GapPartition:
-    """Process signed surpluses in order, always opposing the running sign;
-    the final gap is at most the largest single magnitude."""
-    running = 0
-    forward = []
-    for s in surpluses:
-        mag = abs(s)
-        # tie at zero: contribute positively
-        go_forward = running <= 0
-        running += mag if go_forward else -mag
-        forward.append(go_forward and mag > 0)
-    return _assemble_gap(surpluses, forward, running)
+    return large, rest, Digraph(n, kept), removed
 
 
 def min_gap(surpluses: Sequence[int]) -> GapPartition:
@@ -227,7 +216,10 @@ def gap_partition(stripped: Digraph, large: Sequence[int]) -> GapPartition:
     m_a_f = prof.a1b + prof.ba2
     m_a_b = prof.ba1 + prof.a2b
     if m_a_f - m_a_b != raw.theta:
-        raise AssertionError("gap identity violated: m_A_f - m_A_b != theta")
+        raise StructuralDiagnostic(
+            "gap identity violated: m_A_f - m_A_b != theta",
+            {"theta": raw.theta, "m_a_f": m_a_f, "m_a_b": m_a_b},
+        )
     return GapPartition(a1, a2, raw.theta, m_a_f, m_a_b)
 
 
@@ -261,40 +253,46 @@ def local_search(digraph: Digraph, partition: Bipartition) -> Bipartition:
     The tie-breaking plateau moves cost nothing on the primary objective but
     let the search walk out of shallow local optima on small instances.
     """
-    return _sweep(digraph, partition, cut_stats(digraph, partition))
+    return _sweep(digraph, partition, cut_stats(digraph, partition))[0]
 
 
-def _sweep(digraph: Digraph, partition: Bipartition, stats: CutStats) -> Bipartition:
-    """local_search from a partition whose cuts `stats` were already counted."""
+def _sweep(
+    digraph: Digraph, partition: Bipartition, stats: CutStats
+) -> tuple[Bipartition, CutStats]:
+    """local_search from a partition whose cuts `stats` are known; returns the
+    result with its cuts.  two[v] counts the side-2 ends of v's edges, so a
+    visit costs O(1) and a flip of v O(deg v) (Fiduccia-Mattheyses gains)."""
     side = list(partition.side)
+    out, in_ = digraph._out, digraph._in
+    get = side.__getitem__
+    # sides are 1 or 2, so the side labels of a list sum to its length + #side-2
+    two = [
+        sum(map(get, a)) + sum(map(get, b)) - len(a) - len(b)
+        for a, b in zip(out, in_)
+    ]
+    indeg, outdeg = list(map(len, in_)), list(map(len, out))
     e12, e21 = stats.e12, stats.e21
+    low, total = min(e12, e21), e12 + e21
     improved = True
     while improved:
         improved = False
-        for v in range(digraph.n):
-            s = side[v]
-            o_same = o_diff = i_same = i_diff = 0
-            for t in digraph.out_neighbors(v):
-                if side[t] == s:
-                    o_same += 1
-                else:
-                    o_diff += 1
-            for t in digraph.in_neighbors(v):
-                if side[t] == s:
-                    i_same += 1
-                else:
-                    i_diff += 1
+        # list iterators read the live lists, so each visit sees earlier flips
+        for v, (s, c, i, o) in enumerate(zip(side, two, indeg, outdeg)):
+            # moving v from side 1 to side 2 changes e12 by (in-edges from
+            # side 1) - (out-edges to side 2) = i - c; e21 likewise by o - c
             if s == 1:
-                n12 = e12 + i_same - o_diff
-                n21 = e21 + o_same - i_diff
+                n12, n21 = e12 + i - c, e21 + o - c
             else:
-                n12 = e12 + o_same - i_diff
-                n21 = e21 + i_same - o_diff
-            if (min(n12, n21), n12 + n21) > (min(e12, e21), e12 + e21):
+                n12, n21 = e12 - i + c, e21 - o + c
+            new_low = n12 if n12 < n21 else n21
+            if new_low > low or (new_low == low and n12 + n21 > total):
                 side[v] = 3 - s
-                e12, e21 = n12, n21
+                step = 1 if s == 1 else -1
+                for t in out[v] + in_[v]:
+                    two[t] += step
+                e12, e21, low, total = n12, n21, new_low, n12 + n21
                 improved = True
-    return Bipartition(tuple(side))
+    return Bipartition(tuple(side)), CutStats(e12, e21)
 
 
 def _polish(
@@ -307,21 +305,16 @@ def _polish(
     real work; restarts are deterministic per seed.  `stats` are the cuts
     of `partition`, already counted by the caller.
     """
-
-    def key(p: Bipartition) -> tuple[int, int]:
-        s = cut_stats(digraph, p)
-        return s.min_cut, s.total
-
-    best = _sweep(digraph, partition, stats)
+    best, best_stats = _sweep(digraph, partition, stats)
     if digraph.n <= RESTART_MAX_N:
-        best_key = key(best)
+        best_key = best_stats.min_cut, best_stats.total
         rng = random.Random(seed)
         for _ in range(RESTART_COUNT):
             start = Bipartition(
                 tuple(1 if rng.random() < 0.5 else 2 for _ in range(digraph.n))
             )
-            candidate = local_search(digraph, start)
-            cand_key = key(candidate)
+            candidate, cand_stats = _sweep(digraph, start, cut_stats(digraph, start))
+            cand_key = cand_stats.min_cut, cand_stats.total
             if cand_key > best_key:
                 best, best_key = candidate, cand_key
     return best
@@ -391,20 +384,20 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
         trace.append(
             {"step": "watermark", "note": "test-constants mode: non-conforming"}
         )
-    removed = 0
     if dense:
         outcome = quarter_partition(
             digraph, DENSE_EPSILON[config.d], config.seed, config.max_attempts
         )
         trace.append(_sampler_record("quarter", outcome))
-        partition, sampled = outcome.partition, outcome.stats
+        removed = 0
     else:
-        partition, removed = _sparse_branches(digraph, config, trace)
-        sampled = None  # the sparse samplers count cuts on the stripped digraph
+        outcome, removed = _sparse_branches(digraph, config, trace)
+    partition = outcome.partition
 
     if config.enable_local_search:
-        if sampled is None:
-            sampled = cut_stats(digraph, partition)
+        # the sampler counted its cuts on the stripped digraph, which is the
+        # input itself unless edges inside the large set were removed
+        sampled = outcome.stats if not removed else cut_stats(digraph, partition)
         min_cut_before = sampled.min_cut
         partition = _polish(digraph, partition, sampled, config.seed)
     stats = cut_stats(digraph, partition)
@@ -450,7 +443,7 @@ def run_d3(digraph: Digraph, config: PipelineConfig | None = None) -> PartitionR
 
 def _sparse_branches(
     digraph: Digraph, config: PipelineConfig, trace: list[dict[str, Any]]
-) -> tuple[Bipartition, int]:
+) -> tuple[SampleOutcome, int]:
     large, rest, stripped, removed = split_large(
         digraph, config.large_degree_exponent
     )
@@ -482,7 +475,7 @@ def _sparse_branches(
         )
         outcome = second_moment_partition(stripped, gp.a1, gp.a2, cfg)
         trace.append(_sampler_record("second_moment", outcome))
-        return outcome.partition, removed
+        return outcome, removed
 
     profile = surplus_profile(stripped, large, gp.theta)
     trace.append(
@@ -514,8 +507,7 @@ def _sparse_branches(
         )
     if config.d == 2:
         _check_d2_structure(profile, gp)
-        partition = _bisection_branch(stripped, rest, config, gp, profile, trace)
-        return partition, removed
+        return _bisection_branch(stripped, rest, config, gp, profile, trace), removed
     count = len(profile.huge)
     if count not in (1, 3):
         raise StructuralDiagnostic(
@@ -528,10 +520,8 @@ def _sparse_branches(
             {"g": profile.g, "delta": profile.delta, "theta": profile.theta},
         )
     if count == 1:
-        partition = _bisection_branch(stripped, rest, config, gp, profile, trace)
-        return partition, removed
-    partition = _three_huge_branch(stripped, config, profile, trace)
-    return partition, removed
+        return _bisection_branch(stripped, rest, config, gp, profile, trace), removed
+    return _three_huge_branch(stripped, config, profile, trace), removed
 
 
 def _forward_backward(profile: SurplusProfile, gp: GapPartition):
@@ -579,7 +569,7 @@ def _bisection_branch(
     gp: GapPartition,
     profile: SurplusProfile,
     trace: list[dict[str, Any]],
-) -> Bipartition:
+) -> SampleOutcome:
     d = config.d
     eps_bis = config.epsilon / 4
     decomp = star_decompose(
@@ -622,7 +612,7 @@ def _bisection_branch(
         stripped, gp.a1, gp.a2, decomp, eps_bis, config.seed, config.max_attempts
     )
     trace.append(_sampler_record("star_bisection", outcome))
-    return outcome.partition
+    return outcome
 
 
 def _three_huge_branch(
@@ -630,7 +620,7 @@ def _three_huge_branch(
     config: PipelineConfig,
     profile: SurplusProfile,
     trace: list[dict[str, Any]],
-) -> Bipartition:
+) -> SampleOutcome:
     v1, v2, v3 = profile.huge
     d1, d2, d3 = profile.delta_list
     g = profile.g
@@ -675,4 +665,4 @@ def _three_huge_branch(
     cfg = SamplerConfig(p, config.epsilon / 2, config.seed, config.max_attempts)
     outcome = second_moment_partition(stripped, a1, a2, cfg)
     trace.append(_sampler_record("second_moment_biased", outcome))
-    return outcome.partition
+    return outcome

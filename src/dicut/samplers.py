@@ -11,7 +11,7 @@ in exact rational arithmetic, so acceptance at the boundary is unambiguous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -212,10 +212,7 @@ def quarter_partition(
     eps = exact_fraction(epsilon)
     dense_enough = digraph.m >= 8 * digraph.n / (eps * eps)
     if outcome.warning is not None and dense_enough:
-        outcome = SampleOutcome(
-            outcome.partition, outcome.stats, outcome.accepted,
-            outcome.attempts_used, outcome.targets, None,
-        )
+        outcome = replace(outcome, warning=None)
     return outcome
 
 

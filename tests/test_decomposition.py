@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dicut.core import Digraph, UnderlyingGraph
 from dicut.decomposition import (
     _augment,
+    _Grower,
     _max_matching_partner,
     Matching,
     MatchingError,
@@ -214,6 +215,13 @@ class TestTightComponents:
         bad = Matching(frozenset({(0, 2), (3, 4)}), frozenset({1}))
         with pytest.raises(MatchingError):
             tight_components(g, bad)
+
+    def test_pair_split_by_absorption_set_named(self):
+        # partner array claims 1 is matched to the leftover vertex 0 itself
+        g = UnderlyingGraph(3, [(0, 1), (1, 2)])
+        grower = _Grower(g, [-1, 0, -1], 0, mutate=False)
+        with pytest.raises(MatchingError, match=r"pair \(1,0\) split .* vertex 0"):
+            grower.run()
 
     def test_all_reported_components_are_odd(self):
         rng = random.Random(23)

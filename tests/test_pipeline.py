@@ -18,7 +18,6 @@ from dicut.pipeline import (
     StructuralDiagnostic,
     SurplusProfile,
     gap_partition,
-    greedy_gap,
     guarantee_target,
     local_search,
     min_gap,
@@ -33,6 +32,20 @@ from dicut.samplers import edge_profile
 from .conftest import random_digraph
 
 
+def greedy_gap(surpluses):
+    """Process signed surpluses in order, always opposing the running sign;
+    the final gap is at most the largest single magnitude."""
+    running = 0
+    forward = []
+    for s in surpluses:
+        mag = abs(s)
+        # tie at zero: contribute positively
+        go_forward = running <= 0
+        running += mag if go_forward else -mag
+        forward.append(go_forward and mag > 0)
+    return pipeline_mod._assemble_gap(surpluses, forward, running)
+
+
 class TestSplitLarge:
     def test_small_complete_is_all_large(self):
         g = eulerian_complete(7)  # all degrees 6 >= 7^0.75
@@ -44,13 +57,32 @@ class TestSplitLarge:
         g = random_min_outdeg(2000, 2, 0.5, seed=1)
         large, rest, stripped, removed = split_large(g)
         assert large == () and removed == 0
-        assert stripped.m == g.m
+        assert stripped is g  # nothing stripped: the input is shared, not copied
 
     def test_gadget_hub_is_large(self):
         g, v0 = lower_bound_gadget(2, 200)
         large, rest, stripped, removed = split_large(g)
         assert large == (v0,)
-        assert removed == 0
+        assert removed == 0 and stripped is g
+
+    def test_removed_matches_independent_count(self):
+        rng = random.Random(17)
+        stripping = 0
+        for _ in range(30):
+            g = random_digraph(rng, rng.randint(2, 30), rng.uniform(0.05, 0.6))
+            exponent = rng.choice((0.5, 0.6, 0.75))
+            large, rest, stripped, removed = split_large(g, exponent)
+            aset = set(large)
+            inside = [(u, v) for u, v in g.edges if u in aset and v in aset]
+            assert removed == len(inside)
+            assert stripped.m == g.m - removed
+            assert set(stripped.edges) == set(g.edges) - set(inside)
+            assert sorted(large + rest) == list(range(g.n))
+            if removed:
+                stripping += 1
+            else:
+                assert stripped is g
+        assert 0 < stripping < 30  # both outcomes were exercised
 
 
 class TestGapOps:
@@ -191,6 +223,62 @@ class TestLocalSearch:
             before = cut_stats(g, part).min_cut
             after = cut_stats(g, local_search(g, part)).min_cut
             assert after >= before
+
+
+def _rescanning_sweep(digraph: Digraph, partition: Bipartition, stats) -> Bipartition:
+    """Reference: local search that rescans each visited vertex's edges."""
+    side = list(partition.side)
+    e12, e21 = stats.e12, stats.e21
+    improved = True
+    while improved:
+        improved = False
+        for v in range(digraph.n):
+            s = side[v]
+            o_same = o_diff = i_same = i_diff = 0
+            for t in digraph.out_neighbors(v):
+                if side[t] == s:
+                    o_same += 1
+                else:
+                    o_diff += 1
+            for t in digraph.in_neighbors(v):
+                if side[t] == s:
+                    i_same += 1
+                else:
+                    i_diff += 1
+            if s == 1:
+                n12 = e12 + i_same - o_diff
+                n21 = e21 + o_same - i_diff
+            else:
+                n12 = e12 + o_same - i_diff
+                n21 = e21 + i_same - o_diff
+            if (min(n12, n21), n12 + n21) > (min(e12, e21), e12 + e21):
+                side[v] = 3 - s
+                e12, e21 = n12, n21
+                improved = True
+    return Bipartition(tuple(side))
+
+
+@st.composite
+def _digraph_with_partition(draw):
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.sets(edge, max_size=5 * n))
+    # reverse some edges too, so antiparallel pairs are common
+    mirrored = draw(st.sets(st.sampled_from(sorted(pairs)))) if pairs else set()
+    pairs |= {(v, u) for u, v in mirrored}
+    side = draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+    return Digraph(n, sorted(pairs)), Bipartition(tuple(side))
+
+
+@given(_digraph_with_partition())
+@settings(max_examples=300, deadline=None)
+def test_local_search_matches_rescanning_sweep(case):
+    g, part = case
+    expected = _rescanning_sweep(g, part, cut_stats(g, part))
+    assert local_search(g, part) == expected
+    result, stats = pipeline_mod._sweep(g, part, cut_stats(g, part))
+    assert result == expected and stats == cut_stats(g, result)
 
 
 class TestGuaranteeTarget:
@@ -386,6 +474,25 @@ class TestStructuralDiagnostics:
             run_d2(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
 
 
+    def test_gap_identity_violation_rejected(self, monkeypatch):
+        g, _ = lower_bound_gadget(2, 30)
+        large, _, stripped, _ = split_large(g)
+        honest = gap_partition(stripped, large)
+        real = pipeline_mod.min_gap
+
+        def wrong_theta(surpluses):
+            raw = real(surpluses)
+            return GapPartition(raw.a1, raw.a2, raw.theta + 1)
+
+        monkeypatch.setattr(pipeline_mod, "min_gap", wrong_theta)
+        with pytest.raises(StructuralDiagnostic, match="gap identity") as err:
+            gap_partition(stripped, large)
+        assert err.value.payload == {
+            "theta": honest.theta + 1,
+            "m_a_f": honest.m_a_f,
+            "m_a_b": honest.m_a_b,
+        }
+
     def test_odd_buffer_count_rejected(self):
         class Inconsistent:  # degree disagrees with out- plus in-degree
             def out_degree(self, v):
@@ -423,8 +530,19 @@ class TestCutCounting:
         assert [r["branch"] for r in result.branch_trace if r["step"] == "gap"] == [
             "structural"
         ]
-        assert len(calls) == 2  # min_cut_before, then the final stats
-        assert calls[-1] == result.partition
+        assert result.removed_a_edges == 0
+        # nothing stripped: the sampler's counts serve as min_cut_before
+        assert calls == [result.partition]
+
+    def test_stripped_graph_recounts_sample(self, monkeypatch):
+        from dicut.generators import complete_antiparallel
+
+        g = complete_antiparallel(40)  # every edge lies inside the large set
+        calls = self._count(monkeypatch)
+        result = run_d2(g, PipelineConfig(d=2, seed=1))
+        assert result.removed_a_edges == g.m
+        # the sampler counted on the stripped copy, so the input recounts
+        assert len(calls) == 2 and calls[-1] == result.partition
 
     def test_dense_branch_reuses_sampler_stats(self, monkeypatch):
         g = random_min_outdeg(100, 2, extra=12, seed=3)
@@ -435,6 +553,24 @@ class TestCutCounting:
         polish = result.branch_trace[-1]
         assert polish["min_cut_before"] == min(sampled["e12"], sampled["e21"])
         assert calls == [result.partition]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "g, strips",
+    [
+        (eulerian_complete(9), True),
+        (lower_bound_gadget(2, 40)[0], False),
+        (random_min_outdeg(300, 2, 1.0, seed=5), False),
+    ],
+    ids=["k9-strips", "gadget", "random"],
+)
+def test_min_cut_before_is_unpolished_result(g, strips, seed):
+    polished = run_d2(g, PipelineConfig(d=2, seed=seed))
+    plain = run_d2(g, PipelineConfig(d=2, seed=seed, enable_local_search=False))
+    assert (polished.removed_a_edges > 0) == strips
+    assert polished.branch_trace[-1]["step"] == "local_search"
+    assert polished.branch_trace[-1]["min_cut_before"] == plain.stats.min_cut
 
 
 class TestResultInvariants:
