@@ -3,6 +3,7 @@ projection to the underlying undirected simple graph."""
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -287,40 +288,92 @@ def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list interchange format: first line "n m", then m lines "u v",
-# 0-indexed, whitespace-separated; lines starting with '#' are comments.
+# Edge-list interchange format: the first line "n m", then m lines "u v",
+# 0-indexed, whitespace-separated. Lines are split as str.splitlines does and
+# stripped; blank lines and lines starting with '#' may appear anywhere.
 # ---------------------------------------------------------------------------
+
+_SLICE_CHARS = 1 << 20
+# exactly what format_edge_list writes for edges; such slices skip the line loop
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+
+
+def _find_header(text: str) -> tuple[str, int]:
+    """The first content line and the offset just past its line break."""
+    pos = 0
+    while pos < len(text):
+        # a '\n' always ends a line, so each piece splits as the whole text does
+        end = text.find("\n", pos) + 1 or len(text)
+        for ln in text[pos:end].splitlines(keepends=True):
+            pos += len(ln)
+            ln = ln.strip()
+            if ln and not ln.startswith("#"):
+                return ln, pos
+    raise GraphInputError("empty edge-list input")
 
 
 def parse_edge_list(text: str) -> Digraph:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines:
-        raise GraphInputError("empty edge-list input")
+    """Parse the edge-list format, tokenizing canonical slices in C.
+
+    The body is read in slices of about 1 MB, each cut just after a newline.
+    A slice of plain "u v" lines is split in one call and its tokens are
+    looked up as ids; any other slice goes line by line. The first bad line
+    is raised only after the line count matches the header, so the count
+    error takes precedence.
+    """
+    header, pos = _find_header(text)
     try:
-        n, m = map(int, lines[0].split())
+        n, m = map(int, header.split())
     except ValueError as exc:
-        raise GraphInputError(f"header must be 'n m', got {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != m:
-        raise GraphInputError(f"header promises {m} edges, found {len(body)}")
-    pairs = []
-    for ln in body:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError as exc:
-            raise GraphInputError(f"bad edge line {ln!r}") from exc
-        pairs.append((u, v))
+        raise GraphInputError(f"header must be 'n m', got {header!r}") from exc
+    # ids 0..n-1 as the writer spells them, so that each id becomes one shared
+    # int; the body cannot name more distinct ids than it has characters
+    ids = {str(v): v for v in range(min(n, len(text) - pos))}
+    pairs: list[tuple[int, int]] = []
+    count = 0
+    bad: tuple[str, ValueError] | None = None
+    while pos < len(text):
+        end = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
+        chunk = text[pos:end]
+        pos = end
+        if _CANONICAL.fullmatch(chunk):
+            before = len(pairs)
+            try:
+                it = map(ids.__getitem__, chunk.split())
+                pairs.extend(zip(it, it))
+                count += chunk.count("\n")
+                continue
+            except KeyError:  # an id >= n or with a leading zero
+                del pairs[before:]  # read the slice line by line instead
+        for ln in chunk.splitlines():
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            count += 1
+            if bad is None:
+                try:
+                    u, v = map(int, ln.split())
+                except ValueError as exc:
+                    bad = (ln, exc)
+                    continue
+                pairs.append((u, v))
+    if count != m:
+        raise GraphInputError(f"header promises {m} edges, found {count}")
+    if bad is not None:
+        raise GraphInputError(f"bad edge line {bad[0]!r}") from bad[1]
     return Digraph(n, pairs)
 
 
 def format_edge_list(digraph: Digraph, comments: Sequence[str] = ()) -> str:
     out = [f"# {c}" for c in comments]
     out.append(f"{digraph.n} {digraph.m}")
-    out.extend(f"{u} {v}" for u, v in digraph._pairs())
+    # one join per vertex, "u v1\nu v2...", with each id converted once
+    names = list(map(str, range(digraph.n)))
+    out += [
+        u + " " + f"\n{u} ".join(map(names.__getitem__, a))
+        for u, a in zip(names, digraph._out)
+        if a
+    ]
     return "\n".join(out) + "\n"
 
 

@@ -439,34 +439,6 @@ def tight_components(
     return TightReport(tuple(comps), tuple(flags))
 
 
-def brute_force_tight_check(graph: UnderlyingGraph) -> bool:
-    """Definitional tight-component test by full enumeration; test oracle only.
-
-    True iff for every vertex v the rest has a perfect matching and no such
-    matching has an edge with exactly one endpoint adjacent to v.
-    """
-    from .oracle import MAX_PM_N, enumerate_perfect_matchings
-
-    if graph.n > MAX_PM_N - 1:
-        raise ValueError(f"brute_force_tight_check is capped at n <= {MAX_PM_N - 1}")
-    if len(graph.components()) != 1:
-        raise ValueError("tight check expects a single connected component")
-    for v in range(graph.n):
-        rest = [u for u in range(graph.n) if u != v]
-        sub = graph.induced(rest)
-        orig = sub.orig_ids
-        neighbors = set(graph.neighbors(v))
-        found = False
-        for pm in enumerate_perfect_matchings(sub):
-            found = True
-            for a, b in pm:
-                if (orig[a] in neighbors) != (orig[b] in neighbors):
-                    return False
-        if not found:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Star:
     """Induced star: seed matching edge, apex, and leaves hanging off the apex."""

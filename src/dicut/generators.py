@@ -20,6 +20,12 @@ FAMILIES = (
 )
 
 
+def _self_check(ok: bool, family: str, prop: str) -> None:
+    """Raise when a built instance lacks a property its family guarantees."""
+    if not ok:
+        raise RuntimeError(f"{family} generator self-check failed: {prop}")
+
+
 def eulerian_complete(q: int) -> Digraph:
     """Orient the complete graph K_q (q odd) along an Eulerian circuit.
 
@@ -43,8 +49,12 @@ def eulerian_complete(q: int) -> Digraph:
             circuit.append(stack.pop())
     pairs = [(circuit[i], circuit[i + 1]) for i in range(len(circuit) - 1)]
     graph = Digraph(q, pairs)
-    assert graph.m == q * (q - 1) // 2
-    assert all(graph.out_degree(v) == (q - 1) // 2 for v in range(q))
+    _self_check(graph.m == q * (q - 1) // 2, "eulerian_complete", "m = q(q-1)/2")
+    _self_check(
+        all(graph.out_degree(v) == (q - 1) // 2 for v in range(q)),
+        "eulerian_complete",
+        "every outdegree is (q-1)/2",
+    )
     return graph
 
 
@@ -70,8 +80,12 @@ def lower_bound_gadget(d: int, k: int) -> tuple[Digraph, int]:
         pairs.extend((offset + u, v0) for u in range(2 * d - 1))
         offset += 2 * d - 1
     graph = Digraph(k * (2 * d - 1) + (2 * d + 1), pairs)
-    assert graph.m == k * d * (2 * d - 1) + d * (2 * d + 1)
-    assert graph.min_out_degree() == d
+    _self_check(
+        graph.m == k * d * (2 * d - 1) + d * (2 * d + 1),
+        "lower_bound",
+        "m = kd(2d-1) + d(2d+1)",
+    )
+    _self_check(graph.min_out_degree() == d, "lower_bound", "minimum outdegree is d")
     return graph, v0
 
 
@@ -87,7 +101,9 @@ def d1_gadget(n: int) -> Digraph:
     pairs = [(0, 1), (1, 2), (2, 0)]
     pairs.extend((v, 0) for v in range(3, n))
     graph = Digraph(n, pairs)
-    assert graph.min_out_degree() == 1
+    _self_check(
+        graph.min_out_degree() == 1, "d1_star_triangle", "minimum outdegree is 1"
+    )
     return graph
 
 
@@ -142,7 +158,7 @@ def concluding_gadgets(variant: str, n: int, patched: bool = False) -> Digraph:
             _patch_out_degree(n, pairs, small, big[:6], 3)
         graph = Digraph(n, pairs)
         if variant == "k33_plus_3regular" and not patched:
-            assert graph.m == 6 * (n - 3)
+            _self_check(graph.m == 6 * (n - 3), variant, "m = 6(n-3)")
         return graph
     # k55_mixed
     if n < 11:
@@ -154,8 +170,12 @@ def concluding_gadgets(variant: str, n: int, patched: bool = False) -> Digraph:
     if patched:
         _patch_out_degree(n, pairs, small[1:], big[:6], 3)
     graph = Digraph(n, pairs)
-    assert graph.out_degree(0) == n - 5
-    assert all(graph.in_degree(v) == n - 5 for v in small[1:])
+    _self_check(graph.out_degree(0) == n - 5, variant, "vertex 0 has outdegree n-5")
+    _self_check(
+        all(graph.in_degree(v) == n - 5 for v in small[1:]),
+        variant,
+        "vertices 1..4 have indegree n-5",
+    )
     return graph
 
 
@@ -185,7 +205,9 @@ def random_min_outdeg(n: int, d: int, extra: float = 0.0, seed: int = 0) -> Digr
             pairs.append((u, v))
             seen.add((u, v))
     graph = Digraph(n, pairs)
-    assert graph.min_out_degree() >= d
+    _self_check(
+        graph.min_out_degree() >= d, "random_min_outdeg", "minimum outdegree >= d"
+    )
     return graph
 
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from dicut.core import all_bipartitions, cut_stats
 from dicut.decomposition import (
-    brute_force_tight_check,
     free_vertex_count,
     maximize_free_vertices,
     maximum_matching,
@@ -28,7 +27,12 @@ from dicut.generators import (
     random_min_outdeg,
 )
 from dicut.harness import run_suite, suite_tasks
-from dicut.oracle import exact_judicious, exact_max_matching, exact_min_gap
+from dicut.oracle import (
+    brute_force_tight_check,
+    exact_judicious,
+    exact_max_matching,
+    exact_min_gap,
+)
 from dicut.pipeline import PipelineConfig, min_gap, run
 from dicut.samplers import expected_cuts
 

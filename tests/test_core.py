@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicut.core as core_mod
 from dicut.core import (
     Bipartition,
     Digraph,
@@ -17,7 +19,12 @@ from dicut.core import (
     parse_edge_list,
     parse_partition,
 )
-from dicut.generators import complete_antiparallel, eulerian_complete
+from dicut.generators import (
+    GadgetSpec,
+    complete_antiparallel,
+    eulerian_complete,
+    lower_bound_gadget,
+)
 
 from .conftest import random_digraph
 
@@ -244,3 +251,180 @@ class TestInterchangeFormats:
 def test_all_bipartitions_counts():
     assert sum(1 for _ in all_bipartitions(4)) == 8
     assert sum(1 for _ in all_bipartitions(3, fixed_side1=None)) == 8
+
+
+# ---------------------------------------------------------------------------
+# Edge-list I/O against the line-by-line reader and the f-string writer that
+# the sliced parser and the per-vertex writer replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_edge_list(text):
+    lines = [
+        ln.strip()
+        for ln in text.splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    if not lines:
+        raise GraphInputError("empty edge-list input")
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError as exc:
+        raise GraphInputError(f"header must be 'n m', got {lines[0]!r}") from exc
+    body = lines[1:]
+    if len(body) != m:
+        raise GraphInputError(f"header promises {m} edges, found {len(body)}")
+    pairs = []
+    for ln in body:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError as exc:
+            raise GraphInputError(f"bad edge line {ln!r}") from exc
+        pairs.append((u, v))
+    return Digraph(n, pairs)
+
+
+def reference_format_edge_list(digraph, comments=()):
+    out = [f"# {c}" for c in comments]
+    out.append(f"{digraph.n} {digraph.m}")
+    out.extend(f"{u} {v}" for u, v in digraph.edges)
+    return "\n".join(out) + "\n"
+
+
+def parse_outcome(parse, text):
+    """(n, out-lists, in-lists), or the exception's type and message."""
+    try:
+        g = parse(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return g.n, g._out, g._in
+
+
+# every break str.splitlines honours besides "\n"
+LINE_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+BLANKS = [" ", "\t", "  ", "\x1f", "\xa0"]
+# '+', '_' and Arabic-Indic digits are ints to int(); the rest are not
+ODD_TOKENS = ["+1", "1_0", "\u0663", "-1", "x", "1.0", "0x1", ""]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts, mostly valid, with every deviation the reader meets."""
+
+    def rare():
+        return draw(st.integers(min_value=0, max_value=15)) == 0
+
+    n = draw(st.integers(min_value=-1, max_value=1) if rare() else st.integers(2, 30))
+    vid = st.integers(min_value=-1, max_value=max(n, 0) + 1)
+    messy = draw(st.booleans())
+
+    def edge():
+        if n < 2 or rare():  # may be a loop or out of range
+            u, v = draw(vid), draw(vid)
+        else:
+            u = draw(st.integers(min_value=0, max_value=n - 1))
+            v = (u + draw(st.integers(min_value=1, max_value=n - 1))) % n
+        return f"{u} {v}"
+
+    def line():
+        """(line, whether it counts as an edge line)"""
+        kind = draw(st.integers(min_value=0, max_value=11)) if messy else 0
+        blank = st.sampled_from(BLANKS)
+        if kind <= 5:
+            return edge(), True
+        if kind == 6:
+            return draw(blank) * draw(st.integers(0, 2)) + "# c " + edge(), False
+        if kind == 7:
+            return draw(blank) * draw(st.integers(0, 2)), False
+        if kind <= 9:
+            return draw(blank) + edge() + draw(blank), True
+        # 1 to 3 tokens joined by blanks; a comment or blank if it strips empty
+        token = draw(st.sampled_from([vid.map(str), st.sampled_from(ODD_TOKENS)]))
+        toks = draw(st.lists(token, min_size=1, max_size=3))
+        text = draw(blank).join(toks)
+        return text, bool(text.strip())
+
+    lead = draw(st.lists(st.sampled_from(["", "  ", "# lead", "\t# x"]), max_size=2))
+    body = [line() for _ in range(draw(st.integers(0, 12)))]
+    m = sum(content for _, content in body)
+    header = f"{n} {m}"
+    if rare():
+        header = draw(
+            st.sampled_from([f"{n} {m + 1}", f"{n} {m - 1}", f"{n}", "x y", f"{n} {m} 0"])
+        )
+    lines = lead + [header] + [ln for ln, _ in body]
+    breaks = st.sampled_from(["\n"] * 4 + LINE_BREAKS) if messy else st.just("\n")
+    text = "".join(ln + draw(breaks) for ln in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return text
+
+
+@given(edge_list_texts(), st.integers(min_value=1, max_value=24))
+@settings(max_examples=600, deadline=None)
+def test_parse_edge_list_matches_line_reader(text, slice_chars):
+    # slices of a few characters mix fast and line-by-line slices in one body
+    with mock.patch.object(core_mod, "_SLICE_CHARS", slice_chars):
+        got = parse_outcome(parse_edge_list, text)
+    assert got == parse_outcome(reference_parse_edge_list, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\n0 1\n1 2\n",
+        "\n# c\n  \n3 2\r\n0 1\r\n1 2",
+        "3 2\n0 1\n" + "1" * 5000 + " 2\n",  # beyond int's digit limit
+        "3 2\n0 1\n007 2\n",  # leading zeros
+        "2 3\n0 1\n0 2\n0 0\n",  # an id >= n after valid lines in one slice
+        "1000000000000 1\n",  # count error before any allocation for n
+        "3 3\n0 1\nx 2\n",  # count error wins over the bad line
+        "3 1\n0 1\n1 2 3\n4\n",  # 4 tokens on 2 lines
+        "3 2\n0 1\n0 1\n",
+        "3 2\n0 1\n2 2\n",
+        "3 2\n0 1\n0 3\n",
+        "3 2\n0 1\u20281 2\n",
+        "-1 0\n",
+        "# only comments\n\n",
+    ],
+)
+@pytest.mark.parametrize("slice_chars", [1, 4, 1 << 20])
+def test_parse_edge_list_examples(text, slice_chars):
+    with mock.patch.object(core_mod, "_SLICE_CHARS", slice_chars):
+        got = parse_outcome(parse_edge_list, text)
+    assert got == parse_outcome(reference_parse_edge_list, text)
+
+
+def test_parse_edge_list_keeps_error_cause():
+    with pytest.raises(GraphInputError, match="bad edge line 'x 2'") as info:
+        parse_edge_list("3 2\n0 1\nx 2\n")
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize(
+    "graph, comments",
+    [
+        (Digraph(0, []), ()),
+        (Digraph(5, [(3, 1), (3, 0)]), ()),  # 0, 1, 2 and 4 have no out-edges
+        (Digraph.from_edge_list([(0, 1), (1, 0), (2, 1), (1, 2)]), ("pair",)),
+        (complete_antiparallel(12), ()),
+        (
+            lower_bound_gadget(2, 3)[0],
+            (GadgetSpec("lower_bound", {"d": 2, "k": 3}).label(), "v0 = 0"),
+        ),
+        (
+            GadgetSpec("random_min_outdeg", {"n": 40, "d": 3, "extra": 0.5}).build(),
+            (GadgetSpec("random_min_outdeg", {"n": 40, "d": 3, "extra": 0.5}).label(),),
+        ),
+    ],
+)
+def test_format_edge_list_matches_pair_writer(graph, comments):
+    expected = reference_format_edge_list(graph, comments)
+    assert format_edge_list(graph, comments) == expected
+
+
+@given(digraphs(max_n=9), st.lists(st.text(max_size=5), max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_format_edge_list_matches_pair_writer_random(g, comments):
+    assert format_edge_list(g, comments) == reference_format_edge_list(g, comments)

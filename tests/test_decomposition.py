@@ -11,14 +11,17 @@ from dicut.decomposition import (
     _max_matching_partner,
     Matching,
     MatchingError,
-    brute_force_tight_check,
     free_vertex_count,
     maximize_free_vertices,
     maximum_matching,
     star_decompose,
     tight_components,
 )
-from dicut.oracle import exact_max_matching, max_free_over_max_matchings
+from dicut.oracle import (
+    brute_force_tight_check,
+    exact_max_matching,
+    max_free_over_max_matchings,
+)
 
 from .conftest import random_digraph, random_undirected, triangle_graph
 

@@ -1,7 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import dicut
+import dicut.generators as gen_mod
 from dicut.core import all_bipartitions, cut_stats
 from dicut.generators import (
     GadgetSpec,
@@ -173,3 +177,41 @@ class TestGadgetSpec:
         for spec in specs:
             g = spec.build()
             assert g.n > 0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: eulerian_complete(5), "eulerian_complete .*: m = q\\(q-1\\)/2"),
+        (lambda: d1_gadget(5), "d1_star_triangle .*: minimum outdegree is 1"),
+        (
+            lambda: concluding_gadgets("k33_plus_3regular", 9),
+            "k33_plus_3regular .*: m = 6\\(n-3\\)",
+        ),
+        (
+            lambda: concluding_gadgets("k55_mixed", 11),
+            "k55_mixed .*: vertices 1..4 have indegree n-5",
+        ),
+        (
+            lambda: random_min_outdeg(10, 2),
+            "random_min_outdeg .*: minimum outdegree >= d",
+        ),
+    ],
+)
+def test_self_check_names_family_and_property(monkeypatch, build, message):
+    real = gen_mod.Digraph
+    # drop the last edge, so the built instance misses its family's property
+    monkeypatch.setattr(gen_mod, "Digraph", lambda n, pairs: real(n, list(pairs)[:-1]))
+    with pytest.raises(RuntimeError, match=message):
+        build()
+
+
+def test_no_assert_statements_in_src():
+    # asserts vanish under python -O; checks in src/ must raise explicitly
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(dicut.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
