@@ -27,6 +27,15 @@ def _raise_duplicate(pairs: Iterable[tuple[int, int]]) -> None:
         seen.add((u, v))
 
 
+def _checked_ids(vertices: Iterable[int], n: int) -> list[int]:
+    """Sorted distinct ids; raise for the smallest one outside [0, n)."""
+    keep = sorted(set(vertices))
+    for v in keep:
+        if not (0 <= v < n):
+            raise GraphInputError(f"unknown vertex id {v} (n={n})")
+    return keep
+
+
 class Digraph:
     """Loop-free directed graph on dense vertex ids 0..n-1.
 
@@ -68,9 +77,11 @@ class Digraph:
 
     @classmethod
     def from_edge_list(
-        cls, pairs: Sequence[tuple[int, int]], n: int | None = None
+        cls, pairs: Iterable[tuple[int, int]], n: int | None = None
     ) -> "Digraph":
         """Build a Digraph from (u, v) pairs; n defaults to max id + 1."""
+        if not isinstance(pairs, Sequence):
+            pairs = list(pairs)  # read twice: once for n, once to build
         if n is None:
             n = max((max(u, v) for u, v in pairs), default=-1) + 1
         return cls(n, pairs)
@@ -128,9 +139,7 @@ class Digraph:
 
     def induced(self, vertices: Iterable[int]) -> "Digraph":
         """Induced subgraph with dense relabeled ids; orig_ids records the map."""
-        keep = sorted(set(vertices))
-        for v in keep:
-            self._check_vertex(v)
+        keep = _checked_ids(vertices, self.n)
         index = {v: i for i, v in enumerate(keep)}
         pairs = [
             (i, index[v]) for i, u in enumerate(keep) for v in self._out[u] if v in index
@@ -208,7 +217,7 @@ class UnderlyingGraph:
         return sum(1 for c in self.components() if len(c) % 2 == 1)
 
     def induced(self, vertices: Iterable[int]) -> "UnderlyingGraph":
-        keep = sorted(set(vertices))
+        keep = _checked_ids(vertices, self.n)
         index = {v: i for i, v in enumerate(keep)}
         edges = [
             (i, index[v])

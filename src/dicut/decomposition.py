@@ -219,17 +219,15 @@ class _Grower:
     Every absorbed vertex stays reachable from w along an even alternating
     path, so a leftover vertex or a neighborhood mismatch met during growth
     certifies that the matching is improvable: either a larger matching
-    exists (error) or a same-size matching with one more free vertex (applied
-    in mutate mode, rejected otherwise).  A fully absorbed component is then
-    checked against the tight-component definition directly.
+    exists (error) or a same-size matching with one more free vertex, which
+    is applied to `partner`.  A fully absorbed component is then checked
+    against the tight-component definition directly.
     """
 
-    def __init__(self, graph: UnderlyingGraph, partner: list[int], w: int,
-                 mutate: bool) -> None:
+    def __init__(self, graph: UnderlyingGraph, partner: list[int], w: int) -> None:
         self.graph = graph
         self.partner = partner
         self.w = w
-        self.mutate = mutate
         self.in_t: set[int] = {w}
         self.anchor: dict[int, int] = {}
 
@@ -262,7 +260,8 @@ class _Grower:
         self.partner[drop] = -1
 
     def run(self) -> bool:
-        """Returns True when the matching was improved (mutate mode only)."""
+        """Returns True when the matching was improved; otherwise `in_t` ends
+        as w's whole connected component, which is then tight."""
         graph, partner = self.graph, self.partner
         while True:
             boundary = sorted(
@@ -276,52 +275,36 @@ class _Grower:
                         f"leftover vertex {x} is reachable from leftover vertex "
                         f"{self.w} by an alternating path; matching is not maximum"
                     )
-            progressed = False
-            for v1 in boundary:
-                v2 = partner[v1]
-                if v2 in self.in_t:
+            # the smallest boundary vertex is absorbed with its partner or
+            # triggers the exchange; growth then restarts from the new set
+            v1 = boundary[0]
+            v2 = partner[v1]
+            if v2 in self.in_t:
+                raise MatchingError(
+                    f"matched pair ({v1},{v2}) split by the absorption set "
+                    f"of leftover vertex {self.w}"
+                )
+            n1 = {t for t in graph.neighbors(v1) if t in self.in_t}
+            n2 = {t for t in graph.neighbors(v2) if t in self.in_t}
+            for w2 in graph.neighbors(v2):
+                if w2 not in self.in_t and partner[w2] == -1 and w2 != v1:
                     raise MatchingError(
-                        f"matched pair ({v1},{v2}) split by the absorption set "
-                        f"of leftover vertex {self.w}"
+                        f"leftover vertex {w2} adjacent to the partner of a "
+                        "boundary vertex; matching is not maximum"
                     )
-                n1 = {t for t in graph.neighbors(v1) if t in self.in_t}
-                n2 = {t for t in graph.neighbors(v2) if t in self.in_t}
-                for w2 in graph.neighbors(v2):
-                    if w2 not in self.in_t and partner[w2] == -1 and w2 != v1:
-                        raise MatchingError(
-                            f"leftover vertex {w2} adjacent to the partner of a "
-                            "boundary vertex; matching is not maximum"
-                        )
-                if n1 == n2:
-                    a = min(n1)
-                    self.in_t.update((v1, v2))
-                    self.anchor[v1] = a
-                    self.anchor[v2] = a
-                    progressed = True
-                    break
-                if not self.mutate:
-                    raise MatchingError(
-                        f"swapping the matched pair ({v1},{v2}) would free a "
-                        "vertex; matching does not maximize free vertices"
-                    )
+            if n1 != n2:
                 target = min(n1 ^ n2)
                 self._swap(v1, v2, anchor_of_v1=target in n1, target=target)
                 return True
-            if not progressed:  # pragma: no cover - loop always acts
-                raise MatchingError(
-                    f"growth stalled for leftover vertex {self.w} at boundary "
-                    f"{boundary}"
-                )
+            a = min(n1)
+            self.in_t.update((v1, v2))
+            self.anchor[v1] = a
+            self.anchor[v2] = a
 
     def _finish_component(self) -> bool:
         violation = _tight_violation(self.graph, sorted(self.in_t))
         if violation is None:
             return False
-        if not self.mutate:
-            raise MatchingError(
-                "a component near-matching leaves a free vertex; matching does "
-                "not maximize free vertices"
-            )
         u, x, y, rest = violation
         # perfect matching of T minus {u,x,y} plus the edge xy exposes u free
         index = sorted(rest)
@@ -358,42 +341,6 @@ def _tight_violation(graph: UnderlyingGraph, component: Sequence[int]):
     return None
 
 
-def maximize_free_vertices(graph: UnderlyingGraph, matching: Matching) -> Matching:
-    """Re-match, at equal cardinality, until no single exchange of the two
-    kinds (re-matching a grown component after stealing one matched edge, or
-    re-seating a component near-matching) increases the free-vertex count.
-
-    The fixpoint provably maximizes the number of free vertices: every
-    non-free leftover vertex then sits in its own tight component.
-    """
-    if matching.size != maximum_matching(graph).size:
-        raise MatchingError("matching is not maximum")
-    partner = matching.partner_array(graph.n)
-    # tightness is intrinsic to a component and exchanges never cross
-    # component boundaries, so a certified-tight leftover stays settled
-    settled: set[int] = set()
-    while True:
-        improved = False
-        for w in range(graph.n):
-            if partner[w] != -1 or w in settled:
-                continue
-            if _is_free(graph, partner, w):
-                continue
-            if _Grower(graph, partner, w, mutate=True).run():
-                improved = True
-                break
-            settled.add(w)
-        if not improved:
-            return _matching_from_partner(partner)
-
-
-def free_vertex_count(graph: UnderlyingGraph, matching: Matching) -> int:
-    partner = matching.partner_array(graph.n)
-    return sum(
-        1 for w in matching.unmatched if _is_free(graph, partner, w)
-    )
-
-
 @dataclass(frozen=True)
 class TightReport:
     """Tight components (vertex tuples) with per-component antiparallel flags."""
@@ -405,6 +352,63 @@ class TightReport:
         return len(self.components)
 
 
+def _settle(
+    graph: UnderlyingGraph,
+    partner: list[int],
+    antiparallel_edges: frozenset[tuple[int, int]] | None = None,
+) -> TightReport:
+    """Run the free-vertex fixpoint in place on `partner` and report the tight
+    component of every non-free leftover vertex, in leftover-vertex order.
+
+    Each exchange keeps the cardinality and frees one more vertex, so the
+    loop ends.  A settled component is a whole connected component whose only
+    leftover vertex is w, and later exchanges stay inside their own
+    component, so w stays settled and its component stays as grown.
+    """
+    settled: dict[int, tuple[int, ...]] = {}
+    improved = True
+    while improved:
+        improved = False
+        for w in range(graph.n):
+            if partner[w] != -1 or w in settled or _is_free(graph, partner, w):
+                continue
+            grower = _Grower(graph, partner, w)
+            improved = grower.run()
+            if improved:
+                break
+            settled[w] = tuple(sorted(grower.in_t))
+    comps = [settled[w] for w in sorted(settled)]
+    ap = antiparallel_edges or frozenset()
+    # a component is closed under neighbors, so each u < v edge is inside it
+    flags = [
+        any((u, v) in ap for u in comp for v in graph.neighbors(u) if u < v)
+        for comp in comps
+    ]
+    return TightReport(tuple(comps), tuple(flags))
+
+
+def maximize_free_vertices(graph: UnderlyingGraph, matching: Matching) -> Matching:
+    """Re-match, at equal cardinality, until no single exchange of the two
+    kinds (re-matching a grown component after stealing one matched edge, or
+    re-seating a component near-matching) increases the free-vertex count.
+
+    The fixpoint provably maximizes the number of free vertices: every
+    non-free leftover vertex then sits in its own tight component.
+    """
+    if matching.size != maximum_matching(graph).size:
+        raise MatchingError("matching is not maximum")
+    partner = matching.partner_array(graph.n)
+    _settle(graph, partner)
+    return _matching_from_partner(partner)
+
+
+def free_vertex_count(graph: UnderlyingGraph, matching: Matching) -> int:
+    partner = matching.partner_array(graph.n)
+    return sum(
+        1 for w in matching.unmatched if _is_free(graph, partner, w)
+    )
+
+
 def tight_components(
     graph: UnderlyingGraph,
     matching: Matching,
@@ -413,30 +417,17 @@ def tight_components(
     """One tight component per non-free leftover vertex, recovered by growing
     the pair-absorption set until the component disconnects.
 
-    Requires a maximum matching that already maximizes free vertices; any
-    still-improvable structure found during growth is rejected.
+    Requires a maximum matching that already maximizes free vertices; a
+    matching that the free-vertex fixpoint would change is rejected.
     """
     partner = matching.partner_array(graph.n)
-    comps: list[tuple[int, ...]] = []
-    for w in sorted(matching.unmatched):
-        if _is_free(graph, partner, w):
-            continue
-        grower = _Grower(graph, partner, w, mutate=False)
-        grower.run()
-        comps.append(tuple(sorted(grower.in_t)))
-    flags = []
-    ap = antiparallel_edges or frozenset()
-    for comp in comps:
-        members = set(comp)
-        flags.append(
-            any(
-                (min(u, v), max(u, v)) in ap
-                for u in comp
-                for v in graph.neighbors(u)
-                if v in members and u < v
-            )
+    report = _settle(graph, partner, antiparallel_edges)
+    if partner != matching.partner_array(graph.n):
+        raise MatchingError(
+            "an exchange at equal cardinality frees a vertex; matching does "
+            "not maximize free vertices"
         )
-    return TightReport(tuple(comps), tuple(flags))
+    return report
 
 
 @dataclass(frozen=True)
@@ -518,9 +509,8 @@ def star_decompose(
         if u < v and sub.has_edge(v, u)
     )
 
-    matching = maximize_free_vertices(graph, maximum_matching(graph))
-    partner = matching.partner_array(graph.n)
-    tight = tight_components(graph, matching, antiparallel)
+    partner = maximum_matching(graph).partner_array(graph.n)
+    tight = _settle(graph, partner, antiparallel)
 
     sigma = 0
     if prefer_antiparallel:

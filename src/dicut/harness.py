@@ -71,18 +71,6 @@ def file_instance_descriptor(path: str, text: str) -> dict[str, Any]:
     return {"path": path, "sha256": digest}
 
 
-def config_echo(config: PipelineConfig) -> dict[str, Any]:
-    return {
-        "d": config.d,
-        "epsilon": config.epsilon,
-        "seed": config.seed,
-        "max_attempts": config.max_attempts,
-        "enable_local_search": config.enable_local_search,
-        "test_constants": config.test_constants,
-        "large_degree_exponent": config.large_degree_exponent,
-    }
-
-
 def build_report(
     instance: dict[str, Any],
     digraph: Digraph,
@@ -106,7 +94,7 @@ def build_report(
             timings_ms["oracle"] = round(oracle_ms, 3)
     return RunReport(
         instance=instance,
-        config=config_echo(config),
+        config=asdict(config),
         n=digraph.n,
         m=digraph.m,
         partition="".join(str(s) for s in result.partition.side),

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -43,6 +44,12 @@ class TestDigraphConstruction:
         g = Digraph.from_edge_list([(0, 1), (1, 0)])
         assert g.m == 2
         assert g.antiparallel_pairs() == 1
+
+    def test_from_edge_list_reads_a_one_shot_iterator(self):
+        pairs = [(0, 1), (1, 0), (1, 2)]
+        g = Digraph.from_edge_list(p for p in pairs)
+        assert (g.n, g.m) == (3, 3)
+        assert g.edges == tuple(sorted(pairs))
 
     def test_loop_rejected_with_position(self):
         with pytest.raises(GraphInputError, match=r"edge #0 \(0,0\).*loop"):
@@ -210,6 +217,14 @@ class TestUnderlying:
         sub = g.induced([0, 2])
         assert sub.orig_ids == (0, 2)
         assert sub.edges == ((1, 0),)  # old (2,0) relabeled
+
+    @pytest.mark.parametrize("ids, bad", [([-1, 0], -1), ([5], 5), ([0, 3, 4], 3)])
+    def test_induced_rejects_unknown_ids(self, ids, bad):
+        digraph = three_cycle()
+        message = re.escape(f"unknown vertex id {bad} (n=3)")
+        for g in (digraph, digraph.underlying()):
+            with pytest.raises(GraphInputError, match=message):
+                g.induced(ids)
 
 
 class TestInterchangeFormats:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+
+import dicut.decomposition as decomposition_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,17 +13,21 @@ from dicut.decomposition import (
     _max_matching_partner,
     Matching,
     MatchingError,
+    free_neighbor_edges,
     free_vertex_count,
     maximize_free_vertices,
     maximum_matching,
     star_decompose,
     tight_components,
 )
+from dicut.generators import lower_bound_gadget
 from dicut.oracle import (
     brute_force_tight_check,
     exact_max_matching,
     max_free_over_max_matchings,
 )
+
+from dicut.pipeline import split_large
 
 from .conftest import random_digraph, random_undirected, triangle_graph
 
@@ -222,7 +228,7 @@ class TestTightComponents:
     def test_pair_split_by_absorption_set_named(self):
         # partner array claims 1 is matched to the leftover vertex 0 itself
         g = UnderlyingGraph(3, [(0, 1), (1, 2)])
-        grower = _Grower(g, [-1, 0, -1], 0, mutate=False)
+        grower = _Grower(g, [-1, 0, -1], 0)
         with pytest.raises(MatchingError, match=r"pair \(1,0\) split .* vertex 0"):
             grower.run()
 
@@ -392,3 +398,98 @@ class TestStarDecompose:
             b = [v for v in range(n) if rng.random() < 0.8]
             dec = star_decompose(d, b, epsilon=0.5)
             self.check_invariants(d, b, dec)
+
+
+@st.composite
+def digraphs_with_subsets(draw, max_n=12):
+    """A random digraph whose antiparallel pairs are drawn on purpose, plus a
+    random vertex subset B."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+    pairs = set(draw(st.lists(st.sampled_from(pool), unique=True)) if pool else [])
+    if pairs:  # reverse some edges to make antiparallel pairs
+        doubled = draw(st.lists(st.sampled_from(sorted(pairs)), unique=True))
+        pairs.update((v, u) for u, v in doubled)
+    b = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return Digraph(n, sorted(pairs)), sorted(b)
+
+
+def composed_decomposition(d, b, epsilon, prefer_antiparallel):
+    """Reference star decomposition assembled from the public matching steps:
+    maximum_matching, then maximize_free_vertices, then tight_components."""
+    sub = d.induced(b)
+    orig = sub.orig_ids
+    g = sub.underlying()
+    ap = frozenset((u, v) for u, v in sub.edges if u < v and sub.has_edge(v, u))
+    matching = maximize_free_vertices(g, maximum_matching(g))
+    tight = tight_components(g, matching, ap)
+    partner = matching.partner_array(g.n)
+    sigma = 0
+    for comp, flag in zip(tight.components, tight.has_antiparallel):
+        if prefer_antiparallel and len(comp) == 3 and flag:
+            sigma += 1
+            a, c = min((u, v) for u, v in ap if u in comp and v in comp)
+            if partner[a] != c:
+                (spare,) = set(comp) - {a, c}
+                partner[a], partner[c], partner[spare] = c, a, -1
+    cap = 2 * d.m / d.n / epsilon
+    leftover, leaves = [], {}
+    for w in range(g.n):
+        if partner[w] != -1:
+            continue
+        frees = free_neighbor_edges(g, partner, w)
+        if not frees or d.degree(orig[w]) > cap:
+            leftover.append(w)
+            continue
+        seed, apex = min((tuple(sorted((v, partner[v]))), v) for v in frees)
+        leaves.setdefault(seed, (apex, []))[1].append(w)
+    stars = []
+    for a, c in sorted((v, p) for v, p in enumerate(partner) if v < p):
+        apex, ws = leaves.get((a, c), (a, []))
+        stars.append((orig[apex], (orig[a], orig[c]), tuple(orig[w] for w in ws)))
+    components = tuple(tuple(orig[v] for v in comp) for comp in tight.components)
+    return {
+        "tight": (components, tight.has_antiparallel),
+        "stars": tuple(stars),
+        "leftover": tuple(orig[w] for w in leftover),
+        "tau": g.odd_components(),
+        "sigma": sigma,
+        "tau_prime": len(tight) - sigma,
+    }
+
+
+class TestOneFixpoint:
+    @given(digraphs_with_subsets(), st.booleans(), st.sampled_from((0.1, 0.5, 2.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_star_decompose_equals_public_composition(self, drawn, prefer, epsilon):
+        d, b = drawn
+        dec = star_decompose(d, b, epsilon=epsilon, prefer_antiparallel=prefer)
+        got = {
+            "tight": (dec.tight.components, dec.tight.has_antiparallel),
+            "stars": tuple((s.apex, s.seed, s.leaves) for s in dec.stars),
+            "leftover": dec.leftover,
+            "tau": dec.tau,
+            "sigma": dec.sigma,
+            "tau_prime": dec.tau_prime,
+        }
+        assert got == composed_decomposition(d, b, epsilon, prefer)
+
+    def test_one_matching_and_one_grow_per_leftover_vertex(self, monkeypatch):
+        g, _ = lower_bound_gadget(2, 50)
+        _, rest, stripped, _ = split_large(g)
+        calls = {"maximum_matching": 0, "run": 0}
+        real_matching, real_run = maximum_matching, _Grower.run
+
+        def counted_matching(graph):
+            calls["maximum_matching"] += 1
+            return real_matching(graph)
+
+        def counted_run(self):
+            calls["run"] += 1
+            return real_run(self)
+
+        monkeypatch.setattr(decomposition_mod, "maximum_matching", counted_matching)
+        monkeypatch.setattr(_Grower, "run", counted_run)
+        dec = star_decompose(stripped, rest, epsilon=0.0125)
+        assert len(dec.tight) == 50  # one per Eulerian triangle copy
+        assert calls == {"maximum_matching": 1, "run": len(dec.tight)}

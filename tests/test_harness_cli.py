@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from dicut.harness import (
     verify_partition,
 )
 from dicut.generators import GadgetSpec
-from dicut.pipeline import StructuralDiagnostic
+from dicut.pipeline import PipelineConfig, StructuralDiagnostic
 
 
 def _cli_env():
@@ -113,6 +114,18 @@ class TestCli:
             out = tmp_path / f"case{i}.el"
             assert main(argv + ["-o", str(out)]) == 0
             read_edge_list(str(out))
+
+    def test_partition_json_echoes_the_whole_config(self, tmp_path, capsys):
+        graph_file = tmp_path / "g.el"
+        main(["gen", "lower_bound", "--d", "3", "--k", "2", "-o", str(graph_file)])
+        capsys.readouterr()
+        assert main(["partition", "-i", str(graph_file), "--d", "3",
+                     "--epsilon", "0.1", "--seed", "5", "--max-attempts", "7",
+                     "--no-local-search", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        config = PipelineConfig(d=3, epsilon=0.1, seed=5, max_attempts=7,
+                                enable_local_search=False)
+        assert report["config"] == dataclasses.asdict(config)
 
     def test_oracle_command(self, tmp_path, capsys):
         graph_file = tmp_path / "g.el"
