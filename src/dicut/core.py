@@ -113,11 +113,6 @@ class Digraph:
         """Total degree d(v) = d+(v) + d-(v); at most 2(n-1)."""
         return len(self._out[v]) + len(self._in[v])
 
-    def degrees(self, v: int) -> tuple[int, int, int]:
-        """(d+, d-, d) for one vertex."""
-        self._check_vertex(v)
-        return len(self._out[v]), len(self._in[v]), self.degree(v)
-
     def min_out_degree(self) -> int:
         if self.n == 0:
             return 0
@@ -145,10 +140,6 @@ class Digraph:
             (i, index[v]) for i, u in enumerate(keep) for v in self._out[u] if v in index
         ]
         return Digraph(len(keep), pairs, orig_ids=tuple(keep))
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise GraphInputError(f"unknown vertex id {v} (n={self.n})")
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -248,9 +239,6 @@ class Bipartition:
 
     def __len__(self) -> int:
         return len(self.side)
-
-    def side_of(self, v: int) -> int:
-        return self.side[v]
 
     def side1(self) -> frozenset[int]:
         return frozenset(v for v, s in enumerate(self.side) if s == 1)

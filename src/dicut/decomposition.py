@@ -531,22 +531,18 @@ def star_decompose(
                 partner[b] = a
                 partner[spare] = -1
 
-    unmatched = sorted(v for v in range(graph.n) if partner[v] == -1)
-    leftover = set()
-    for w in unmatched:
-        if not _is_free(graph, partner, w):
-            leftover.add(w)
-        elif digraph.degree(orig[w]) > degree_cap:
-            leftover.add(w)
-
     seeds = sorted((v, p) for v, p in enumerate(partner) if p != -1 and v < p)
     seed_index = {edge: i for i, edge in enumerate(seeds)}
     leaves_of: dict[int, list[int]] = {i: [] for i in range(len(seeds))}
     attach_at: dict[int, int] = {}
-    for w in unmatched:
-        if w in leftover:
+    leftover = []
+    for w in range(graph.n):
+        if partner[w] != -1:
             continue
         frees = free_neighbor_edges(graph, partner, w)
+        if not frees or digraph.degree(orig[w]) > degree_cap:
+            leftover.append(w)
+            continue
         i, v = min(
             (seed_index[(min(v, partner[v]), max(v, partner[v]))], v)
             for v in frees
@@ -563,13 +559,12 @@ def star_decompose(
 
     stars = []
     for i, (a, b) in enumerate(seeds):
-        leaves = sorted(leaves_of[i])
         apex = attach_at.get(i, a)
         stars.append(
             Star(
                 apex=orig[apex],
                 seed=(orig[a], orig[b]) if orig[a] < orig[b] else (orig[b], orig[a]),
-                leaves=tuple(orig[w] for w in leaves),
+                leaves=tuple(orig[w] for w in leaves_of[i]),
             )
         )
 
@@ -579,7 +574,7 @@ def star_decompose(
     )
     return StarDecomposition(
         stars=tuple(stars),
-        leftover=tuple(sorted(orig[w] for w in leftover)),
+        leftover=tuple(orig[w] for w in leftover),
         tau=graph.odd_components(),
         tight=report,
         sigma=sigma,

@@ -23,8 +23,6 @@ from .samplers import (
     exact_fraction,
     SampleOutcome,
     SamplerConfig,
-    edge_profile,
-    expected_mean_cuts,
     quarter_partition,
     second_moment_partition,
     star_bisection,
@@ -181,17 +179,18 @@ def min_gap(surpluses: Sequence[int]) -> GapPartition:
     return _assemble_gap(surpluses, forward, 2 * best_f - total)
 
 
+def _goes_to_a1(surplus: int, forward: bool) -> bool:
+    """The placement rule: a nonzero surplus pointing the `forward` way goes
+    to A1; everything else, zero included, goes to A2."""
+    return surplus != 0 and (surplus > 0) == forward
+
+
 def _assemble_gap(
     surpluses: Sequence[int], forward: Sequence[bool], signed_theta: int
 ) -> GapPartition:
     a1, a2 = [], []
     for i, s in enumerate(surpluses):
-        if s == 0:
-            a2.append(i)
-        elif forward[i]:
-            (a1 if s > 0 else a2).append(i)
-        else:
-            (a2 if s > 0 else a1).append(i)
+        (a1 if _goes_to_a1(s, forward[i]) else a2).append(i)
     if signed_theta < 0:
         a1, a2 = a2, a1
         signed_theta = -signed_theta
@@ -204,17 +203,23 @@ def _signed_surpluses(stripped: Digraph, large: Sequence[int]) -> list[int]:
 
 def gap_partition(stripped: Digraph, large: Sequence[int]) -> GapPartition:
     """min_gap over the large set's surpluses, lifted back to vertex ids and
-    annotated with the exact forward/backward edge counts."""
-    surpluses = _signed_surpluses(stripped, large)
-    raw = min_gap(surpluses)
+    annotated with the exact forward/backward edge counts.
+
+    With no edge inside A every edge at A ends in B, so the counts come from
+    degrees in O(|A|): m_A_f = sum over A1 of d+ plus sum over A2 of d-, and
+    m_A_b the other way round.
+    """
+    aset = set(large)
+    if len(aset) != len(large) or not all(0 <= v < stripped.n for v in aset):
+        raise ValueError(f"large set must be distinct vertex ids in [0, {stripped.n})")
+    if any(not aset.isdisjoint(stripped.out_neighbors(u)) for u in large):
+        raise ValueError("gap partition requires the large set to induce no edges")
+    raw = min_gap(_signed_surpluses(stripped, large))
     a1 = tuple(large[i] for i in raw.a1)
     a2 = tuple(large[i] for i in raw.a2)
-    prof = edge_profile(stripped, a1, a2)
-    # the profile skips edges inside A1 or inside A2, so m - total counts them
-    if prof.a1a2 or prof.a2a1 or prof.total != stripped.m:
-        raise ValueError("gap partition requires the large set to induce no edges")
-    m_a_f = prof.a1b + prof.ba2
-    m_a_b = prof.ba1 + prof.a2b
+    out, in_ = stripped.out_degree, stripped.in_degree
+    m_a_f = sum(map(out, a1)) + sum(map(in_, a2))
+    m_a_b = sum(map(in_, a1)) + sum(map(out, a2))
     if m_a_f - m_a_b != raw.theta:
         raise StructuralDiagnostic(
             "gap identity violated: m_A_f - m_A_b != theta",
@@ -621,33 +626,23 @@ def _three_huge_branch(
     profile: SurplusProfile,
     trace: list[dict[str, Any]],
 ) -> SampleOutcome:
-    v1, v2, v3 = profile.huge
+    v1 = profile.huge[0]
     d1, d2, d3 = profile.delta_list
     g = profile.g
     case1 = 2 * d1 - d2 - d3 - g > 0
     a1: list[int] = []
     a2: list[int] = []
-
-    def place(v: int, forward: bool) -> None:
-        s = profile.signed_of(v)
-        if s == 0:
-            a2.append(v)
-        elif (s > 0) == forward:
-            a1.append(v)
-        else:
-            a2.append(v)
-
-    place(v1, True)
-    place(v2, False)
-    place(v3, False)
     for v in profile.vertices:
-        if v in (v1, v2, v3):
-            continue
-        # case 1 sends the small surpluses backward (X,Y)=(0,g); case 2 forward
-        place(v, forward=not case1)
+        # the largest huge vertex goes forward, the other two backward; case 1
+        # sends the small surpluses backward (X,Y)=(0,g), case 2 forward
+        forward = v == v1 if v in profile.huge else not case1
+        (a1 if _goes_to_a1(profile.signed_of(v), forward) else a2).append(v)
     p = Fraction(2, 5) if profile.signed_of(v1) > 0 else Fraction(3, 5)
-    prof = edge_profile(stripped, a1, a2)
-    m12, m21 = expected_mean_cuts(prof, p)
+    cfg = SamplerConfig(p, config.epsilon / 2, config.seed, config.max_attempts)
+    outcome = second_moment_partition(stripped, a1, a2, cfg)
+    # the sampler's thresholds sit eps*m below the expected cuts
+    slack = exact_fraction(cfg.epsilon) * stripped.m
+    m12, m21 = (t + slack for t in outcome.targets)
     fifth = Fraction(stripped.m, 5)
     trace.append(
         {
@@ -662,7 +657,5 @@ def _three_huge_branch(
             "means_reach_fifth": m12 >= fifth and m21 >= fifth,
         }
     )
-    cfg = SamplerConfig(p, config.epsilon / 2, config.seed, config.max_attempts)
-    outcome = second_moment_partition(stripped, a1, a2, cfg)
     trace.append(_sampler_record("second_moment_biased", outcome))
     return outcome

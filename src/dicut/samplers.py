@@ -1,7 +1,8 @@
 """Randomized partitioning primitives with explicit expectation formulas and
 retry-until-accept contracts.
 
-Each sampler draws bounded independent attempts, re-checks the directional
+Every sampler runs one accept loop: it classifies the edges at (A1, A2)
+once per call, draws bounded independent attempts, re-checks the directional
 cuts of every attempt from scratch, and accepts the first attempt meeting
 its recorded thresholds; otherwise the best attempt seen is returned with
 accepted=False so callers can fall back honestly.  Thresholds are computed
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import Bipartition, CutStats, Digraph, cut_stats
 from .decomposition import StarDecomposition
@@ -130,22 +131,45 @@ def expected_cuts(
     return float(e12), float(e21)
 
 
-def _draw_partition(
-    n: int,
+def _accept_loop(
+    digraph: Digraph,
     a1: set[int],
     a2: set[int],
-    b_order: list[int],
-    p_float: float,
-    rng: random.Random,
-) -> Bipartition:
-    side = [0] * n
+    max_attempts: int,
+    seed: int,
+    targets_of: Callable[[EdgeProfile], tuple[Fraction, Fraction]],
+    draw: Callable[[list[int], random.Random], None],
+    warning: str | None = None,
+) -> SampleOutcome:
+    """The retry-until-accept contract every sampler shares.
+
+    Classifies the edges at (A1, A2) once, turns the counts into thresholds
+    with `targets_of`, then draws up to max_attempts partitions: A1 and A2
+    keep their sides and `draw(side, rng)` fills B.  Returns the first
+    attempt meeting both thresholds, else the attempt with the best min cut.
+    """
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
+    targets = targets_of(edge_profile(digraph, a1, a2))
+    fixed = [0] * digraph.n
     for v in a1:
-        side[v] = 1
+        fixed[v] = 1
     for v in a2:
-        side[v] = 2
-    for v in b_order:
-        side[v] = 1 if rng.random() < p_float else 2
-    return Bipartition(tuple(side))
+        fixed[v] = 2
+    rng = random.Random(seed)
+    best = None
+    for attempt in range(1, max_attempts + 1):
+        side = fixed.copy()
+        draw(side, rng)
+        part = Bipartition(tuple(side))
+        stats = cut_stats(digraph, part)
+        accepted = stats.e12 >= targets[0] and stats.e21 >= targets[1]
+        outcome = SampleOutcome(part, stats, accepted, attempt, targets, warning)
+        if accepted:
+            return outcome
+        if best is None or stats.min_cut > best.stats.min_cut:
+            best = outcome
+    return best
 
 
 def second_moment_partition(
@@ -163,12 +187,13 @@ def second_moment_partition(
     if digraph.n == 0:
         raise ValueError("empty graph")
     s1, s2 = set(a1), set(a2)
-    prof = edge_profile(digraph, s1, s2)
     p = Fraction(config.p)
     eps = exact_fraction(config.epsilon)
     m = digraph.m
-    m12, m21 = expected_mean_cuts(prof, p)
-    targets = (m12 - eps * m, m21 - eps * m)
+
+    def targets_of(prof: EdgeProfile) -> tuple[Fraction, Fraction]:
+        m12, m21 = expected_mean_cuts(prof, p)
+        return m12 - eps * m, m21 - eps * m
 
     b_order = sorted(v for v in range(digraph.n) if v not in s1 and v not in s2)
     warning = None
@@ -179,24 +204,17 @@ def second_moment_partition(
                 f"degree hypothesis fails: max B-degree {max_deg} exceeds "
                 f"eps^2*m/4 = {float(eps * eps * m / 4):.3f}; best-effort result"
             )
-    rng = random.Random(config.seed)
     p_float = float(p)
-    best: SampleOutcome | None = None
+
+    def draw(side: list[int], rng: random.Random) -> None:
+        for v in b_order:
+            side[v] = 1 if rng.random() < p_float else 2
+
+    # with B empty every attempt is the same partition
     attempts = config.max_attempts if b_order else 1
-    for attempt in range(1, attempts + 1):
-        part = _draw_partition(digraph.n, s1, s2, b_order, p_float, rng)
-        stats = cut_stats(digraph, part)
-        outcome = SampleOutcome(
-            part, stats, stats.e12 >= targets[0] and stats.e21 >= targets[1],
-            attempt, targets, warning,
-        )
-        if outcome.accepted:
-            return outcome
-        if best is None or stats.min_cut > best.stats.min_cut:
-            best = outcome
-    if best is None:
-        raise ValueError("max_attempts must be at least 1")
-    return best
+    return _accept_loop(
+        digraph, s1, s2, attempts, config.seed, targets_of, draw, warning
+    )
 
 
 def quarter_partition(
@@ -237,26 +255,19 @@ def star_bisection(
     expect_b = set(range(digraph.n)) - s1 - s2
     if decomposition.covered() != expect_b:
         raise ValueError("decomposition does not cover exactly V minus A1, A2")
-    prof = edge_profile(digraph, s1, s2)
     eps = exact_fraction(epsilon)
     n = digraph.n
     tau = decomposition.tau_prime if decomposition.seeded_antiparallel else decomposition.tau
-    base1 = prof.a1a2 + Fraction(prof.a1b + prof.ba2, 2)
-    base2 = prof.a2a1 + Fraction(prof.ba1 + prof.a2b, 2)
-    gain = Fraction(prof.bb, 4) + Fraction(n - tau, 8) - eps * n
-    targets = (base1 + gain, base2 + gain)
 
-    stars = decomposition.stars
-    leftover = decomposition.leftover
-    rng = random.Random(seed)
-    best: SampleOutcome | None = None
-    for attempt in range(1, max_attempts + 1):
-        side = [0] * n
-        for v in s1:
-            side[v] = 1
-        for v in s2:
-            side[v] = 2
-        for star in stars:
+    def targets_of(prof: EdgeProfile) -> tuple[Fraction, Fraction]:
+        gain = Fraction(prof.bb, 4) + Fraction(n - tau, 8) - eps * n
+        return (
+            prof.a1a2 + Fraction(prof.a1b + prof.ba2, 2) + gain,
+            prof.a2a1 + Fraction(prof.ba1 + prof.a2b, 2) + gain,
+        )
+
+    def draw(side: list[int], rng: random.Random) -> None:
+        for star in decomposition.stars:
             apex_side = 1 if rng.random() < 0.5 else 2
             side[star.apex] = apex_side
             other = 3 - apex_side
@@ -265,18 +276,7 @@ def star_bisection(
                     side[v] = other
             for v in star.leaves:
                 side[v] = other
-        for v in leftover:
+        for v in decomposition.leftover:
             side[v] = 1 if rng.random() < 0.5 else 2
-        part = Bipartition(tuple(side))
-        stats = cut_stats(digraph, part)
-        outcome = SampleOutcome(
-            part, stats, stats.e12 >= targets[0] and stats.e21 >= targets[1],
-            attempt, targets,
-        )
-        if outcome.accepted:
-            return outcome
-        if best is None or stats.min_cut > best.stats.min_cut:
-            best = outcome
-    if best is None:
-        raise ValueError("max_attempts must be at least 1")
-    return best
+
+    return _accept_loop(digraph, s1, s2, max_attempts, seed, targets_of, draw)

@@ -38,7 +38,10 @@ class TestDigraphConstruction:
     def test_three_cycle_degrees(self):
         g = three_cycle()
         assert g.n == 3 and g.m == 3
-        assert all(g.degrees(v) == (1, 1, 2) for v in range(3))
+        assert all(
+            (g.out_degree(v), g.in_degree(v), g.degree(v)) == (1, 1, 2)
+            for v in range(3)
+        )
 
     def test_antiparallel_pair_allowed(self):
         g = Digraph.from_edge_list([(0, 1), (1, 0)])

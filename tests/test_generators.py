@@ -22,7 +22,10 @@ class TestEulerianComplete:
     def test_q3_is_directed_triangle(self):
         g = eulerian_complete(3)
         assert g.m == 3
-        assert all(g.degrees(v) == (1, 1, 2) for v in range(3))
+        assert all(
+            (g.out_degree(v), g.in_degree(v), g.degree(v)) == (1, 1, 2)
+            for v in range(3)
+        )
 
     def test_q5_outdegrees(self):
         g = eulerian_complete(5)

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicut.pipeline as pipeline_mod
+import dicut.samplers as samplers_mod
 from dicut.core import Bipartition, Digraph, GraphInputError, cut_stats
 from dicut.generators import (
+    concluding_gadgets,
     eulerian_complete,
     lower_bound_gadget,
     random_min_outdeg,
@@ -140,6 +142,12 @@ class TestGapPartitionOnDigraph:
         g = eulerian_complete(5)
         with pytest.raises(ValueError, match="induce no edges"):
             gap_partition(g, (0, 1, 2))
+
+    @pytest.mark.parametrize("large", [(-1,), (0, 0), (5,)], ids=["neg", "dup", "n"])
+    def test_rejects_bad_vertex_ids(self, large):
+        g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValueError, match=r"distinct vertex ids in \[0, 3\)"):
+            gap_partition(g, large)
 
     @pytest.mark.parametrize(
         "pairs, crossing",
@@ -553,6 +561,38 @@ class TestCutCounting:
         polish = result.branch_trace[-1]
         assert polish["min_cut_before"] == min(sampled["e12"], sampled["e21"])
         assert calls == [result.partition]
+
+
+@pytest.mark.parametrize(
+    "build, config, kind",
+    [
+        (lambda: random_min_outdeg(300, 2, 1.0, seed=5), PipelineConfig(d=2, seed=1),
+         "second_moment"),
+        (lambda: lower_bound_gadget(2, 20)[0], PipelineConfig(d=2, seed=1),
+         "star_bisection"),
+        (lambda: concluding_gadgets("k33_oriented", 403, patched=True),
+         PipelineConfig(d=3, seed=1), "second_moment_biased"),
+        (lambda: random_min_outdeg(100, 2, extra=12, seed=3),
+         PipelineConfig(d=2, seed=3, test_constants=True), "quarter"),
+    ],
+    ids=["second_moment", "bisection", "three_huge", "quarter"],
+)
+def test_one_edge_classification_per_run(monkeypatch, build, config, kind):
+    """Only the sampler classifies the edges at (A1, A2), once per run."""
+    g = build()
+    calls = []
+    real = samplers_mod.edge_profile
+
+    def counting(digraph, a1, a2):
+        calls.append(digraph)
+        return real(digraph, a1, a2)
+
+    # any module that binds the name counts, so a second caller cannot hide
+    for mod in (samplers_mod, pipeline_mod):
+        monkeypatch.setattr(mod, "edge_profile", counting, raising=False)
+    result = run(g, config)
+    assert [r["kind"] for r in result.branch_trace if r["step"] == "sampler"] == [kind]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

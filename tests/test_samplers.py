@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dicut.samplers as samplers_mod
 from dicut.core import Digraph, cut_stats
 from dicut.decomposition import star_decompose
 from dicut.generators import (
@@ -272,11 +273,14 @@ class TestStarBisection:
         with pytest.raises(ValueError, match="cover"):
             star_bisection(g, (), (), dec, 0.05, seed=1)
 
-    def test_zero_attempts_rejected(self):
+    def test_zero_attempts_rejected(self, monkeypatch):
         g = antiparallel_triangles(2)
         dec = star_decompose(g, range(g.n), epsilon=0.25)
+        calls = []
+        monkeypatch.setattr(samplers_mod, "edge_profile", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="max_attempts must be at least 1"):
             star_bisection(g, (), (), dec, 0.05, seed=1, max_attempts=0)
+        assert calls == []  # rejected before any edge is classified
 
     def test_determinism(self):
         g = antiparallel_triangles(5)
