@@ -1,90 +1,40 @@
-"""dicut: bipartitions of directed graphs maximizing the smaller directional cut."""
+"""dicut: bipartitions of directed graphs maximizing the smaller directional cut.
 
-from .core import (
-    Bipartition,
-    CutStats,
-    Digraph,
-    GraphInputError,
-    UnderlyingGraph,
-    cut_stats,
-    read_edge_list,
-    write_edge_list,
-)
-from .decomposition import (
-    Matching,
-    StarDecomposition,
-    TightReport,
-    maximize_free_vertices,
-    maximum_matching,
-    star_decompose,
-    tight_components,
-)
-from .generators import (
-    GadgetSpec,
-    concluding_gadgets,
-    d1_gadget,
-    eulerian_complete,
-    lower_bound_gadget,
-    random_min_outdeg,
-)
-from .oracle import OracleResult, exact_judicious
-from .pipeline import (
-    PartitionResult,
-    PipelineConfig,
-    StructuralDiagnostic,
-    guarantee_target,
-    local_search,
-    run,
-    run_d2,
-    run_d3,
-)
-from .samplers import (
-    SampleOutcome,
-    SamplerConfig,
-    expected_cuts,
-    quarter_partition,
-    second_moment_partition,
-    star_bisection,
-)
+Public names resolve lazily (PEP 562): ``import dicut`` loads no submodule,
+and ``dicut.run`` imports ``dicut.pipeline`` on first access.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bipartition",
-    "CutStats",
-    "Digraph",
-    "GadgetSpec",
-    "GraphInputError",
-    "Matching",
-    "OracleResult",
-    "PartitionResult",
-    "PipelineConfig",
-    "SampleOutcome",
-    "SamplerConfig",
-    "StarDecomposition",
-    "StructuralDiagnostic",
-    "TightReport",
-    "UnderlyingGraph",
-    "concluding_gadgets",
-    "cut_stats",
-    "d1_gadget",
-    "eulerian_complete",
-    "exact_judicious",
-    "expected_cuts",
-    "guarantee_target",
-    "local_search",
-    "lower_bound_gadget",
-    "maximize_free_vertices",
-    "maximum_matching",
-    "quarter_partition",
-    "random_min_outdeg",
-    "read_edge_list",
-    "run",
-    "run_d2",
-    "run_d3",
-    "second_moment_partition",
-    "star_bisection",
-    "star_decompose",
-    "tight_components",
-    "write_edge_list",
-]
+_EXPORTS = {
+    "core": ("Bipartition", "CutStats", "Digraph", "GraphInputError",
+             "StructuralDiagnostic", "UnderlyingGraph", "cut_stats",
+             "read_edge_list", "write_edge_list"),
+    "decomposition": ("Matching", "StarDecomposition", "TightReport",
+                      "maximize_free_vertices", "maximum_matching",
+                      "star_decompose", "tight_components"),
+    "generators": ("GadgetSpec", "concluding_gadgets", "d1_gadget",
+                   "eulerian_complete", "lower_bound_gadget", "random_min_outdeg"),
+    "oracle": ("OracleResult", "exact_judicious"),
+    "pipeline": ("PartitionResult", "PipelineConfig", "guarantee_target",
+                 "local_search", "run", "run_d2", "run_d3"),
+    "samplers": ("SampleOutcome", "SamplerConfig", "expected_cuts",
+                 "quarter_partition", "second_moment_partition", "star_bisection"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,23 +14,21 @@ from typing import Any
 
 from .core import (
     GraphInputError,
+    StructuralDiagnostic,
     parse_edge_list,
     read_edge_list,
     read_partition,
     write_edge_list,
     write_partition,
 )
-from .decomposition import star_decompose
 from .generators import FAMILIES, GadgetSpec, lower_bound_gadget
-from .harness import (
+from .harness import (  # loads no pipeline; each handler imports what it runs
     SUITES,
     build_report,
     file_instance_descriptor,
     run_suite,
     verify_partition,
 )
-from .oracle import exact_judicious
-from .pipeline import PipelineConfig, StructuralDiagnostic, run
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -126,6 +124,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from .pipeline import PipelineConfig, run
+
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     digraph = parse_edge_list(text)
@@ -165,6 +165,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import exact_judicious
+
     digraph = read_edge_list(args.input)
     result = exact_judicious(digraph)
     payload = {
@@ -179,6 +181,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .decomposition import star_decompose
+
     digraph = read_edge_list(args.input)
     dec = star_decompose(
         digraph,

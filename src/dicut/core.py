@@ -3,14 +3,27 @@ projection to the underlying undirected simple graph."""
 
 from __future__ import annotations
 
+import gc
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 
 class GraphInputError(ValueError):
     """Malformed graph input: loops, duplicate directed edges, bad vertex ids."""
+
+
+class StructuralDiagnostic(RuntimeError):
+    """A structural fact the analysis guarantees was violated at runtime.
+
+    Signals an implementation bug or a violated precondition, never a mere
+    unlucky sample; carries the offending profile for inspection.
+    """
+
+    def __init__(self, message: str, payload: dict[str, Any] | None = None) -> None:
+        super().__init__(message)
+        self.payload = payload or {}
 
 
 def _sorted_contains(adj: tuple[int, ...], v: int) -> bool:
@@ -140,6 +153,33 @@ class Digraph:
             (i, index[v]) for i, u in enumerate(keep) for v in self._out[u] if v in index
         ]
         return Digraph(len(keep), pairs, orig_ids=tuple(keep))
+
+    def induced_underlying(
+        self, vertices: Iterable[int]
+    ) -> tuple["UnderlyingGraph", frozenset[tuple[int, int]]]:
+        """`induced(vertices).underlying()` and its antiparallel pairs (i, j),
+        i < j, from one pass over the out-lists, with no Digraph in between."""
+        keep = _checked_ids(vertices, self.n)
+        index = {v: i for i, v in enumerate(keep)}
+        adj: list[list[int]] = [[] for _ in keep]
+        for i, u in enumerate(keep):
+            for v in self._out[u]:
+                j = index.get(v)
+                if j is not None:
+                    adj[i].append(j)
+                    adj[j].append(i)
+        antiparallel: set[tuple[int, int]] = set()
+        for i, a in enumerate(adj):
+            row = sorted(set(a))
+            if len(row) < len(a):  # an antiparallel pair lists its other end twice
+                a.sort()
+                antiparallel.update((i, j) for j, k in zip(a, a[1:]) if j == k and i < j)
+            adj[i] = row
+        # symmetric, loop-free and in range by construction: skip the edge checks
+        graph = UnderlyingGraph.__new__(UnderlyingGraph)
+        graph.n, graph.m, graph.orig_ids = len(keep), sum(map(len, adj)) // 2, tuple(keep)
+        graph._adj = tuple(map(tuple, adj))
+        return graph, frozenset(antiparallel)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -317,7 +357,20 @@ def parse_edge_list(text: str) -> Digraph:
     looked up as ids; any other slice goes line by line. The first bad line
     is raised only after the line count matches the header, so the count
     error takes precedence.
+
+    The cyclic collector, which would walk its millions of tuples again and
+    again and free none, is paused; the caller's state is restored on exit.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_edge_list(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_edge_list(text: str) -> Digraph:
     header, pos = _find_header(text)
     try:
         n, m = map(int, header.split())

@@ -499,15 +499,8 @@ def star_decompose(
     b_list = sorted(set(b_vertices))
     mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
     degree_cap = mean_degree / epsilon
-    sub = digraph.induced(b_list)
-    orig = sub.orig_ids or tuple(range(sub.n))
-    graph = sub.underlying()
-    antiparallel = frozenset(
-        (u, v)
-        for u in range(sub.n)
-        for v in sub.out_neighbors(u)
-        if u < v and sub.has_edge(v, u)
-    )
+    graph, antiparallel = digraph.induced_underlying(b_list)
+    orig = graph.orig_ids
 
     partner = maximum_matching(graph).partner_array(graph.n)
     tight = _settle(graph, partner, antiparallel)

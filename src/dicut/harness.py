@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .core import Bipartition, Digraph, cut_stats
 from .generators import GadgetSpec
-from .oracle import MAX_ORACLE_N, exact_judicious
-from .pipeline import PartitionResult, PipelineConfig, run
+
+if TYPE_CHECKING:  # imported by the calls that run the pipeline
+    from .pipeline import PartitionResult, PipelineConfig
 
 SCHEMA_VERSION = 1
 
@@ -67,6 +66,8 @@ class RunReport:
 
 
 def file_instance_descriptor(path: str, text: str) -> dict[str, Any]:
+    import hashlib  # loads OpenSSL; only `partition` children need it
+
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return {"path": path, "sha256": digest}
 
@@ -80,6 +81,8 @@ def build_report(
     with_oracle: bool = False,
 ) -> RunReport:
     oracle_info = None
+    if with_oracle:
+        from .oracle import MAX_ORACLE_N, exact_judicious
     if with_oracle and digraph.n <= MAX_ORACLE_N:
         t0 = time.perf_counter()
         best = exact_judicious(digraph)
@@ -123,6 +126,8 @@ class BenchTask:
     with_oracle: bool = False
 
     def config(self, max_attempts: int) -> PipelineConfig:
+        from .pipeline import PipelineConfig
+
         return PipelineConfig(
             d=self.d, epsilon=self.epsilon, seed=self.seed, max_attempts=max_attempts
         )
@@ -228,6 +233,8 @@ def suite_tasks(name: str) -> list[BenchTask]:
 
 
 def run_bench_task(task: BenchTask, max_attempts: int = 200) -> RunReport:
+    from .pipeline import run
+
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     digraph = task.spec.build()
@@ -248,6 +255,8 @@ def run_suite(name: str, jobs: int = 1, max_attempts: int = 200) -> list[RunRepo
     tasks = suite_tasks(name)
     if jobs <= 1:
         return [run_bench_task(t, max_attempts) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_bench_task, t, max_attempts) for t in tasks]
         return [f.result() for f in futures]

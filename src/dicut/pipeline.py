@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .core import Bipartition, CutStats, Digraph, GraphInputError, cut_stats
+from .core import (
+    Bipartition, CutStats, Digraph, GraphInputError, StructuralDiagnostic, cut_stats
+)
 from .decomposition import star_decompose
 from .samplers import (
     DEFAULT_MAX_ATTEMPTS,
@@ -35,18 +37,6 @@ ODD_BOUND_DIVISOR = {2: 3, 3: 5}
 TEST_CONSTANT_SCALE = 100
 RESTART_MAX_N = 32
 RESTART_COUNT = 8
-
-
-class StructuralDiagnostic(RuntimeError):
-    """A structural fact the analysis guarantees was violated at runtime.
-
-    Signals an implementation bug or a violated precondition, never a mere
-    unlucky sample; carries the offending profile for inspection.
-    """
-
-    def __init__(self, message: str, payload: dict[str, Any] | None = None) -> None:
-        super().__init__(message)
-        self.payload = payload or {}
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import random
 import re
 import tracemalloc
@@ -128,6 +130,22 @@ def test_underlying_collapses_antiparallel(g):
     assert und.m == g.m - g.antiparallel_pairs()
 
 
+@given(digraphs(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_induced_underlying_matches_two_builds(g, rng):
+    keep = [v for v in range(g.n) if rng.random() < 0.7]
+    sub = g.induced(keep)
+    expected = sub.underlying()
+    graph, antiparallel = g.induced_underlying(reversed(keep))
+    assert (graph.n, graph.m, graph.orig_ids) == (expected.n, expected.m, sub.orig_ids)
+    assert graph.edges == expected.edges
+    assert all(graph.neighbors(v) == expected.neighbors(v) for v in range(sub.n))
+    assert antiparallel == {
+        (u, v) for u, v in sub.edges if u < v and sub.has_edge(v, u)
+    }
+    assert len(antiparallel) == sub.antiparallel_pairs()
+
+
 @st.composite
 def pair_lists(draw, max_n=7):
     """(n, pairs) with loop-free pairs; repeats allowed unless drawn unique."""
@@ -228,6 +246,8 @@ class TestUnderlying:
         for g in (digraph, digraph.underlying()):
             with pytest.raises(GraphInputError, match=message):
                 g.induced(ids)
+        with pytest.raises(GraphInputError, match=message):
+            digraph.induced_underlying(ids)
 
 
 class TestInterchangeFormats:
@@ -412,6 +432,33 @@ def test_parse_edge_list_examples(text, slice_chars):
     with mock.patch.object(core_mod, "_SLICE_CHARS", slice_chars):
         got = parse_outcome(parse_edge_list, text)
     assert got == parse_outcome(reference_parse_edge_list, text)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text",
+    ["3 2\n0 1\n1 2\n", "3 2\n0 1\n", "3 1\n0 0\n", "3 2\n0 1\nx 2\n"],
+)
+def test_parse_edge_list_pauses_and_restores_the_collector(monkeypatch, enabled, text):
+    """The cyclic collector is off for the parse and the build, and the
+    caller's state comes back afterwards, after a GraphInputError too."""
+    during = []
+    real = core_mod.Digraph
+
+    def build(n, pairs):
+        during.append(gc.isenabled())
+        return real(n, pairs)
+
+    monkeypatch.setattr(core_mod, "Digraph", build)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(GraphInputError):
+            parse_edge_list(text)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert not any(during)
 
 
 def test_parse_edge_list_keeps_error_cause():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dicut
-import dicut.cli as cli_mod
+import dicut.pipeline as pipeline_mod
 from dicut.cli import main
 from dicut.core import read_edge_list, read_partition
 from dicut.harness import (
@@ -173,7 +174,7 @@ class TestCli:
         def boom(digraph, config):
             raise StructuralDiagnostic("fabricated", {"reason": "test"})
 
-        monkeypatch.setattr(cli_mod, "run", boom)
+        monkeypatch.setattr(pipeline_mod, "run", boom)
         assert main(["partition", "-i", str(graph_file), "--d", "2"]) == 3
 
     def test_zero_max_attempts_exit_one(self, tmp_path, capsys):
@@ -278,3 +279,73 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert len(data) == len(suite_tasks("oracle-small"))
         assert all(r["schema_version"] == 1 for r in data)
+
+
+def _imported_modules(*argv):
+    """Every module a `python -X importtime` child loads, read from its stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, env=_cli_env(), check=True,
+    )
+    return {
+        ln.rsplit("|", 1)[1].strip()
+        for ln in proc.stderr.splitlines()
+        if ln.startswith("import time:") and not ln.endswith("imported package")
+    }
+
+
+class TestImportGraph:
+    """Each CLI child imports only the modules its command runs."""
+
+    @pytest.fixture(scope="class")
+    def graph_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("imports") / "g.el"
+        main(["gen", "random_min_outdeg", "--n", "12", "--d", "2", "--seed", "3",
+              "-o", str(path)])
+        return str(path)
+
+    def test_partition_child(self, graph_file):
+        loaded = _imported_modules("-m", "dicut.cli", "partition", "-i", graph_file,
+                                   "--d", "2", "--json")
+        assert "dicut.pipeline" in loaded
+        assert not loaded & {"multiprocessing", "concurrent.futures", "dicut.oracle"}
+
+    def test_oracle_child(self, graph_file):
+        loaded = _imported_modules("-m", "dicut.cli", "oracle", "-i", graph_file)
+        assert "dicut.oracle" in loaded
+        assert not loaded & {"dicut.pipeline", "dicut.samplers",
+                             "dicut.decomposition", "multiprocessing"}
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = _imported_modules("-c", "import dicut")
+        assert "dicut" in loaded
+        assert not {name for name in loaded if name.startswith("dicut.")}
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("name", dicut.__all__)
+    def test_public_name_is_the_defining_modules_object(self, name):
+        value = getattr(dicut, name)
+        assert value.__module__ == f"dicut.{dicut._MODULE_OF[name]}"
+        assert value is getattr(importlib.import_module(value.__module__), name)
+        assert vars(dicut)[name] is value  # cached after the first lookup
+
+    def test_dir_lists_every_public_name(self):
+        assert set(dicut.__all__) <= set(dir(dicut))
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from dicut import *", namespace)
+        assert all(namespace[name] is getattr(dicut, name) for name in dicut.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            dicut.no_such_name
+
+    def test_structural_diagnostic_is_one_object(self):
+        import dicut.core
+        import dicut.pipeline
+
+        assert dicut.StructuralDiagnostic is dicut.pipeline.StructuralDiagnostic
+        assert dicut.StructuralDiagnostic is dicut.core.StructuralDiagnostic
+        assert StructuralDiagnostic is dicut.core.StructuralDiagnostic
