@@ -16,6 +16,7 @@ from .core import (
     GraphInputError,
     StructuralDiagnostic,
     parse_edge_list,
+    parse_header,
     read_edge_list,
     read_partition,
     write_edge_list,
@@ -165,9 +166,17 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import exact_judicious
+    from .oracle import check_oracle_n, exact_judicious
 
-    digraph = read_edge_list(args.input)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        n = parse_header(text)[0]
+    except GraphInputError:
+        pass  # parse_edge_list reports the bad header
+    else:
+        check_oracle_n(n)  # before n adjacency lists are built
+    digraph = parse_edge_list(text)
     result = exact_judicious(digraph)
     payload = {
         "n": digraph.n,

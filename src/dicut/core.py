@@ -7,6 +7,7 @@ import gc
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 
@@ -269,7 +270,7 @@ class Bipartition:
     side: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(s not in (1, 2) for s in self.side):
+        if self.side.count(1) + self.side.count(2) != len(self.side):
             raise ValueError("side labels must be 1 or 2")
 
     @classmethod
@@ -279,12 +280,6 @@ class Bipartition:
 
     def __len__(self) -> int:
         return len(self.side)
-
-    def side1(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.side) if s == 1)
-
-    def side2(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.side) if s == 2)
 
     def swapped(self) -> "Bipartition":
         return Bipartition(tuple(3 - s for s in self.side))
@@ -306,21 +301,29 @@ class CutStats:
         return self.e12 + self.e21
 
 
+def _side2_ends(side: Sequence[int], lists: Iterable[tuple[int, ...]]) -> list[int]:
+    """For each id tuple in `lists`, how many of its ids are on side 2; each
+    tuple is read by one C-level gather, `itemgetter(*ids)(side)`."""
+    # itemgetter returns a bare label for one id and raises for none
+    return [
+        itemgetter(*a)(side).count(2) if len(a) > 1 else (side[a[0]] == 2 if a else 0)
+        for a in lists
+    ]
+
+
 def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
-    """Exact directional counts by a single pass over the out-lists."""
+    """Exact directional counts, from scratch: each out-list's side-2 ends are
+    counted by one C-level gather, so a call costs O(n + m) with a small
+    per-edge constant.  Nothing is cached between calls."""
     if len(partition) != digraph.n:
         raise ValueError(
             f"partition covers {len(partition)} vertices, digraph has {digraph.n}"
         )
-    side = partition.side
-    e12 = e21 = 0
-    for u, out in enumerate(digraph._out):
-        # sides are 1 or 2, so the side labels of out sum to len(out) + #side-2
-        twos = sum(map(side.__getitem__, out)) - len(out)
-        if side[u] == 1:
-            e12 += twos
-        else:
-            e21 += len(out) - twos
+    side, out = partition.side, digraph._out
+    twos = _side2_ends(side, out)
+    # a side-1 tail's side-2 heads cut forward; a side-2 tail's others backward
+    e12 = sum([t for t, s in zip(twos, side) if s == 1])
+    e21 = sum([len(a) - t for a, t, s in zip(out, twos, side) if s == 2])
     return CutStats(e12, e21)
 
 
@@ -370,12 +373,19 @@ def parse_edge_list(text: str) -> Digraph:
             gc.enable()
 
 
-def _parse_edge_list(text: str) -> Digraph:
+def parse_header(text: str) -> tuple[int, int, int]:
+    """The header's (n, m) and the offset where the body starts; reads no
+    further than the header line."""
     header, pos = _find_header(text)
     try:
         n, m = map(int, header.split())
     except ValueError as exc:
         raise GraphInputError(f"header must be 'n m', got {header!r}") from exc
+    return n, m, pos
+
+
+def _parse_edge_list(text: str) -> Digraph:
+    n, m, pos = parse_header(text)
     # ids 0..n-1 as the writer spells them, so that each id becomes one shared
     # int; the body cannot name more distinct ids than it has characters
     ids = {str(v): v for v in range(min(n, len(text) - pos))}

@@ -35,6 +35,13 @@ def _pack(lanes: Iterable[int]) -> int:
     return int.from_bytes(array("H", lanes).tobytes(), sys.byteorder)
 
 
+def check_oracle_n(n: int) -> None:
+    """Raise the ValueError exact_judicious raises for more than MAX_ORACLE_N
+    vertices; callers may check a header's n before building the graph."""
+    if n > MAX_ORACLE_N:
+        raise ValueError(f"exact_judicious is capped at n <= {MAX_ORACLE_N}, got {n}")
+
+
 def exact_judicious(digraph: Digraph) -> OracleResult:
     """Exhaustive maximum of min(e12, e21), with an optimal witness.
 
@@ -62,8 +69,7 @@ def exact_judicious(digraph: Digraph) -> OracleResult:
     scored (1 for n = 0).
     """
     n = digraph.n
-    if n > MAX_ORACLE_N:
-        raise ValueError(f"exact_judicious is capped at n <= {MAX_ORACLE_N}, got {n}")
+    check_oracle_n(n)
     if n == 0:
         return OracleResult(0, Bipartition(()), 1)
     out_mask = [0] * n

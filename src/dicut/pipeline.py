@@ -14,10 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Any, Sequence
 
 from .core import (
-    Bipartition, CutStats, Digraph, GraphInputError, StructuralDiagnostic, cut_stats
+    Bipartition, CutStats, Digraph, GraphInputError, StructuralDiagnostic,
+    _side2_ends, cut_stats,
 )
 from .decomposition import star_decompose
 from .samplers import (
@@ -67,14 +69,25 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class GapPartition:
-    """Split of the large-vertex set with its forward/backward imbalance."""
+class GapSplit:
+    """min_gap's answer in index space: the positions of the surpluses placed
+    in A1 and in A2, and the gap theta >= 0 they leave."""
 
     a1: tuple[int, ...]
     a2: tuple[int, ...]
     theta: int
-    m_a_f: int | None = None
-    m_a_b: int | None = None
+
+
+@dataclass(frozen=True)
+class GapPartition:
+    """Split of the large-vertex set with its forward/backward imbalance:
+    theta = m_a_f - m_a_b, the forward minus the backward edges at A."""
+
+    a1: tuple[int, ...]
+    a2: tuple[int, ...]
+    theta: int
+    m_a_f: int
+    m_a_b: int
 
 
 @dataclass(frozen=True)
@@ -137,10 +150,12 @@ def split_large(
     return large, rest, Digraph(n, kept), removed
 
 
-def min_gap(surpluses: Sequence[int]) -> GapPartition:
+def min_gap(surpluses: Sequence[int]) -> GapSplit:
     """Exact minimizer of the absolute gap over all 2^|A| sign choices,
     by subset-sum reachability over the surplus magnitudes (normalized so
-    the returned gap is nonnegative)."""
+    the returned gap is nonnegative).  Bit f of `reach` is set iff some
+    choice sends a forward total f; the best f <= total // 2 is the highest
+    such bit, read with one bit_length."""
     mags = [abs(s) for s in surpluses]
     total = sum(mags)
     nonzero = [(i, v) for i, v in enumerate(mags) if v > 0]
@@ -149,11 +164,8 @@ def min_gap(surpluses: Sequence[int]) -> GapPartition:
     for _, v in nonzero:
         reach |= reach << v
         prefixes.append(reach)
-    best_f = 0
-    for f in range(total // 2, -1, -1):
-        if reach >> f & 1:
-            best_f = f
-            break
+    # bit 0 (the empty choice) is always set, so best_f >= 0
+    best_f = (reach & ((2 << (total // 2)) - 1)).bit_length() - 1
     forward = [False] * len(surpluses)
     target = best_f
     for k in range(len(nonzero) - 1, -1, -1):
@@ -177,14 +189,14 @@ def _goes_to_a1(surplus: int, forward: bool) -> bool:
 
 def _assemble_gap(
     surpluses: Sequence[int], forward: Sequence[bool], signed_theta: int
-) -> GapPartition:
+) -> GapSplit:
     a1, a2 = [], []
     for i, s in enumerate(surpluses):
         (a1 if _goes_to_a1(s, forward[i]) else a2).append(i)
     if signed_theta < 0:
         a1, a2 = a2, a1
         signed_theta = -signed_theta
-    return GapPartition(tuple(a1), tuple(a2), signed_theta)
+    return GapSplit(tuple(a1), tuple(a2), signed_theta)
 
 
 def _signed_surpluses(stripped: Digraph, large: Sequence[int]) -> list[int]:
@@ -259,12 +271,7 @@ def _sweep(
     visit costs O(1) and a flip of v O(deg v) (Fiduccia-Mattheyses gains)."""
     side = list(partition.side)
     out, in_ = digraph._out, digraph._in
-    get = side.__getitem__
-    # sides are 1 or 2, so the side labels of a list sum to its length + #side-2
-    two = [
-        sum(map(get, a)) + sum(map(get, b)) - len(a) - len(b)
-        for a, b in zip(out, in_)
-    ]
+    two = list(map(add, _side2_ends(side, out), _side2_ends(side, in_)))
     indeg, outdeg = list(map(len, in_)), list(map(len, out))
     e12, e21 = stats.e12, stats.e21
     low, total = min(e12, e21), e12 + e21

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import json
 import random
 import re
 import tracemalloc
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicut.core as core_mod
+from dicut import pipeline
+from dicut.cli import main
 from dicut.core import (
     Bipartition,
     Digraph,
@@ -30,6 +33,7 @@ from dicut.generators import (
 )
 
 from .conftest import random_digraph
+from .test_pipeline import _rescanning_sweep
 
 
 def three_cycle() -> Digraph:
@@ -94,6 +98,74 @@ class TestCutStats:
         for part in all_bipartitions(5):
             stats = cut_stats(g, part)
             assert stats.e12 == stats.e21
+
+
+def hub_digraph() -> Digraph:
+    """Out- and in-lists of lengths 0, 1, 2 and >= 1000 (vertex 0, the hub)."""
+    n = 1007
+    pairs = [(0, v) for v in range(1, n - 1)] + [(v, 0) for v in range(3, n - 1)]
+    pairs += [(2, 1), (2, 3), (n - 1, 1)]
+    return Digraph(n, pairs)
+
+
+def recount(g: Digraph, side) -> tuple[int, int]:
+    """(e12, e21) edge by edge from `edges`."""
+    e12 = sum(1 for u, v in g.edges if side[u] == 1 and side[v] == 2)
+    e21 = sum(1 for u, v in g.edges if side[u] == 2 and side[v] == 1)
+    return e12, e21
+
+
+def hub_partitions(n: int) -> list[Bipartition]:
+    rng = random.Random(5)
+    sides = [(1,) * n, (2,) * n, tuple(1 + v % 2 for v in range(n))]
+    sides.append((2,) + (1,) * (n - 1))  # the hub alone on side 2
+    sides += [tuple(rng.choice((1, 2)) for _ in range(n)) for _ in range(4)]
+    return [Bipartition(s) for s in sides]
+
+
+class TestGatherEdgeCases:
+    """cut_stats and the polish count side-2 ends with itemgetter gathers,
+    which need their own case for lists of length 0 and 1."""
+
+    def test_hub_digraph_has_every_list_length(self):
+        g = hub_digraph()
+        for lists in (g._out, g._in):
+            lengths = set(map(len, lists))
+            assert {0, 1, 2} <= lengths and max(lengths) >= 1000
+
+    def test_cut_stats_matches_per_edge_recount(self):
+        g = hub_digraph()
+        for part in hub_partitions(g.n):
+            stats = cut_stats(g, part)
+            assert (stats.e12, stats.e21) == recount(g, part.side)
+
+    def test_local_search_matches_per_edge_recount(self):
+        g = hub_digraph()
+        for part in hub_partitions(g.n):
+            start = cut_stats(g, part)
+            result, stats = pipeline._sweep(g, part, start)
+            assert (stats.e12, stats.e21) == recount(g, result.side)
+            assert pipeline.local_search(g, part) == result
+            assert result == _rescanning_sweep(g, part, start)
+
+    def test_verify_matches_per_edge_recount(self, tmp_path, capsys):
+        g = hub_digraph()
+        graph_file = tmp_path / "hub.el"
+        core_mod.write_edge_list(g, str(graph_file))
+        for part in hub_partitions(g.n):
+            part_file = tmp_path / "hub.part"
+            core_mod.write_partition(part, str(part_file))
+            capsys.readouterr()
+            assert main(["verify", "-i", str(graph_file), "-p", str(part_file),
+                         "--json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert (data["e12"], data["e21"]) == recount(g, part.side)
+
+    @pytest.mark.parametrize("bad", [0, 3, "1"])
+    def test_bipartition_rejects_bad_labels(self, bad):
+        for side in ((bad,), (1, 2, bad), (bad, 2, 1, 1)):
+            with pytest.raises(ValueError, match=r"^side labels must be 1 or 2$"):
+                Bipartition(side)
 
 
 @st.composite

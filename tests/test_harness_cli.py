@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dicut
+import dicut.cli as cli_mod
 import dicut.pipeline as pipeline_mod
 from dicut.cli import main
 from dicut.core import read_edge_list, read_partition
@@ -155,6 +156,35 @@ class TestCli:
         assert main(["oracle", "-i", str(bad)]) == 1
         missing = tmp_path / "missing.el"
         assert main(["oracle", "-i", str(missing)]) == 1
+
+    def test_oracle_checks_header_n_before_building(self, tmp_path, capsys, monkeypatch):
+        def no_build(text):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(cli_mod, "parse_edge_list", no_build)
+        hostile = tmp_path / "hostile.el"
+        hostile.write_text("1000000 0")
+        assert main(["oracle", "-i", str(hostile)]) == 1
+        cap = "error: exact_judicious is capped at n <= 24, got 1000000\n"
+        assert capsys.readouterr().err == cap
+        # the cap error now comes before body errors
+        hostile.write_text("25 2\n0 0\n")
+        assert main(["oracle", "-i", str(hostile)]) == 1
+        assert capsys.readouterr().err == cap.replace("1000000", "25")
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("x 0\n", "error: header must be 'n m', got 'x 0'\n"),
+            ("", "error: empty edge-list input\n"),
+            ("24 1\n0 0\n", "error: edge #0 (0,0): loops are not allowed\n"),
+        ],
+    )
+    def test_oracle_falls_back_to_the_parse(self, tmp_path, capsys, text, err):
+        graph_file = tmp_path / "g.el"
+        graph_file.write_text(text)
+        assert main(["oracle", "-i", str(graph_file)]) == 1
+        assert capsys.readouterr().err == err
 
     def test_guarantee_miss_exit_two(self, tmp_path):
         graph_file = tmp_path / "k5.el"

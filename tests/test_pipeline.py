@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,27 @@ class TestGapOps:
     @settings(max_examples=120, deadline=None)
     def test_min_gap_matches_exhaustive(self, vals):
         assert min_gap(vals).theta == exact_min_gap(vals)
+
+    @given(st.lists(st.integers(-10**5, 10**5), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_min_gap_matches_exhaustive_at_large_magnitudes(self, vals):
+        gp = min_gap(vals)
+        assert gp.theta == exact_min_gap(vals)
+        assert sum(vals[i] for i in gp.a1) - sum(vals[i] for i in gp.a2) == gp.theta
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [-19997] * 3,  # the large set of k33_oriented and k33_plus_3regular
+            [20000] + [-19997] * 4,  # k55_mixed
+            [-20000, -19999, -20001],
+            [-19997] * 3 + [1, -2, 3],
+        ],
+    )
+    def test_min_gap_k33_pattern(self, vals):
+        gp = min_gap(vals)
+        assert gp.theta == exact_min_gap(vals)
+        assert sum(vals[i] for i in gp.a1) - sum(vals[i] for i in gp.a2) == gp.theta
 
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=14))
     @settings(max_examples=100, deadline=None)
@@ -443,7 +465,7 @@ class TestStructuralDiagnostics:
             g=0,
             b=0,
         )
-        gp = GapPartition((0, 1), (), 3)
+        gp = GapPartition((0, 1), (), 3, m_a_f=3, m_a_b=0)
         with pytest.raises(StructuralDiagnostic):
             pipeline_mod._check_d2_structure(profile, gp)
 
@@ -490,7 +512,7 @@ class TestStructuralDiagnostics:
 
         def wrong_theta(surpluses):
             raw = real(surpluses)
-            return GapPartition(raw.a1, raw.a2, raw.theta + 1)
+            return replace(raw, theta=raw.theta + 1)
 
         monkeypatch.setattr(pipeline_mod, "min_gap", wrong_theta)
         with pytest.raises(StructuralDiagnostic, match="gap identity") as err:
