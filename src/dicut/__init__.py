@@ -19,7 +19,7 @@ _EXPORTS = {
                    "eulerian_complete", "lower_bound_gadget", "random_min_outdeg"),
     "oracle": ("OracleResult", "exact_judicious"),
     "pipeline": ("PartitionResult", "PipelineConfig", "guarantee_target",
-                 "local_search", "run", "run_d2", "run_d3"),
+                 "local_search", "run"),
     "samplers": ("SampleOutcome", "SamplerConfig", "expected_cuts",
                  "quarter_partition", "second_moment_partition", "star_bisection"),
 }

@@ -8,7 +8,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 
 class GraphInputError(ValueError):
@@ -58,14 +58,9 @@ class Digraph:
     immutable after construction and safe to share read-only across threads.
     """
 
-    __slots__ = ("n", "m", "_out", "_in", "orig_ids")
+    __slots__ = ("n", "m", "_out", "_in")
 
-    def __init__(
-        self,
-        n: int,
-        pairs: Iterable[tuple[int, int]],
-        orig_ids: tuple[int, ...] | None = None,
-    ) -> None:
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
         if not isinstance(pairs, Sequence):
@@ -87,7 +82,6 @@ class Digraph:
         self.m = sum(len(a) for a in out)
         self._out = tuple(tuple(sorted(a)) for a in out)
         self._in = tuple(tuple(sorted(a)) for a in in_)
-        self.orig_ids = orig_ids
 
     @classmethod
     def from_edge_list(
@@ -103,10 +97,7 @@ class Digraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge (u, v), sorted; rebuilt from the adjacency on each access."""
-        return tuple(self._pairs())
-
-    def _pairs(self) -> Iterator[tuple[int, int]]:
-        return ((u, v) for u, a in enumerate(self._out) for v in a)
+        return tuple((u, v) for u, a in enumerate(self._out) for v in a)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and _sorted_contains(self._out[u], v)
@@ -136,30 +127,12 @@ class Digraph:
         """Smallest-id vertex realizing the minimum outdegree."""
         return min(range(self.n), key=lambda v: (len(self._out[v]), v))
 
-    def antiparallel_pairs(self) -> int:
-        """Number of unordered pairs {u,v} with both (u,v) and (v,u) present."""
-        # a pair {u, v} is found twice: v in both lists of u, u in both lists of v
-        both = sum(len(set(o).intersection(i)) for o, i in zip(self._out, self._in))
-        return both // 2
-
-    def underlying(self) -> "UnderlyingGraph":
-        """Forget orientation; antiparallel pairs collapse to one edge."""
-        return UnderlyingGraph(self.n, self._pairs(), orig_ids=self.orig_ids)
-
-    def induced(self, vertices: Iterable[int]) -> "Digraph":
-        """Induced subgraph with dense relabeled ids; orig_ids records the map."""
-        keep = _checked_ids(vertices, self.n)
-        index = {v: i for i, v in enumerate(keep)}
-        pairs = [
-            (i, index[v]) for i, u in enumerate(keep) for v in self._out[u] if v in index
-        ]
-        return Digraph(len(keep), pairs, orig_ids=tuple(keep))
-
     def induced_underlying(
         self, vertices: Iterable[int]
     ) -> tuple["UnderlyingGraph", frozenset[tuple[int, int]]]:
-        """`induced(vertices).underlying()` and its antiparallel pairs (i, j),
-        i < j, from one pass over the out-lists, with no Digraph in between."""
+        """The underlying graph of the subgraph induced by `vertices`, relabelled
+        0..k-1 in id order (orig_ids records the map), and its antiparallel
+        pairs (i, j), i < j, from one pass over the out-lists."""
         keep = _checked_ids(vertices, self.n)
         index = {v: i for i, v in enumerate(keep)}
         adj: list[list[int]] = [[] for _ in keep]
@@ -273,16 +246,8 @@ class Bipartition:
         if self.side.count(1) + self.side.count(2) != len(self.side):
             raise ValueError("side labels must be 1 or 2")
 
-    @classmethod
-    def from_side1(cls, n: int, side1: Iterable[int]) -> "Bipartition":
-        ones = set(side1)
-        return cls(tuple(1 if v in ones else 2 for v in range(n)))
-
     def __len__(self) -> int:
         return len(self.side)
-
-    def swapped(self) -> "Bipartition":
-        return Bipartition(tuple(3 - s for s in self.side))
 
 
 @dataclass(frozen=True)
@@ -486,17 +451,3 @@ def read_partition(path: str, n: int) -> Bipartition:
 def write_partition(partition: Bipartition, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_partition(partition))
-
-
-def all_bipartitions(n: int, fixed_side1: int | None = 0) -> Iterator[Bipartition]:
-    """Yield every bipartition, optionally with one vertex pinned to side 1.
-
-    Pinning exploits label-swap symmetry and halves the enumeration.
-    """
-    free = [v for v in range(n) if v != fixed_side1]
-    for mask in range(1 << len(free)):
-        side = [1] * n
-        for i, v in enumerate(free):
-            if mask >> i & 1:
-                side[v] = 2
-        yield Bipartition(tuple(side))

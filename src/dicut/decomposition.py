@@ -209,10 +209,6 @@ def free_neighbor_edges(
     return out
 
 
-def _is_free(graph: UnderlyingGraph, partner: Sequence[int], w: int) -> bool:
-    return bool(free_neighbor_edges(graph, partner, w))
-
-
 class _Grower:
     """Grows the pair-absorption set of one non-free leftover vertex.
 
@@ -370,7 +366,7 @@ def _settle(
     while improved:
         improved = False
         for w in range(graph.n):
-            if partner[w] != -1 or w in settled or _is_free(graph, partner, w):
+            if partner[w] != -1 or w in settled or free_neighbor_edges(graph, partner, w):
                 continue
             grower = _Grower(graph, partner, w)
             improved = grower.run()
@@ -400,13 +396,6 @@ def maximize_free_vertices(graph: UnderlyingGraph, matching: Matching) -> Matchi
     partner = matching.partner_array(graph.n)
     _settle(graph, partner)
     return _matching_from_partner(partner)
-
-
-def free_vertex_count(graph: UnderlyingGraph, matching: Matching) -> int:
-    partner = matching.partner_array(graph.n)
-    return sum(
-        1 for w in matching.unmatched if _is_free(graph, partner, w)
-    )
 
 
 def tight_components(
@@ -465,7 +454,6 @@ class StarDecomposition:
     degree_cap: float
     epsilon: float
     seeded_antiparallel: bool
-    vertices: tuple[int, ...]
 
     def star_edge_count(self) -> int:
         return sum(len(s) - 1 for s in self.stars)
@@ -575,5 +563,4 @@ def star_decompose(
         degree_cap=degree_cap,
         epsilon=epsilon,
         seeded_antiparallel=prefer_antiparallel,
-        vertices=tuple(b_list),
     )

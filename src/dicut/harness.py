@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
 from .core import Bipartition, Digraph, cut_stats
@@ -20,7 +20,7 @@ SUITES = ("gadgets", "random-d2", "random-d3", "oracle-small")
 
 @dataclass(frozen=True)
 class RunReport:
-    """One pipeline run in a stable, round-trippable schema.
+    """One pipeline run in a stable schema; `to_json` writes it.
 
     Timings are wall-clock diagnostics and are excluded from the canonical
     form used for determinism comparisons.
@@ -54,15 +54,6 @@ class RunReport:
         return json.dumps(
             self.to_dict(include_timings), sort_keys=True, separators=(",", ":")
         )
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunReport":
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        kwargs["branch_trace"] = tuple(kwargs["branch_trace"])
-        return cls(**kwargs)
-
-    def bipartition(self) -> Bipartition:
-        return Bipartition(tuple(int(c) for c in self.partition))
 
 
 def file_instance_descriptor(path: str, text: str) -> dict[str, Any]:

@@ -143,6 +143,20 @@ def exact_judicious(digraph: Digraph) -> OracleResult:
     return OracleResult(best, witness, 1 << (n - 1))
 
 
+def all_bipartitions(n: int, fixed_side1: int | None = 0) -> Iterator[Bipartition]:
+    """Yield every bipartition, optionally with one vertex pinned to side 1.
+
+    Pinning exploits label-swap symmetry and halves the enumeration.
+    """
+    free = [v for v in range(n) if v != fixed_side1]
+    for mask in range(1 << len(free)):
+        side = [1] * n
+        for i, v in enumerate(free):
+            if mask >> i & 1:
+                side[v] = 2
+        yield Bipartition(tuple(side))
+
+
 def exact_min_gap(surpluses: Sequence[int]) -> int:
     """Exhaustive minimum of |sum(chosen) - sum(rest)| over sign choices."""
     if len(surpluses) > MAX_GAP_A:

@@ -12,7 +12,7 @@ Every run ends with an honest recomputation of the cut against its target.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Any, Sequence
@@ -107,21 +107,10 @@ class SurplusProfile:
     delta_list: tuple[int, ...]
     g: int
     b: int
-    _signed_by_vertex: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        by_vertex = dict(zip(self.vertices, self.signed_surplus))
-        object.__setattr__(self, "_signed_by_vertex", by_vertex)
 
     @property
     def delta(self) -> int:
         return self.delta_list[0] if self.delta_list else 0
-
-    def signed_of(self, v: int) -> int:
-        return self._signed_by_vertex[v]
-
-    def surplus_of(self, v: int) -> int:
-        return abs(self.signed_of(v))
 
 
 def split_large(
@@ -344,10 +333,6 @@ class PartitionResult:
     meets_guarantee: bool
     branch_trace: tuple[dict[str, Any], ...]
     removed_a_edges: int
-    d: int
-    epsilon: float
-    seed: int
-    test_constants: bool
 
 
 def _sampler_record(kind: str, outcome: SampleOutcome) -> dict[str, Any]:
@@ -366,7 +351,8 @@ def _sampler_record(kind: str, outcome: SampleOutcome) -> dict[str, Any]:
 
 
 def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
-    """Dispatch on config.d; see run_d2 / run_d3."""
+    """Partition a digraph of minimum outdegree config.d (2 or 3), targeting
+    (1/6 - eps) m or (1/5 - eps) m."""
     if digraph.n == 0:
         raise GraphInputError("empty graph")
     deg = digraph.min_out_degree()
@@ -420,27 +406,7 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
         meets_guarantee=stats.min_cut >= target,
         branch_trace=tuple(trace),
         removed_a_edges=removed,
-        d=config.d,
-        epsilon=config.epsilon,
-        seed=config.seed,
-        test_constants=config.test_constants,
     )
-
-
-def run_d2(digraph: Digraph, config: PipelineConfig | None = None) -> PartitionResult:
-    """Partition a minimum-outdegree-2 digraph targeting (1/6 - eps) m."""
-    config = config or PipelineConfig(d=2)
-    if config.d != 2:
-        raise ValueError("run_d2 requires config.d == 2")
-    return run(digraph, config)
-
-
-def run_d3(digraph: Digraph, config: PipelineConfig | None = None) -> PartitionResult:
-    """Partition a minimum-outdegree-3 digraph targeting (1/5 - eps) m."""
-    config = config or PipelineConfig(d=3)
-    if config.d != 3:
-        raise ValueError("run_d3 requires config.d == 3")
-    return run(digraph, config)
 
 
 def _sparse_branches(
@@ -527,15 +493,13 @@ def _sparse_branches(
 
 
 def _forward_backward(profile: SurplusProfile, gp: GapPartition):
+    """The (vertex, |surplus|) pairs whose surplus points forward (out of A1,
+    into A2) and those pointing backward, in vertex order; zeros in neither."""
     fwd, bwd = [], []
     a1 = set(gp.a1)
     for v, s in zip(profile.vertices, profile.signed_surplus):
-        if s == 0:
-            continue
-        if (s > 0) == (v in a1):
-            fwd.append(v)
-        else:
-            bwd.append(v)
+        if s != 0:
+            (fwd if (s > 0) == (v in a1) else bwd).append((v, abs(s)))
     return fwd, bwd
 
 
@@ -543,19 +507,19 @@ def _check_d2_structure(profile: SurplusProfile, gp: GapPartition) -> None:
     """With a minimal gap above m/3 there is exactly one forward vertex; it
     carries the maximum surplus and the backward surpluses sum to delta-theta."""
     fwd, bwd = _forward_backward(profile, gp)
-    backward_sum = sum(profile.surplus_of(v) for v in bwd)
+    backward_sum = sum(s for _, s in bwd)
     ok = (
         len(fwd) == 1
-        and profile.surplus_of(fwd[0]) == profile.delta
+        and fwd[0][1] == profile.delta
         and backward_sum == profile.delta - profile.theta
-        and tuple(fwd) == profile.huge
+        and (fwd[0][0],) == profile.huge
     )
     if not ok:
         raise StructuralDiagnostic(
             "large-vertex structure violated for minimum outdegree two",
             {
-                "forward": fwd,
-                "backward": bwd,
+                "forward": [v for v, _ in fwd],
+                "backward": [v for v, _ in bwd],
                 "backward_sum": backward_sum,
                 "delta": profile.delta,
                 "theta": profile.theta,
@@ -629,12 +593,13 @@ def _three_huge_branch(
     case1 = 2 * d1 - d2 - d3 - g > 0
     a1: list[int] = []
     a2: list[int] = []
-    for v in profile.vertices:
+    for v, s in zip(profile.vertices, profile.signed_surplus):
         # the largest huge vertex goes forward, the other two backward; case 1
         # sends the small surpluses backward (X,Y)=(0,g), case 2 forward
         forward = v == v1 if v in profile.huge else not case1
-        (a1 if _goes_to_a1(profile.signed_of(v), forward) else a2).append(v)
-    p = Fraction(2, 5) if profile.signed_of(v1) > 0 else Fraction(3, 5)
+        (a1 if _goes_to_a1(s, forward) else a2).append(v)
+    # v1 goes forward, so it lands in A1 exactly when its surplus is positive
+    p = Fraction(2, 5) if v1 in a1 else Fraction(3, 5)
     cfg = SamplerConfig(p, config.epsilon / 2, config.seed, config.max_attempts)
     outcome = second_moment_partition(stripped, a1, a2, cfg)
     # the sampler's thresholds sit eps*m below the expected cuts

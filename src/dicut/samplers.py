@@ -61,9 +61,6 @@ class SampleOutcome:
     targets: tuple[Fraction, Fraction]
     warning: str | None = None
 
-    def meets_targets(self) -> bool:
-        return self.stats.e12 >= self.targets[0] and self.stats.e21 >= self.targets[1]
-
 
 @dataclass(frozen=True)
 class EdgeProfile:
@@ -76,12 +73,6 @@ class EdgeProfile:
     a2b: int = 0
     ba2: int = 0
     bb: int = 0
-
-    @property
-    def total(self) -> int:
-        return (
-            self.a1a2 + self.a2a1 + self.a1b + self.ba1 + self.a2b + self.ba2 + self.bb
-        )
 
 
 def edge_profile(digraph: Digraph, a1: Iterable[int], a2: Iterable[int]) -> EdgeProfile:

@@ -1,10 +1,13 @@
-"""Shared helpers: seeded random graph builders used across the suite."""
+"""Shared helpers: seeded random graph builders used across the suite, and
+plain references for graph operations the library no longer carries."""
 
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from dicut.core import Digraph, UnderlyingGraph
+from dicut.decomposition import Matching, free_neighbor_edges
 
 
 def random_undirected(rng: random.Random, n: int, p: float) -> UnderlyingGraph:
@@ -23,3 +26,28 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
 
 def triangle_graph() -> UnderlyingGraph:
     return UnderlyingGraph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def induced(digraph: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
+    """The subgraph induced by `vertices`, relabelled 0..k-1 in id order, and
+    the original id of each new vertex."""
+    keep = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(keep)}
+    pairs = [(index[u], index[v]) for u, v in digraph.edges if u in index and v in index]
+    return Digraph(len(keep), pairs), keep
+
+
+def underlying(digraph: Digraph) -> UnderlyingGraph:
+    """Forget orientation; antiparallel pairs collapse to one edge."""
+    return UnderlyingGraph(digraph.n, digraph.edges)
+
+
+def antiparallel_pairs(digraph: Digraph) -> int:
+    """Unordered pairs {u, v} with both (u, v) and (v, u) present."""
+    return sum(1 for u, v in digraph.edges if u < v and digraph.has_edge(v, u))
+
+
+def free_vertex_count(graph: UnderlyingGraph, matching: Matching) -> int:
+    """Leftover vertices of `matching` that have a free neighbour."""
+    partner = matching.partner_array(graph.n)
+    return sum(1 for w in matching.unmatched if free_neighbor_edges(graph, partner, w))

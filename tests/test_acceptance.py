@@ -11,9 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from dicut.core import all_bipartitions, cut_stats
+from dicut.core import cut_stats
 from dicut.decomposition import (
-    free_vertex_count,
     maximize_free_vertices,
     maximum_matching,
     star_decompose,
@@ -28,6 +27,7 @@ from dicut.generators import (
 )
 from dicut.harness import run_suite, suite_tasks
 from dicut.oracle import (
+    all_bipartitions,
     brute_force_tight_check,
     exact_judicious,
     exact_max_matching,
@@ -36,7 +36,7 @@ from dicut.oracle import (
 from dicut.pipeline import PipelineConfig, min_gap, run
 from dicut.samplers import expected_cuts
 
-from .conftest import random_digraph, random_undirected
+from .conftest import free_vertex_count, random_digraph, random_undirected, underlying
 
 
 def _report(num: int, name: str) -> None:
@@ -126,7 +126,7 @@ def test_criterion_06_star_decomposition_invariants():
                 g, range(n), epsilon=epsilon, prefer_antiparallel=pref
             )
             decs[pref] = dec
-            und = g.underlying()
+            und = underlying(g)
             delta = max((und.degree(v) for v in range(n)), default=0)
             seen = set(dec.leftover)
             for star in dec.stars:
@@ -153,17 +153,12 @@ def test_criterion_06_star_decomposition_invariants():
             for comp in dec.tight.components:
                 assert len(comp) % 2 == 1
         assert len(decs[True].leftover) == len(decs[False].leftover)
-        lifted = sum(
-            2 if (g.has_edge(u, v) and g.has_edge(v, u)) else 1
-            for s in decs[True].stars
-            for (u, v) in [s.seed]
-        )
-        plain_lifted = sum(
-            2 if (g.has_edge(u, v) and g.has_edge(v, u)) else 1
-            for s in decs[False].stars
-            for (u, v) in [s.seed]
-        )
-        assert lifted >= plain_lifted
+        lifted = {
+            pref: sum(2 if (g.has_edge(u, v) and g.has_edge(v, u)) else 1
+                      for u, v in (s.seed for s in dec.stars))
+            for pref, dec in decs.items()
+        }
+        assert lifted[True] >= lifted[False]
         assert decs[True].star_edge_count() == decs[False].star_edge_count()
     _report(6, "star decomposition invariants")
 

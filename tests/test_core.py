@@ -18,7 +18,6 @@ from dicut.core import (
     Digraph,
     GraphInputError,
     UnderlyingGraph,
-    all_bipartitions,
     cut_stats,
     format_edge_list,
     format_partition,
@@ -31,8 +30,9 @@ from dicut.generators import (
     eulerian_complete,
     lower_bound_gadget,
 )
+from dicut.oracle import all_bipartitions
 
-from .conftest import random_digraph
+from .conftest import antiparallel_pairs, induced, random_digraph, underlying
 from .test_pipeline import _rescanning_sweep
 
 
@@ -52,7 +52,7 @@ class TestDigraphConstruction:
     def test_antiparallel_pair_allowed(self):
         g = Digraph.from_edge_list([(0, 1), (1, 0)])
         assert g.m == 2
-        assert g.antiparallel_pairs() == 1
+        assert antiparallel_pairs(g) == 1
 
     def test_from_edge_list_reads_a_one_shot_iterator(self):
         pairs = [(0, 1), (1, 0), (1, 2)]
@@ -81,7 +81,7 @@ class TestDigraphConstruction:
 
 class TestCutStats:
     def test_three_cycle_split(self):
-        stats = cut_stats(three_cycle(), Bipartition.from_side1(3, {0}))
+        stats = cut_stats(three_cycle(), Bipartition((1, 2, 2)))
         assert (stats.e12, stats.e21) == (1, 1)
         assert stats.min_cut == 1
 
@@ -191,31 +191,31 @@ def test_edge_conservation(g, rng):
 def test_label_swap_swaps_cuts(g, rng):
     part = Bipartition(tuple(rng.choice((1, 2)) for _ in range(g.n)))
     a = cut_stats(g, part)
-    b = cut_stats(g, part.swapped())
+    b = cut_stats(g, Bipartition(tuple(3 - s for s in part.side)))
     assert (a.e12, a.e21) == (b.e21, b.e12)
 
 
 @given(digraphs())
 @settings(max_examples=60, deadline=None)
 def test_underlying_collapses_antiparallel(g):
-    und = g.underlying()
-    assert und.m == g.m - g.antiparallel_pairs()
+    und = underlying(g)
+    assert und.m == g.m - antiparallel_pairs(g)
 
 
 @given(digraphs(), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_induced_underlying_matches_two_builds(g, rng):
     keep = [v for v in range(g.n) if rng.random() < 0.7]
-    sub = g.induced(keep)
-    expected = sub.underlying()
+    sub, orig_ids = induced(g, keep)
+    expected = underlying(sub)
     graph, antiparallel = g.induced_underlying(reversed(keep))
-    assert (graph.n, graph.m, graph.orig_ids) == (expected.n, expected.m, sub.orig_ids)
+    assert (graph.n, graph.m, graph.orig_ids) == (expected.n, expected.m, orig_ids)
     assert graph.edges == expected.edges
     assert all(graph.neighbors(v) == expected.neighbors(v) for v in range(sub.n))
     assert antiparallel == {
         (u, v) for u, v in sub.edges if u < v and sub.has_edge(v, u)
     }
-    assert len(antiparallel) == sub.antiparallel_pairs()
+    assert len(antiparallel) == antiparallel_pairs(sub)
 
 
 @st.composite
@@ -245,15 +245,16 @@ def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
         return
     g = Digraph(n, arg)
     assert g.edges == tuple(sorted(edge_set))
-    assert g.antiparallel_pairs() == sum(
-        1 for (u, v) in edge_set if u < v and (v, u) in edge_set
-    )
+    assert g.induced_underlying(range(n))[1] == {
+        (u, v) for (u, v) in edge_set if u < v and (v, u) in edge_set
+    }
     assert g.m == len(edge_set)
     keep = sorted(rng.sample(range(n), rng.randint(0, n)))
     index = {v: i for i, v in enumerate(keep)}
-    assert g.induced(keep).edges == tuple(
-        sorted((index[u], index[v]) for u, v in edge_set if u in index and v in index)
+    kept = tuple(
+        sorted((index[u], index[v]) for u, v in norm if u in index and v in index)
     )
+    assert g.induced_underlying(keep)[0].edges == kept
     back = parse_edge_list(format_edge_list(g))
     assert (back.n, back.edges) == (n, g.edges)
     side = tuple(rng.choice((1, 2)) for _ in range(n))
@@ -262,12 +263,10 @@ def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
         sum(1 for u, v in edge_set if (side[u], side[v]) == (1, 2)),
         sum(1 for u, v in edge_set if (side[u], side[v]) == (2, 1)),
     )
-    und = g.underlying()
+    und = underlying(g)
     assert und.edges == tuple(sorted(norm))
     assert und.m == len(norm)
-    assert und.induced(keep).edges == tuple(
-        sorted((index[u], index[v]) for u, v in norm if u in index and v in index)
-    )
+    assert und.induced(keep).edges == kept
     for u in range(-2, n + 2):
         for v in range(-2, n + 2):
             assert g.has_edge(u, v) == ((u, v) in edge_set)
@@ -291,13 +290,13 @@ def test_digraph_retains_adjacency_only():
 class TestUnderlying:
     def test_antiparallel_collapse(self):
         g = Digraph.from_edge_list([(0, 1), (1, 0)])
-        assert g.underlying().edges == ((0, 1),)
+        assert underlying(g).edges == ((0, 1),)
 
     def test_three_cycle_triangle(self):
-        assert three_cycle().underlying().m == 3
+        assert underlying(three_cycle()).m == 3
 
     def test_eulerian_k7(self):
-        und = eulerian_complete(7).underlying()
+        und = underlying(eulerian_complete(7))
         assert und.m == 21
         assert all(und.degree(v) == 6 for v in range(7))
 
@@ -306,18 +305,18 @@ class TestUnderlying:
         assert g.odd_components() == 4  # triangle plus three isolated vertices
 
     def test_induced_mapping(self):
-        g = three_cycle()
-        sub = g.induced([0, 2])
+        g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0), (0, 2)])
+        sub, antiparallel = g.induced_underlying([2, 0])
         assert sub.orig_ids == (0, 2)
-        assert sub.edges == ((1, 0),)  # old (2,0) relabeled
+        assert sub.edges == ((0, 1),)  # old (2,0) and (0,2) relabeled, collapsed
+        assert antiparallel == {(0, 1)}
 
     @pytest.mark.parametrize("ids, bad", [([-1, 0], -1), ([5], 5), ([0, 3, 4], 3)])
     def test_induced_rejects_unknown_ids(self, ids, bad):
         digraph = three_cycle()
         message = re.escape(f"unknown vertex id {bad} (n=3)")
-        for g in (digraph, digraph.underlying()):
-            with pytest.raises(GraphInputError, match=message):
-                g.induced(ids)
+        with pytest.raises(GraphInputError, match=message):
+            underlying(digraph).induced(ids)
         with pytest.raises(GraphInputError, match=message):
             digraph.induced_underlying(ids)
 

@@ -14,7 +14,6 @@ from dicut.decomposition import (
     Matching,
     MatchingError,
     free_neighbor_edges,
-    free_vertex_count,
     maximize_free_vertices,
     maximum_matching,
     star_decompose,
@@ -29,7 +28,14 @@ from dicut.oracle import (
 
 from dicut.pipeline import split_large
 
-from .conftest import random_digraph, random_undirected, triangle_graph
+from .conftest import (
+    free_vertex_count,
+    induced,
+    random_digraph,
+    random_undirected,
+    triangle_graph,
+    underlying,
+)
 
 
 def k_graph(n: int) -> UnderlyingGraph:
@@ -242,7 +248,7 @@ class TestTightComponents:
 
     def test_antiparallel_flags(self):
         d = Digraph.from_edge_list([(0, 1), (1, 0), (1, 2), (2, 0)])
-        g = d.underlying()
+        g = underlying(d)
         m = maximize_free_vertices(g, maximum_matching(g))
         report = tight_components(g, m, frozenset({(0, 1)}))
         assert report.components == ((0, 1, 2),)
@@ -350,8 +356,8 @@ class TestStarDecompose:
     def check_invariants(d, b, dec):
         bset = set(b)
         assert dec.covered() == bset
-        und = d.induced(sorted(bset)).underlying()
-        orig = und.orig_ids or tuple(range(und.n))
+        sub, orig = induced(d, bset)
+        und = underlying(sub)
         back = {o: i for i, o in enumerate(orig)}
         # stars induce stars: leaves pairwise non-adjacent, adjacent to apex only
         seen = set(dec.leftover)
@@ -417,9 +423,8 @@ def digraphs_with_subsets(draw, max_n=12):
 def composed_decomposition(d, b, epsilon, prefer_antiparallel):
     """Reference star decomposition assembled from the public matching steps:
     maximum_matching, then maximize_free_vertices, then tight_components."""
-    sub = d.induced(b)
-    orig = sub.orig_ids
-    g = sub.underlying()
+    sub, orig = induced(d, b)
+    g = underlying(sub)
     ap = frozenset((u, v) for u, v in sub.edges if u < v and sub.has_edge(v, u))
     matching = maximize_free_vertices(g, maximum_matching(g))
     tight = tight_components(g, matching, ap)

@@ -6,7 +6,7 @@ import pytest
 
 import dicut
 import dicut.generators as gen_mod
-from dicut.core import all_bipartitions, cut_stats
+from dicut.core import cut_stats
 from dicut.generators import (
     GadgetSpec,
     concluding_gadgets,
@@ -15,7 +15,7 @@ from dicut.generators import (
     lower_bound_gadget,
     random_min_outdeg,
 )
-from dicut.oracle import exact_judicious
+from dicut.oracle import all_bipartitions, exact_judicious
 
 
 class TestEulerianComplete:

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import dicut
 import dicut.cli as cli_mod
 import dicut.pipeline as pipeline_mod
 from dicut.cli import main
-from dicut.core import read_edge_list, read_partition
+from dicut.core import Bipartition, read_edge_list, read_partition
 from dicut.harness import (
     BenchTask,
     RunReport,
@@ -39,7 +40,7 @@ class TestRunReport:
                          with_oracle=True)
         report = run_bench_task(task)
         data = json.loads(report.to_json())
-        again = RunReport.from_dict(data)
+        again = RunReport(**dict(data, branch_trace=tuple(data["branch_trace"])))
         assert again == report
         assert again.to_json() == report.to_json()
 
@@ -52,7 +53,7 @@ class TestRunReport:
         task = BenchTask("demo", GadgetSpec("lower_bound", {"d": 3, "k": 3}), 3)
         report = run_bench_task(task)
         g = task.spec.build()
-        check = verify_partition(g, report.bipartition())
+        check = verify_partition(g, Bipartition(tuple(map(int, report.partition))))
         assert (check["e12"], check["e21"]) == (report.e12, report.e21)
 
 
@@ -379,3 +380,12 @@ class TestLazyPackage:
         assert dicut.StructuralDiagnostic is dicut.pipeline.StructuralDiagnostic
         assert dicut.StructuralDiagnostic is dicut.core.StructuralDiagnostic
         assert StructuralDiagnostic is dicut.core.StructuralDiagnostic
+
+
+def test_readme_library_tour_runs(capsys):
+    """The README's library tour imports only public names and runs as shown."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    tour = re.search(r"## Library tour\n+```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(tour, "README.md", "exec"), {"__name__": "readme_tour"})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == tour.count("print(") and all(printed)

@@ -10,11 +10,11 @@ from dicut.core import (
     Bipartition,
     Digraph,
     UnderlyingGraph,
-    all_bipartitions,
     cut_stats,
 )
 from dicut.generators import random_min_outdeg
 from dicut.oracle import (
+    all_bipartitions,
     enumerate_perfect_matchings,
     exact_judicious,
     exact_max_matching,

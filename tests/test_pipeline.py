@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ import dicut.pipeline as pipeline_mod
 import dicut.samplers as samplers_mod
 from dicut.core import Bipartition, Digraph, GraphInputError, cut_stats
 from dicut.generators import (
+    complete_antiparallel,
     concluding_gadgets,
     eulerian_complete,
     lower_bound_gadget,
@@ -25,8 +26,6 @@ from dicut.pipeline import (
     local_search,
     min_gap,
     run,
-    run_d2,
-    run_d3,
     split_large,
     surplus_profile,
 )
@@ -188,7 +187,7 @@ class TestGapPartitionOnDigraph:
         a2 = tuple(large[i] for i in raw.a2)
         prof = edge_profile(g, a1, a2)
         assert (prof.a1a2 + prof.a2a1 > 0) == crossing
-        assert (prof.total < g.m) != crossing
+        assert (sum(astuple(prof)) < g.m) != crossing
         with pytest.raises(ValueError, match="induce no edges"):
             gap_partition(g, large)
 
@@ -200,32 +199,19 @@ class TestSurplusProfile:
         gp = gap_partition(stripped, large)
         prof = surplus_profile(stripped, large, gp.theta)
         assert gp.theta == 600
-        assert prof.signed_of(v0) == -600  # 600 more in- than out-edges
+        assert prof.vertices == (v0,)
+        assert prof.signed_surplus == (-600,)  # 600 more in- than out-edges
         assert prof.huge == (v0,)
         assert prof.delta == 600
         assert prof.g == 0
         assert prof.b == 2  # the two balanced in/out pairs inside the core
-
-    def test_signed_lookup_matches_tuples(self):
-        g = random_min_outdeg(60, 2, 1.0, seed=3)
-        prof = surplus_profile(g, range(59, 0, -3), 1)
-        for v, s in zip(prof.vertices, prof.signed_surplus):
-            assert prof.signed_of(v) == s
-            assert prof.surplus_of(v) == abs(s)
-        # the lookup table takes no part in equality, hashing or repr
-        again = SurplusProfile(
-            prof.vertices, prof.signed_surplus, prof.theta, prof.huge,
-            prof.delta_list, prof.g, prof.b,
-        )
-        assert again == prof and hash(again) == hash(prof)
-        assert repr(again) == repr(prof) and "_signed" not in repr(prof)
 
     def test_pure_buffer(self):
         # hub with balanced in/out toward B: zero surplus, all buffer
         pairs = [(0, v) for v in range(1, 5)] + [(v, 0) for v in range(1, 5)]
         g = Digraph(5, pairs)
         prof = surplus_profile(g, [0], 0)
-        assert prof.signed_of(0) == 0
+        assert prof.signed_surplus == (0,)
         assert prof.b == 4
 
     def test_empty_large_set(self):
@@ -237,7 +223,7 @@ class TestSurplusProfile:
 class TestLocalSearch:
     def test_fixpoint_unchanged(self):
         g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
-        part = Bipartition.from_side1(3, {0})
+        part = Bipartition((1, 2, 2))
         assert local_search(g, part) == part  # min cut 1 is optimal here
 
     def test_escapes_trivial_partition(self):
@@ -326,11 +312,11 @@ class TestRunD2:
     def test_rejects_low_outdegree(self):
         g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
         with pytest.raises(GraphInputError, match="outdegree 1 at vertex 0"):
-            run_d2(g)
+            run(g, PipelineConfig(d=2))
 
     def test_gadget_meets_guarantee(self):
         g, _ = lower_bound_gadget(2, 50)
-        result = run_d2(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
+        result = run(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
         assert result.meets_guarantee
         assert result.stats == cut_stats(g, result.partition)
         steps = [rec["step"] for rec in result.branch_trace]
@@ -338,14 +324,14 @@ class TestRunD2:
 
     def test_eulerian_k5_reaches_oracle(self):
         g = eulerian_complete(5)
-        result = run_d2(g, PipelineConfig(d=2, epsilon=0.05, seed=2))
+        result = run(g, PipelineConfig(d=2, epsilon=0.05, seed=2))
         assert result.stats.min_cut == exact_judicious(g).optimum == 3
 
     def test_without_local_search_reports_honestly(self):
         g = eulerian_complete(5)
         cfg = PipelineConfig(d=2, epsilon=0.05, seed=1, enable_local_search=False,
                              max_attempts=1)
-        result = run_d2(g, cfg)
+        result = run(g, cfg)
         # everything is large here, so the one deterministic attempt gives
         # the empty cut and the report must say the target was missed
         assert result.stats.min_cut == 0
@@ -359,54 +345,45 @@ class TestRunD2:
         g = random_min_outdeg(100, 2, extra=12, seed=3)
         assert g.m >= 1152 / 100 * g.n
         cfg = PipelineConfig(d=2, epsilon=0.05, seed=3, test_constants=True)
-        result = run_d2(g, cfg)
+        result = run(g, cfg)
         assert result.branch_trace[0]["dense"] is True
         assert any(rec["step"] == "watermark" for rec in result.branch_trace)
-        assert result.test_constants
         assert result.meets_guarantee
 
     def test_dense_antiparallel_all_large(self):
         # every vertex crosses the degree threshold, so stripping removes all
         # edges and the final cut comes entirely from the polish step
-        from dicut.generators import complete_antiparallel
-
         g = complete_antiparallel(40)
-        result = run_d2(g, PipelineConfig(d=2, epsilon=0.05, seed=2))
+        result = run(g, PipelineConfig(d=2, epsilon=0.05, seed=2))
         assert result.removed_a_edges == g.m
         assert result.meets_guarantee
 
     def test_determinism(self):
         g = random_min_outdeg(300, 2, 1.0, seed=5)
         cfg = PipelineConfig(d=2, epsilon=0.05, seed=9)
-        assert run_d2(g, cfg) == run_d2(g, cfg)
-
-    def test_wrong_config_d(self):
-        with pytest.raises(ValueError):
-            run_d2(eulerian_complete(5), PipelineConfig(d=3))
+        assert run(g, cfg) == run(g, cfg)
 
 
 class TestRunD3:
     def test_rejects_low_outdegree(self):
         with pytest.raises(GraphInputError, match="need at least 3"):
-            run_d3(eulerian_complete(5))
+            run(eulerian_complete(5), PipelineConfig(d=3))
 
     def test_gadget_one_huge_branch(self):
         g, _ = lower_bound_gadget(3, 50)
-        result = run_d3(g, PipelineConfig(d=3, epsilon=0.05, seed=1))
+        result = run(g, PipelineConfig(d=3, epsilon=0.05, seed=1))
         assert result.meets_guarantee
         bis = [r for r in result.branch_trace if r["step"] == "bisection"]
         assert bis and bis[0]["tau_prime"] == 50
 
     def test_eulerian_k7_reaches_oracle(self):
         g = eulerian_complete(7)
-        result = run_d3(g, PipelineConfig(d=3, epsilon=0.05, seed=2))
+        result = run(g, PipelineConfig(d=3, epsilon=0.05, seed=2))
         assert result.stats.min_cut == exact_judicious(g).optimum == 6
 
     def test_three_huge_branch_on_k33(self):
-        from dicut.generators import concluding_gadgets
-
         g = concluding_gadgets("k33_oriented", 403, patched=True)
-        result = run_d3(g, PipelineConfig(d=3, epsilon=0.05, seed=1))
+        result = run(g, PipelineConfig(d=3, epsilon=0.05, seed=1))
         rec = [r for r in result.branch_trace if r["step"] == "three_huge"]
         assert rec and rec[0]["case"] == 2 and rec[0]["p"] == "3/5"
         assert rec[0]["means_reach_fifth"]
@@ -426,7 +403,7 @@ class TestRunD3:
         pairs += [(h3, h1), (h3, bs[2]), (h3, bs[3])]
         g = Digraph(3 + n_b, pairs)
         assert g.min_out_degree() == 3
-        result = run_d3(g, PipelineConfig(d=3, epsilon=0.05, seed=5))
+        result = run(g, PipelineConfig(d=3, epsilon=0.05, seed=5))
         rec = [r for r in result.branch_trace if r["step"] == "three_huge"]
         assert rec and rec[0]["case"] == 1 and rec[0]["p"] == "2/5"
         assert rec[0]["deltas"] == [40, 38, 38]
@@ -446,7 +423,7 @@ class TestRunD3:
         pairs += [(hub, 0), (hub, 1), (hub, 2)]
         g = Digraph(hub + 1, pairs)
         assert g.min_out_degree() == 3
-        result = run_d3(g, PipelineConfig(d=3, epsilon=0.05, seed=4))
+        result = run(g, PipelineConfig(d=3, epsilon=0.05, seed=4))
         bis = [r for r in result.branch_trace if r["step"] == "bisection"]
         assert bis
         assert bis[0]["sigma"] == k
@@ -476,19 +453,12 @@ class TestStructuralDiagnostics:
 
         def fake(stripped, large, theta):
             prof = real(stripped, large, theta)
-            return SurplusProfile(
-                prof.vertices,
-                prof.signed_surplus,
-                prof.theta,
-                prof.huge * 2,  # pretend two huge vertices
-                prof.delta_list * 2,
-                prof.g,
-                prof.b,
-            )
+            # pretend two huge vertices
+            return replace(prof, huge=prof.huge * 2, delta_list=prof.delta_list * 2)
 
         monkeypatch.setattr(pipeline_mod, "surplus_profile", fake)
         with pytest.raises(StructuralDiagnostic, match="huge"):
-            run_d3(g, PipelineConfig(d=3, epsilon=0.05, seed=1))
+            run(g, PipelineConfig(d=3, epsilon=0.05, seed=1))
 
     def test_gap_exceeding_delta_rejected(self, monkeypatch):
         g, _ = lower_bound_gadget(2, 30)
@@ -501,7 +471,7 @@ class TestStructuralDiagnostics:
 
         monkeypatch.setattr(pipeline_mod, "gap_partition", fake)
         with pytest.raises(StructuralDiagnostic):
-            run_d2(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
+            run(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
 
 
     def test_gap_identity_violation_rejected(self, monkeypatch):
@@ -556,7 +526,7 @@ class TestCutCounting:
     def test_structural_branch(self, monkeypatch):
         g, _ = lower_bound_gadget(2, 20)
         calls = self._count(monkeypatch)
-        result = run_d2(g, PipelineConfig(d=2, seed=1))
+        result = run(g, PipelineConfig(d=2, seed=1))
         assert [r["branch"] for r in result.branch_trace if r["step"] == "gap"] == [
             "structural"
         ]
@@ -565,11 +535,9 @@ class TestCutCounting:
         assert calls == [result.partition]
 
     def test_stripped_graph_recounts_sample(self, monkeypatch):
-        from dicut.generators import complete_antiparallel
-
         g = complete_antiparallel(40)  # every edge lies inside the large set
         calls = self._count(monkeypatch)
-        result = run_d2(g, PipelineConfig(d=2, seed=1))
+        result = run(g, PipelineConfig(d=2, seed=1))
         assert result.removed_a_edges == g.m
         # the sampler counted on the stripped copy, so the input recounts
         assert len(calls) == 2 and calls[-1] == result.partition
@@ -577,7 +545,7 @@ class TestCutCounting:
     def test_dense_branch_reuses_sampler_stats(self, monkeypatch):
         g = random_min_outdeg(100, 2, extra=12, seed=3)
         calls = self._count(monkeypatch)
-        result = run_d2(g, PipelineConfig(d=2, seed=3, test_constants=True))
+        result = run(g, PipelineConfig(d=2, seed=3, test_constants=True))
         sampled = result.branch_trace[2]
         assert sampled["kind"] == "quarter"
         polish = result.branch_trace[-1]
@@ -628,8 +596,8 @@ def test_one_edge_classification_per_run(monkeypatch, build, config, kind):
     ids=["k9-strips", "gadget", "random"],
 )
 def test_min_cut_before_is_unpolished_result(g, strips, seed):
-    polished = run_d2(g, PipelineConfig(d=2, seed=seed))
-    plain = run_d2(g, PipelineConfig(d=2, seed=seed, enable_local_search=False))
+    polished = run(g, PipelineConfig(d=2, seed=seed))
+    plain = run(g, PipelineConfig(d=2, seed=seed, enable_local_search=False))
     assert (polished.removed_a_edges > 0) == strips
     assert polished.branch_trace[-1]["step"] == "local_search"
     assert polished.branch_trace[-1]["min_cut_before"] == plain.stats.min_cut
@@ -640,10 +608,10 @@ class TestResultInvariants:
         rng = random.Random(55)
         for seed in range(8):
             g = random_min_outdeg(rng.randint(8, 14), 2, 0.5, seed=seed)
-            result = run_d2(g, PipelineConfig(d=2, epsilon=0.05, seed=seed))
+            result = run(g, PipelineConfig(d=2, epsilon=0.05, seed=seed))
             assert result.stats.min_cut <= exact_judicious(g).optimum
 
     def test_ratio_consistency(self):
         g, _ = lower_bound_gadget(2, 20)
-        result = run_d2(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
+        result = run(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
         assert result.achieved_ratio == result.stats.min_cut / g.m

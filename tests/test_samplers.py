@@ -171,7 +171,8 @@ class TestSecondMoment:
         out = second_moment_partition(g, (), (), SamplerConfig(epsilon=0.1, seed=5))
         assert cut_stats(g, out.partition) == out.stats
         if out.accepted:
-            assert out.meets_targets()
+            assert out.stats.e12 >= out.targets[0]
+            assert out.stats.e21 >= out.targets[1]
 
     def test_degree_warning(self):
         # one dominating vertex breaks the degree hypothesis
@@ -265,7 +266,8 @@ class TestStarBisection:
         out = star_bisection(g, (), large, dec, 0.0125, seed=4)
         assert cut_stats(g, out.partition) == out.stats
         if out.accepted:
-            assert out.meets_targets()
+            assert out.stats.e12 >= out.targets[0]
+            assert out.stats.e21 >= out.targets[1]
 
     def test_mismatched_decomposition_rejected(self):
         g = antiparallel_triangles(2)
