@@ -12,9 +12,8 @@ _EXPORTS = {
     "core": ("Bipartition", "CutStats", "Digraph", "GraphInputError",
              "StructuralDiagnostic", "UnderlyingGraph", "cut_stats",
              "read_edge_list", "write_edge_list"),
-    "decomposition": ("Matching", "StarDecomposition", "TightReport",
-                      "maximize_free_vertices", "maximum_matching",
-                      "star_decompose", "tight_components"),
+    "decomposition": ("StarDecomposition", "maximize_free_vertices",
+                      "maximum_matching", "star_decompose", "tight_components"),
     "generators": ("GadgetSpec", "concluding_gadgets", "d1_gadget",
                    "eulerian_complete", "lower_bound_gadget", "random_min_outdeg"),
     "oracle": ("OracleResult", "exact_judicious"),

@@ -211,7 +211,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "sigma": dec.sigma,
         "tau_prime": dec.tau_prime,
         "degree_cap": dec.degree_cap,
-        "epsilon": dec.epsilon,
+        "epsilon": args.epsilon,
     }
     _emit(payload, args.json)
     return EXIT_OK

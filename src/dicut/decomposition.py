@@ -10,6 +10,9 @@ perfect matching contains an edge with exactly one endpoint adjacent to v.
 Tight components are exactly the components whose leftover vertex can never
 be made free, and there is one per non-free leftover vertex once the
 matching maximizes the number of free vertices.
+
+A matching is a partner list: partner[v] is v's mate, or -1 when v is a
+leftover vertex.  Tight components are sorted vertex tuples.
 """
 
 from __future__ import annotations
@@ -23,33 +26,6 @@ from .core import Digraph, UnderlyingGraph
 
 class MatchingError(ValueError):
     """A matching handed to a decomposition routine violates its precondition."""
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Set of pairwise-disjoint edges plus the uncovered vertex set W."""
-
-    edges: frozenset[tuple[int, int]]
-    unmatched: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def partner_array(self, n: int) -> list[int]:
-        partner = [-1] * n
-        for u, v in self.edges:
-            partner[u] = v
-            partner[v] = u
-        return partner
-
-
-def _matching_from_partner(partner: Sequence[int]) -> Matching:
-    edges = frozenset(
-        (v, p) for v, p in enumerate(partner) if p != -1 and v < p
-    )
-    unmatched = frozenset(v for v, p in enumerate(partner) if p == -1)
-    return Matching(edges, unmatched)
 
 
 def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
@@ -175,10 +151,10 @@ def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
     return match
 
 
-def maximum_matching(graph: UnderlyingGraph) -> Matching:
-    """Maximum-cardinality matching (not merely maximal) of a general graph."""
-    adj = [graph.neighbors(v) for v in range(graph.n)]
-    return _matching_from_partner(_max_matching_partner(adj))
+def maximum_matching(graph: UnderlyingGraph) -> list[int]:
+    """Maximum-cardinality matching (not merely maximal) of a general graph,
+    as a partner list."""
+    return _max_matching_partner(graph._adj)
 
 
 def _has_perfect_matching(graph: UnderlyingGraph, vertices: Iterable[int]) -> bool:
@@ -337,23 +313,8 @@ def _tight_violation(graph: UnderlyingGraph, component: Sequence[int]):
     return None
 
 
-@dataclass(frozen=True)
-class TightReport:
-    """Tight components (vertex tuples) with per-component antiparallel flags."""
-
-    components: tuple[tuple[int, ...], ...]
-    has_antiparallel: tuple[bool, ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-
-def _settle(
-    graph: UnderlyingGraph,
-    partner: list[int],
-    antiparallel_edges: frozenset[tuple[int, int]] | None = None,
-) -> TightReport:
-    """Run the free-vertex fixpoint in place on `partner` and report the tight
+def _settle(graph: UnderlyingGraph, partner: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Run the free-vertex fixpoint in place on `partner` and return the tight
     component of every non-free leftover vertex, in leftover-vertex order.
 
     Each exchange keeps the cardinality and frees one more vertex, so the
@@ -373,50 +334,57 @@ def _settle(
             if improved:
                 break
             settled[w] = tuple(sorted(grower.in_t))
-    comps = [settled[w] for w in sorted(settled)]
-    ap = antiparallel_edges or frozenset()
-    # a component is closed under neighbors, so each u < v edge is inside it
-    flags = [
-        any((u, v) in ap for u in comp for v in graph.neighbors(u) if u < v)
-        for comp in comps
-    ]
-    return TightReport(tuple(comps), tuple(flags))
+    return tuple(settled[w] for w in sorted(settled))
 
 
-def maximize_free_vertices(graph: UnderlyingGraph, matching: Matching) -> Matching:
+def _check_partner(graph: UnderlyingGraph, partner: Sequence[int]) -> None:
+    """Reject a partner list that is not a matching of `graph`."""
+    if len(partner) != graph.n:
+        raise MatchingError(f"{len(partner)} partners for {graph.n} vertices")
+    for v, p in enumerate(partner):
+        if p == -1:
+            continue
+        if not graph.has_edge(v, p):
+            raise MatchingError(f"matched pair ({v},{p}) is not an edge")
+        if partner[p] != v:
+            raise MatchingError(f"{v} is matched to {p} but {p} to {partner[p]}")
+
+
+def maximize_free_vertices(graph: UnderlyingGraph, partner: Sequence[int]) -> list[int]:
     """Re-match, at equal cardinality, until no single exchange of the two
     kinds (re-matching a grown component after stealing one matched edge, or
     re-seating a component near-matching) increases the free-vertex count.
 
     The fixpoint provably maximizes the number of free vertices: every
-    non-free leftover vertex then sits in its own tight component.
+    non-free leftover vertex then sits in its own tight component.  Returns
+    a new partner list.
     """
-    if matching.size != maximum_matching(graph).size:
+    _check_partner(graph, partner)
+    if partner.count(-1) != maximum_matching(graph).count(-1):
         raise MatchingError("matching is not maximum")
-    partner = matching.partner_array(graph.n)
-    _settle(graph, partner)
-    return _matching_from_partner(partner)
+    out = list(partner)
+    _settle(graph, out)
+    return out
 
 
 def tight_components(
-    graph: UnderlyingGraph,
-    matching: Matching,
-    antiparallel_edges: frozenset[tuple[int, int]] | None = None,
-) -> TightReport:
+    graph: UnderlyingGraph, partner: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
     """One tight component per non-free leftover vertex, recovered by growing
     the pair-absorption set until the component disconnects.
 
     Requires a maximum matching that already maximizes free vertices; a
     matching that the free-vertex fixpoint would change is rejected.
     """
-    partner = matching.partner_array(graph.n)
-    report = _settle(graph, partner, antiparallel_edges)
-    if partner != matching.partner_array(graph.n):
+    _check_partner(graph, partner)
+    settled = list(partner)
+    components = _settle(graph, settled)
+    if settled != list(partner):
         raise MatchingError(
             "an exchange at equal cardinality frees a vertex; matching does "
             "not maximize free vertices"
         )
-    return report
+    return components
 
 
 @dataclass(frozen=True)
@@ -440,19 +408,19 @@ class StarDecomposition:
     """Partition of a vertex set into induced stars plus an independent
     leftover set, with the component counts the bisection sampler needs.
 
-    tau counts odd components, tau_prime counts tight components minus the
-    3-vertex ones that were seeded on an edge lifting to an antiparallel
-    pair (sigma of them).
+    tight holds the tight components as sorted vertex tuples.  tau counts
+    odd components, tau_prime counts tight components minus the 3-vertex
+    ones that were seeded on an edge lifting to an antiparallel pair (sigma
+    of them).
     """
 
     stars: tuple[Star, ...]
     leftover: tuple[int, ...]
     tau: int
-    tight: TightReport
+    tight: tuple[tuple[int, ...], ...]
     sigma: int
     tau_prime: int
     degree_cap: float
-    epsilon: float
     seeded_antiparallel: bool
 
     def star_edge_count(self) -> int:
@@ -490,21 +458,20 @@ def star_decompose(
     graph, antiparallel = digraph.induced_underlying(b_list)
     orig = graph.orig_ids
 
-    partner = maximum_matching(graph).partner_array(graph.n)
-    tight = _settle(graph, partner, antiparallel)
+    partner = maximum_matching(graph)
+    tight = _settle(graph, partner)
 
     sigma = 0
     if prefer_antiparallel:
-        for comp, flag in zip(tight.components, tight.has_antiparallel):
-            if len(comp) != 3 or not flag:
+        for comp in tight:
+            if len(comp) != 3:
+                continue
+            options = sorted(
+                (u, v) for u in comp for v in comp if u < v and (u, v) in antiparallel
+            )
+            if not options:
                 continue
             sigma += 1
-            options = sorted(
-                (u, v)
-                for u in comp
-                for v in comp
-                if u < v and (u, v) in antiparallel
-            )
             a, b = options[0]
             if partner[a] != b:
                 spare = next(v for v in comp if v not in (a, b))
@@ -549,18 +516,14 @@ def star_decompose(
             )
         )
 
-    report = TightReport(
-        tuple(tuple(orig[v] for v in comp) for comp in tight.components),
-        tight.has_antiparallel,
-    )
+    tight_orig = tuple(tuple(orig[v] for v in comp) for comp in tight)
     return StarDecomposition(
         stars=tuple(stars),
         leftover=tuple(orig[w] for w in leftover),
         tau=graph.odd_components(),
-        tight=report,
+        tight=tight_orig,
         sigma=sigma,
-        tau_prime=len(report) - sigma,
+        tau_prime=len(tight) - sigma,
         degree_cap=degree_cap,
-        epsilon=epsilon,
         seeded_antiparallel=prefer_antiparallel,
     )

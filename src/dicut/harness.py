@@ -248,7 +248,8 @@ def run_suite(name: str, jobs: int = 1, max_attempts: int = 200) -> list[RunRepo
         return [run_bench_task(t, max_attempts) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts every worker at the first submit: no more than tasks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(run_bench_task, t, max_attempts) for t in tasks]
         return [f.result() for f in futures]
 

@@ -7,7 +7,7 @@ import random
 from typing import Iterable
 
 from dicut.core import Digraph, UnderlyingGraph
-from dicut.decomposition import Matching, free_neighbor_edges
+from dicut.decomposition import free_neighbor_edges
 
 
 def random_undirected(rng: random.Random, n: int, p: float) -> UnderlyingGraph:
@@ -47,7 +47,14 @@ def antiparallel_pairs(digraph: Digraph) -> int:
     return sum(1 for u, v in digraph.edges if u < v and digraph.has_edge(v, u))
 
 
-def free_vertex_count(graph: UnderlyingGraph, matching: Matching) -> int:
-    """Leftover vertices of `matching` that have a free neighbour."""
-    partner = matching.partner_array(graph.n)
-    return sum(1 for w in matching.unmatched if free_neighbor_edges(graph, partner, w))
+def matching_size(partner: list[int]) -> int:
+    """Number of matched pairs in a partner list."""
+    return (len(partner) - partner.count(-1)) // 2
+
+
+def free_vertex_count(graph: UnderlyingGraph, partner: list[int]) -> int:
+    """Leftover vertices of the partner list that have a free neighbour."""
+    return sum(
+        1 for w, p in enumerate(partner)
+        if p == -1 and free_neighbor_edges(graph, partner, w)
+    )

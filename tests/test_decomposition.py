@@ -11,7 +11,6 @@ from dicut.decomposition import (
     _augment,
     _Grower,
     _max_matching_partner,
-    Matching,
     MatchingError,
     free_neighbor_edges,
     maximize_free_vertices,
@@ -31,6 +30,7 @@ from dicut.pipeline import split_large
 from .conftest import (
     free_vertex_count,
     induced,
+    matching_size,
     random_digraph,
     random_undirected,
     triangle_graph,
@@ -138,47 +138,47 @@ class TestMaximumMatching:
                 ref.add_nodes_from(range(n))
                 ref.add_edges_from(g.edges)
                 expected = len(nx.max_weight_matching(ref, maxcardinality=True))
-                assert maximum_matching(g).size == expected, (n, avg_degree)
+                assert matching_size(maximum_matching(g)) == expected, (n, avg_degree)
 
     def test_path_four(self):
         p4 = UnderlyingGraph(4, [(0, 1), (1, 2), (2, 3)])
         m = maximum_matching(p4)
-        assert m.size == 2 and not m.unmatched
+        assert matching_size(m) == 2 and -1 not in m
 
     def test_triangle(self):
         m = maximum_matching(triangle_graph())
-        assert m.size == 1 and len(m.unmatched) == 1
+        assert matching_size(m) == 1 and m.count(-1) == 1
 
     @given(graphs())
     @settings(max_examples=80, deadline=None)
     def test_matches_exhaustive_maximum(self, g):
-        assert maximum_matching(g).size == exact_max_matching(g)
+        assert matching_size(maximum_matching(g)) == exact_max_matching(g)
 
     def test_matches_exhaustive_maximum_seeded(self):
         rng = random.Random(9)
         for _ in range(80):
             g = random_undirected(rng, rng.randint(1, 12), rng.uniform(0.1, 0.7))
-            assert maximum_matching(g).size == exact_max_matching(g)
+            assert matching_size(maximum_matching(g)) == exact_max_matching(g)
 
     def test_blossom_heavy_cases(self):
         # odd cycles force blossom contraction
         for n in (5, 7, 9, 11):
             cyc = UnderlyingGraph(n, [(i, (i + 1) % n) for i in range(n)])
-            assert maximum_matching(cyc).size == n // 2
+            assert matching_size(maximum_matching(cyc)) == n // 2
 
     def test_petersen_graph(self):
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]
         g = UnderlyingGraph(10, outer + inner + spokes)
-        assert maximum_matching(g).size == 5
+        assert matching_size(maximum_matching(g)) == 5
 
 
 class TestMaximizeFreeVertices:
     def test_triangle_unchanged(self):
         g = triangle_graph()
         m = maximize_free_vertices(g, maximum_matching(g))
-        assert m.size == 1
+        assert matching_size(m) == 1
         assert free_vertex_count(g, m) == 0
 
     def test_star_leaves_already_free(self):
@@ -189,16 +189,17 @@ class TestMaximizeFreeVertices:
     def test_rejects_non_maximum(self):
         g = UnderlyingGraph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(MatchingError, match="not maximum"):
-            maximize_free_vertices(g, Matching(frozenset({(1, 2)}), frozenset({0, 3})))
+            maximize_free_vertices(g, [-1, 2, 1, -1])
 
     def test_chorded_cycle_swap(self):
         # matching {(0,2),(3,4)} leaves vertex 1 non-free, but the component
         # is not tight: maximization must free it
         g = chorded_c5()
-        start = Matching(frozenset({(0, 2), (3, 4)}), frozenset({1}))
+        start = [2, -1, 0, 4, 3]
         out = maximize_free_vertices(g, start)
-        assert out.size == 2
+        assert matching_size(out) == 2
         assert free_vertex_count(g, out) == 1
+        assert start == [2, -1, 0, 4, 3]  # the result is a new list
 
     def test_reaches_exhaustive_optimum(self):
         rng = random.Random(17)
@@ -212,13 +213,11 @@ class TestTightComponents:
     def test_two_triangles(self):
         g = two_triangles()
         m = maximize_free_vertices(g, maximum_matching(g))
-        report = tight_components(g, m)
-        assert report.components == ((0, 1, 2), (3, 4, 5))
+        assert tight_components(g, m) == ((0, 1, 2), (3, 4, 5))
 
     def test_isolated_vertex(self):
         g = UnderlyingGraph(1, [])
-        report = tight_components(g, Matching(frozenset(), frozenset({0})))
-        assert report.components == ((0,),)
+        assert tight_components(g, [-1]) == ((0,),)
 
     def test_even_path_has_none(self):
         g = UnderlyingGraph(4, [(0, 1), (1, 2), (2, 3)])
@@ -227,9 +226,8 @@ class TestTightComponents:
 
     def test_rejects_improvable_matching(self):
         g = chorded_c5()
-        bad = Matching(frozenset({(0, 2), (3, 4)}), frozenset({1}))
-        with pytest.raises(MatchingError):
-            tight_components(g, bad)
+        with pytest.raises(MatchingError, match="does not maximize free vertices"):
+            tight_components(g, [2, -1, 0, 4, 3])
 
     def test_pair_split_by_absorption_set_named(self):
         # partner array claims 1 is matched to the leftover vertex 0 itself
@@ -243,16 +241,32 @@ class TestTightComponents:
         for _ in range(40):
             g = random_undirected(rng, rng.randint(1, 14), rng.uniform(0.1, 0.5))
             m = maximize_free_vertices(g, maximum_matching(g))
-            for comp in tight_components(g, m).components:
+            for comp in tight_components(g, m):
                 assert len(comp) % 2 == 1
 
-    def test_antiparallel_flags(self):
-        d = Digraph.from_edge_list([(0, 1), (1, 0), (1, 2), (2, 0)])
-        g = underlying(d)
-        m = maximize_free_vertices(g, maximum_matching(g))
-        report = tight_components(g, m, frozenset({(0, 1)}))
-        assert report.components == ((0, 1, 2),)
-        assert report.has_antiparallel == (True,)
+
+@pytest.mark.parametrize("step", [maximize_free_vertices, tight_components])
+class TestPartnerListValidation:
+    """Both public steps take a caller's partner list and reject one that is
+    not a matching of the graph before reading it."""
+
+    def test_rejects_wrong_length(self, step):
+        with pytest.raises(MatchingError, match="3 partners for 4 vertices"):
+            step(UnderlyingGraph(4, [(0, 1), (2, 3)]), [1, 0, -1])
+
+    def test_rejects_one_sided_pair(self, step):
+        with pytest.raises(MatchingError, match="0 is matched to 1 but 1 to 2"):
+            step(triangle_graph(), [1, 2, 1])
+
+    def test_rejects_pair_that_is_not_an_edge(self, step):
+        with pytest.raises(MatchingError, match=r"pair \(0,2\) is not an edge"):
+            step(UnderlyingGraph(4, [(0, 1), (2, 3)]), [2, -1, 0, -1])
+
+    @pytest.mark.parametrize("bad", [4, -2, 10**9])
+    def test_rejects_out_of_range_partner(self, step, bad):
+        # -2 would otherwise index the list from its end
+        with pytest.raises(MatchingError, match=rf"pair \(0,{bad}\) is not an edge"):
+            step(UnderlyingGraph(4, [(0, 1), (2, 3)]), [bad, -1, -1, -1])
 
 
 class TestBruteForceTight:
@@ -353,7 +367,7 @@ class TestStarDecompose:
         assert hub in dec.leftover
 
     @staticmethod
-    def check_invariants(d, b, dec):
+    def check_invariants(d, b, dec, epsilon):
         bset = set(b)
         assert dec.covered() == bset
         sub, orig = induced(d, bset)
@@ -382,9 +396,9 @@ class TestStarDecompose:
             for v in dec.leftover:
                 if u < v:
                     assert not und.has_edge(back[u], back[v])
-        assert len(dec.leftover) <= dec.tau + dec.epsilon * d.n
+        assert len(dec.leftover) <= dec.tau + epsilon * d.n
         assert dec.tau_prime == len(dec.tight) - dec.sigma
-        for comp in dec.tight.components:
+        for comp in dec.tight:
             assert len(comp) % 2 == 1
 
     def test_invariants_random(self):
@@ -394,7 +408,7 @@ class TestStarDecompose:
             d = random_digraph(rng, n, rng.uniform(0.05, 0.3))
             for pref in (False, True):
                 dec = star_decompose(d, range(n), epsilon=0.3, prefer_antiparallel=pref)
-                self.check_invariants(d, range(n), dec)
+                self.check_invariants(d, range(n), dec, 0.3)
 
     def test_invariants_on_subset(self):
         rng = random.Random(78)
@@ -403,7 +417,7 @@ class TestStarDecompose:
             d = random_digraph(rng, n, 0.2)
             b = [v for v in range(n) if rng.random() < 0.8]
             dec = star_decompose(d, b, epsilon=0.5)
-            self.check_invariants(d, b, dec)
+            self.check_invariants(d, b, dec, 0.5)
 
 
 @st.composite
@@ -426,14 +440,14 @@ def composed_decomposition(d, b, epsilon, prefer_antiparallel):
     sub, orig = induced(d, b)
     g = underlying(sub)
     ap = frozenset((u, v) for u, v in sub.edges if u < v and sub.has_edge(v, u))
-    matching = maximize_free_vertices(g, maximum_matching(g))
-    tight = tight_components(g, matching, ap)
-    partner = matching.partner_array(g.n)
+    partner = maximize_free_vertices(g, maximum_matching(g))
+    tight = tight_components(g, partner)
     sigma = 0
-    for comp, flag in zip(tight.components, tight.has_antiparallel):
-        if prefer_antiparallel and len(comp) == 3 and flag:
+    for comp in tight:
+        inside = [(u, v) for u, v in ap if u in comp and v in comp]
+        if prefer_antiparallel and len(comp) == 3 and inside:
             sigma += 1
-            a, c = min((u, v) for u, v in ap if u in comp and v in comp)
+            a, c = min(inside)
             if partner[a] != c:
                 (spare,) = set(comp) - {a, c}
                 partner[a], partner[c], partner[spare] = c, a, -1
@@ -452,9 +466,8 @@ def composed_decomposition(d, b, epsilon, prefer_antiparallel):
     for a, c in sorted((v, p) for v, p in enumerate(partner) if v < p):
         apex, ws = leaves.get((a, c), (a, []))
         stars.append((orig[apex], (orig[a], orig[c]), tuple(orig[w] for w in ws)))
-    components = tuple(tuple(orig[v] for v in comp) for comp in tight.components)
     return {
-        "tight": (components, tight.has_antiparallel),
+        "tight": tuple(tuple(orig[v] for v in comp) for comp in tight),
         "stars": tuple(stars),
         "leftover": tuple(orig[w] for w in leftover),
         "tau": g.odd_components(),
@@ -470,7 +483,7 @@ class TestOneFixpoint:
         d, b = drawn
         dec = star_decompose(d, b, epsilon=epsilon, prefer_antiparallel=prefer)
         got = {
-            "tight": (dec.tight.components, dec.tight.has_antiparallel),
+            "tight": dec.tight,
             "stars": tuple((s.apex, s.seed, s.leaves) for s in dec.stars),
             "leftover": dec.leftover,
             "tau": dec.tau,

@@ -75,6 +75,36 @@ class TestSuites:
         b = [r.to_json(include_timings=False) for r in parallel]
         assert a == b
 
+    def test_pool_never_exceeds_the_task_count(self, monkeypatch):
+        import concurrent.futures
+
+        recorded = []
+
+        class InlinePool:
+            """Records the requested worker count and runs each task inline."""
+
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        wide = run_suite("oracle-small", jobs=10**6)
+        assert recorded == [len(suite_tasks("oracle-small"))]
+        serial = run_suite("oracle-small", jobs=1)
+        assert [r.to_json(include_timings=False) for r in wide] == [
+            r.to_json(include_timings=False) for r in serial
+        ]
+
     def test_oracle_suite_never_beats_oracle(self):
         for report in run_suite("oracle-small"):
             assert report.oracle is not None
