@@ -101,24 +101,14 @@ def _emit(data: dict[str, Any] | list[Any], as_json: bool) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    comments = []
+    params = {name: getattr(args, name) for name in FAMILIES[args.family]}
+    spec = GadgetSpec(args.family, params)
+    comments = [spec.label()]
     if args.family == "lower_bound":
         graph, v0 = lower_bound_gadget(args.d, args.k)
         comments.append(f"v0 = {v0}")
-        spec = GadgetSpec("lower_bound", {"d": args.d, "k": args.k})
     else:
-        params: dict[str, Any] = {}
-        if args.family == "d1_star_triangle":
-            params = {"n": args.n}
-        elif args.family == "eulerian_complete":
-            params = {"q": args.q}
-        elif args.family == "random_min_outdeg":
-            params = {"n": args.n, "d": args.d, "extra": args.extra, "seed": args.seed}
-        else:
-            params = {"n": args.n, "patched": args.patched}
-        spec = GadgetSpec(args.family, params)
         graph = spec.build()
-    comments.insert(0, spec.label())
     write_edge_list(graph, args.out, comments)
     print(f"wrote {args.out}: n={graph.n} m={graph.m}")
     return EXIT_OK

@@ -157,15 +157,19 @@ def maximum_matching(graph: UnderlyingGraph) -> list[int]:
     return _max_matching_partner(graph._adj)
 
 
-def _has_perfect_matching(graph: UnderlyingGraph, vertices: Iterable[int]) -> bool:
+def _perfect_matching(
+    graph: UnderlyingGraph, vertices: Iterable[int]
+) -> dict[int, int] | None:
+    """A perfect matching of the subgraph induced by `vertices` as a map from
+    each vertex to its mate, or None when there is none."""
     keep = sorted(vertices)
     if len(keep) % 2 == 1:
-        return False
-    if not keep:
-        return True
+        return None
     _, adj = _induced_adjacency(graph.neighbors, keep)
     partner = _max_matching_partner(adj)
-    return all(p != -1 for p in partner)
+    if -1 in partner:
+        return None
+    return {v: keep[p] for v, p in zip(keep, partner)}
 
 
 def free_neighbor_edges(
@@ -277,13 +281,10 @@ class _Grower:
         violation = _tight_violation(self.graph, sorted(self.in_t))
         if violation is None:
             return False
-        u, x, y, rest = violation
+        u, x, y, mates = violation
         # perfect matching of T minus {u,x,y} plus the edge xy exposes u free
-        index = sorted(rest)
-        _, adj = _induced_adjacency(self.graph.neighbors, index)
-        sub = _max_matching_partner(adj)
-        for i, p in enumerate(sub):
-            self.partner[index[i]] = index[p]
+        for v, p in mates.items():
+            self.partner[v] = p
         self.partner[x] = y
         self.partner[y] = x
         self.partner[u] = -1
@@ -292,7 +293,8 @@ class _Grower:
 
 def _tight_violation(graph: UnderlyingGraph, component: Sequence[int]):
     """Search for (u, x, y) with x ~ u, y in N(x) outside N[u], and the rest of
-    the component perfectly matchable; None means the component is tight.
+    the component perfectly matchable; returns (u, x, y, mates) with `mates`
+    a perfect matching of the rest, or None when the component is tight.
 
     Factor-criticality of a fully absorbed component is automatic, so this
     exhausts the remaining half of the tight-component definition.
@@ -307,9 +309,9 @@ def _tight_violation(graph: UnderlyingGraph, component: Sequence[int]):
             for y in graph.neighbors(x):
                 if y == u or y in nu:
                     continue
-                rest = comp - {u, x, y}
-                if _has_perfect_matching(graph, rest):
-                    return u, x, y, rest
+                mates = _perfect_matching(graph, comp - {u, x, y})
+                if mates is not None:
+                    return u, x, y, mates
     return None
 
 
@@ -422,6 +424,12 @@ class StarDecomposition:
     tau_prime: int
     degree_cap: float
     seeded_antiparallel: bool
+
+    @property
+    def bisection_tau(self) -> int:
+        """The component count the bisection bounds use: tau_prime when the
+        seeds were re-seated on antiparallel edges, tau otherwise."""
+        return self.tau_prime if self.seeded_antiparallel else self.tau
 
     def star_edge_count(self) -> int:
         return sum(len(s) - 1 for s in self.stars)

@@ -11,13 +11,14 @@ from .core import Digraph
 
 CONCLUDING_FAMILIES = ("k33_oriented", "k33_plus_3regular", "k55_mixed")
 
-FAMILIES = (
-    "d1_star_triangle",
-    "eulerian_complete",
-    "lower_bound",
-    *CONCLUDING_FAMILIES,
-    "random_min_outdeg",
-)
+# family -> the GadgetSpec params its builder reads
+FAMILIES: dict[str, tuple[str, ...]] = {
+    "d1_star_triangle": ("n",),
+    "eulerian_complete": ("q",),
+    "lower_bound": ("d", "k"),
+    **{family: ("n", "patched") for family in CONCLUDING_FAMILIES},
+    "random_min_outdeg": ("n", "d", "extra", "seed"),
+}
 
 
 def _self_check(ok: bool, family: str, prop: str) -> None:

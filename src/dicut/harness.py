@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 from .core import Bipartition, Digraph, cut_stats
 from .generators import GadgetSpec
@@ -14,9 +15,6 @@ if TYPE_CHECKING:  # imported by the calls that run the pipeline
     from .pipeline import PartitionResult, PipelineConfig
 
 SCHEMA_VERSION = 1
-
-SUITES = ("gadgets", "random-d2", "random-d3", "oracle-small")
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -107,21 +105,22 @@ def build_report(
 
 @dataclass(frozen=True)
 class BenchTask:
-    """One suite entry: a generator spec plus the pipeline configuration."""
+    """One suite entry: a generator spec plus the pipeline's d and seed."""
 
     key: str
     spec: GadgetSpec
     d: int
-    epsilon: float = 0.05
     seed: int = 1
     with_oracle: bool = False
 
-    def config(self, max_attempts: int) -> PipelineConfig:
-        from .pipeline import PipelineConfig
 
-        return PipelineConfig(
-            d=self.d, epsilon=self.epsilon, seed=self.seed, max_attempts=max_attempts
-        )
+def _random_task(
+    key: str, n: int, d: int, extra: float, seed: int, with_oracle: bool = False
+) -> BenchTask:
+    spec = GadgetSpec(
+        "random_min_outdeg", {"n": n, "d": d, "extra": extra, "seed": seed}
+    )
+    return BenchTask(key, spec, d, seed, with_oracle)
 
 
 def _gadget_tasks() -> list[BenchTask]:
@@ -146,91 +145,57 @@ def _gadget_tasks() -> list[BenchTask]:
 
 
 def _random_tasks(d: int) -> list[BenchTask]:
-    tasks = []
-    for n in (100, 500, 2000):
-        for extra in (0.0, 1.0):
-            for seed in (1, 2):
-                spec = GadgetSpec(
-                    "random_min_outdeg",
-                    {"n": n, "d": d, "extra": extra, "seed": seed},
-                )
-                tasks.append(
-                    BenchTask(
-                        f"random-d{d}-n{n}-x{int(extra)}-s{seed}", spec, d, seed=seed
-                    )
-                )
-    return tasks
+    return [
+        _random_task(f"random-d{d}-n{n}-x{int(extra)}-s{seed}", n, d, extra, seed)
+        for n in (100, 500, 2000)
+        for extra in (0.0, 1.0)
+        for seed in (1, 2)
+    ]
 
 
 def _oracle_small_tasks() -> list[BenchTask]:
     tasks = [
-        BenchTask(
-            "lower_bound-d2-k0-oracle",
-            GadgetSpec("lower_bound", {"d": 2, "k": 0}),
-            2,
-            with_oracle=True,
-        ),
-        BenchTask(
-            "lower_bound-d2-k1-oracle",
-            GadgetSpec("lower_bound", {"d": 2, "k": 1}),
-            2,
-            with_oracle=True,
-        ),
-        BenchTask(
-            "lower_bound-d3-k0-oracle",
-            GadgetSpec("lower_bound", {"d": 3, "k": 0}),
-            3,
-            with_oracle=True,
-        ),
-        BenchTask(
-            "eulerian-q5-oracle", GadgetSpec("eulerian_complete", {"q": 5}), 2,
-            with_oracle=True,
-        ),
-        BenchTask(
-            "eulerian-q7-oracle", GadgetSpec("eulerian_complete", {"q": 7}), 3,
-            with_oracle=True,
-        ),
+        BenchTask(key, GadgetSpec(family, params), d, with_oracle=True)
+        for key, family, params, d in (
+            ("lower_bound-d2-k0-oracle", "lower_bound", {"d": 2, "k": 0}, 2),
+            ("lower_bound-d2-k1-oracle", "lower_bound", {"d": 2, "k": 1}, 2),
+            ("lower_bound-d3-k0-oracle", "lower_bound", {"d": 3, "k": 0}, 3),
+            ("eulerian-q5-oracle", "eulerian_complete", {"q": 5}, 2),
+            ("eulerian-q7-oracle", "eulerian_complete", {"q": 7}, 3),
+        )
     ]
-    for d in (2, 3):
-        for n in (10, 12, 14, 16):
-            for seed in (1, 2):
-                spec = GadgetSpec(
-                    "random_min_outdeg", {"n": n, "d": d, "extra": 0.5, "seed": seed}
-                )
-                tasks.append(
-                    BenchTask(
-                        f"random-oracle-d{d}-n{n}-s{seed}",
-                        spec,
-                        d,
-                        seed=seed,
-                        with_oracle=True,
-                    )
-                )
+    tasks.extend(
+        _random_task(f"random-oracle-d{d}-n{n}-s{seed}", n, d, 0.5, seed, True)
+        for d in (2, 3)
+        for n in (10, 12, 14, 16)
+        for seed in (1, 2)
+    )
     return tasks
 
 
+SUITE_TASKS: dict[str, Callable[[], list[BenchTask]]] = {
+    "gadgets": _gadget_tasks,
+    "random-d2": partial(_random_tasks, 2),
+    "random-d3": partial(_random_tasks, 3),
+    "oracle-small": _oracle_small_tasks,
+}
+SUITES = tuple(SUITE_TASKS)
+
+
 def suite_tasks(name: str) -> list[BenchTask]:
-    if name == "gadgets":
-        tasks = _gadget_tasks()
-    elif name == "random-d2":
-        tasks = _random_tasks(2)
-    elif name == "random-d3":
-        tasks = _random_tasks(3)
-    elif name == "oracle-small":
-        tasks = _oracle_small_tasks()
-    else:
+    if name not in SUITE_TASKS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return sorted(tasks, key=lambda t: t.key)
+    return sorted(SUITE_TASKS[name](), key=lambda t: t.key)
 
 
 def run_bench_task(task: BenchTask, max_attempts: int = 200) -> RunReport:
-    from .pipeline import run
+    from .pipeline import PipelineConfig, run
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     digraph = task.spec.build()
     timings["build"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    config = task.config(max_attempts)
+    config = PipelineConfig(d=task.d, seed=task.seed, max_attempts=max_attempts)
     t0 = time.perf_counter()
     result = run(digraph, config)
     timings["partition"] = round((time.perf_counter() - t0) * 1000.0, 3)

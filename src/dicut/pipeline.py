@@ -26,14 +26,14 @@ from .samplers import (
     DEFAULT_MAX_ATTEMPTS,
     exact_fraction,
     SampleOutcome,
-    SamplerConfig,
     quarter_partition,
     second_moment_partition,
     star_bisection,
 )
 
-DENSE_THRESHOLD = {2: 1152, 3: 3200}
 DENSE_EPSILON = {2: Fraction(1, 12), 3: Fraction(1, 20)}
+# quarter_partition's regime m >= 8n/eps^2: 1152 n for d=2, 3200 n for d=3
+DENSE_THRESHOLD = {d: int(8 / eps**2) for d, eps in DENSE_EPSILON.items()}
 GAP_FRACTION = {2: Fraction(1, 3), 3: Fraction(1, 5)}
 ODD_BOUND_DIVISOR = {2: 3, 3: 5}
 TEST_CONSTANT_SCALE = 100
@@ -438,10 +438,10 @@ def _sparse_branches(
         }
     )
     if small_gap:
-        cfg = SamplerConfig(
-            Fraction(1, 2), config.epsilon / 2, config.seed, config.max_attempts
+        outcome = second_moment_partition(
+            stripped, gp.a1, gp.a2, Fraction(1, 2), config.epsilon / 2,
+            config.seed, config.max_attempts,
         )
-        outcome = second_moment_partition(stripped, gp.a1, gp.a2, cfg)
         trace.append(_sampler_record("second_moment", outcome))
         return outcome, removed
 
@@ -543,7 +543,7 @@ def _bisection_branch(
     )
     slack = profile.delta - profile.theta + profile.b
     bound = Fraction(stripped.n + 2 * slack, ODD_BOUND_DIVISOR[d])
-    observed = decomp.tau if d == 2 else decomp.tau_prime
+    observed = decomp.bisection_tau
     if observed > bound:
         raise StructuralDiagnostic(
             "odd/tight component count exceeds its structural bound",
@@ -600,10 +600,12 @@ def _three_huge_branch(
         (a1 if _goes_to_a1(s, forward) else a2).append(v)
     # v1 goes forward, so it lands in A1 exactly when its surplus is positive
     p = Fraction(2, 5) if v1 in a1 else Fraction(3, 5)
-    cfg = SamplerConfig(p, config.epsilon / 2, config.seed, config.max_attempts)
-    outcome = second_moment_partition(stripped, a1, a2, cfg)
+    eps = config.epsilon / 2
+    outcome = second_moment_partition(
+        stripped, a1, a2, p, eps, config.seed, config.max_attempts
+    )
     # the sampler's thresholds sit eps*m below the expected cuts
-    slack = exact_fraction(cfg.epsilon) * stripped.m
+    slack = exact_fraction(eps) * stripped.m
     m12, m21 = (t + slack for t in outcome.targets)
     fifth = Fraction(stripped.m, 5)
     trace.append(

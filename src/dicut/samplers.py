@@ -12,7 +12,7 @@ in exact rational arithmetic, so acceptance at the boundary is unambiguous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -30,24 +30,6 @@ def exact_fraction(x: float | Fraction | int | str) -> Fraction:
     if isinstance(x, float):
         return Fraction(repr(x))
     return Fraction(x)
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Placement probability, tolerance, seed, and retry budget."""
-
-    p: Fraction | float = Fraction(1, 2)
-    epsilon: float | Fraction = 0.1
-    seed: int = 0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.p <= 1:
-            raise ValueError(f"p must lie in [0,1], got {self.p}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -167,19 +149,26 @@ def second_moment_partition(
     digraph: Digraph,
     a1: Iterable[int],
     a2: Iterable[int],
-    config: SamplerConfig,
+    p: Fraction | float,
+    epsilon: float | Fraction,
+    seed: int,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> SampleOutcome:
-    """Independent placement of B with acceptance thresholds one epsilon*m
-    below each expected directional cut.
+    """Independent placement of B (side 1 with probability p) with acceptance
+    thresholds one epsilon*m below each expected directional cut.
 
     The thresholds come with a degree hypothesis (max degree over B at most
     epsilon^2 m / 4); when it fails the sampler still runs, flagged best-effort.
     """
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0,1], got {p}")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if digraph.n == 0:
         raise ValueError("empty graph")
     s1, s2 = set(a1), set(a2)
-    p = Fraction(config.p)
-    eps = exact_fraction(config.epsilon)
+    p = Fraction(p)
+    eps = exact_fraction(epsilon)
     m = digraph.m
 
     def targets_of(prof: EdgeProfile) -> tuple[Fraction, Fraction]:
@@ -202,10 +191,8 @@ def second_moment_partition(
             side[v] = 1 if rng.random() < p_float else 2
 
     # with B empty every attempt is the same partition
-    attempts = config.max_attempts if b_order else 1
-    return _accept_loop(
-        digraph, s1, s2, attempts, config.seed, targets_of, draw, warning
-    )
+    attempts = max_attempts if b_order else min(max_attempts, 1)
+    return _accept_loop(digraph, s1, s2, attempts, seed, targets_of, draw, warning)
 
 
 def quarter_partition(
@@ -215,14 +202,14 @@ def quarter_partition(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> SampleOutcome:
     """Uniform random bipartition accepted when both directional cuts reach
-    (1/4 - epsilon) m; valid regime is max degree <= eps^2 m/4 or m >= 8n/eps^2."""
-    config = SamplerConfig(Fraction(1, 2), epsilon, seed, max_attempts)
-    outcome = second_moment_partition(digraph, (), (), config)
-    eps = exact_fraction(epsilon)
-    dense_enough = digraph.m >= 8 * digraph.n / (eps * eps)
-    if outcome.warning is not None and dense_enough:
-        outcome = replace(outcome, warning=None)
-    return outcome
+    (1/4 - epsilon) m; valid regime is max degree <= eps^2 m/4.
+
+    m >= 8n/eps^2 lies inside that regime, since every degree is below
+    2n <= eps^2 m/4.
+    """
+    return second_moment_partition(
+        digraph, (), (), Fraction(1, 2), epsilon, seed, max_attempts
+    )
 
 
 def star_bisection(
@@ -238,9 +225,8 @@ def star_bisection(
     on a uniform side, its leaves on the other, leftover vertices uniformly.
 
     Acceptance thresholds are the odd-component bisection bounds
-    base + e(B)/4 + (n - tau)/8 - epsilon*n per direction, with tau replaced
-    by the antiparallel-discounted tight count when the decomposition was
-    seeded that way.
+    base + e(B)/4 + (n - tau)/8 - epsilon*n per direction, with tau the
+    decomposition's `bisection_tau`.
     """
     s1, s2 = set(a1), set(a2)
     expect_b = set(range(digraph.n)) - s1 - s2
@@ -248,7 +234,7 @@ def star_bisection(
         raise ValueError("decomposition does not cover exactly V minus A1, A2")
     eps = exact_fraction(epsilon)
     n = digraph.n
-    tau = decomposition.tau_prime if decomposition.seeded_antiparallel else decomposition.tau
+    tau = decomposition.bisection_tau
 
     def targets_of(prof: EdgeProfile) -> tuple[Fraction, Fraction]:
         gain = Fraction(prof.bb, 4) + Fraction(n - tau, 8) - eps * n

@@ -283,7 +283,7 @@ def test_criterion_12_oracle_comparison():
             g = task.spec.build()
             if g.n > 16:
                 continue
-            result = run(g, task.config(max_attempts=200))
+            result = run(g, PipelineConfig(d=task.d, seed=task.seed))
             optimum = exact_judicious(g).optimum
             assert result.stats.min_cut <= optimum  # oracle upper-bounds everything
             total += 1

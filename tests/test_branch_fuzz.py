@@ -165,7 +165,7 @@ def test_second_moment_targets_match_the_expectation_formula(monkeypatch, seed):
             a1 = a2 = ()
             eps = DENSE_EPSILON[config.d]
         else:
-            [((digraph, a1, a2, _), _)] = drawn
+            [((digraph, a1, a2, *_), _)] = drawn
         if record["kind"] == "second_moment_biased":
             p = Fraction(next(r["p"] for r in trace if r["step"] == "three_huge"))
         assert record["targets"] == expectation_targets(digraph, a1, a2, p, eps), i

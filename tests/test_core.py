@@ -300,6 +300,15 @@ class TestUnderlying:
         assert und.m == 21
         assert all(und.degree(v) == 6 for v in range(7))
 
+    @pytest.mark.parametrize("edge, message", [
+        ((2, 2), "loop edge (2,2) in undirected graph"),
+        ((0, 3), "edge (0,3): vertex id out of range"),
+        ((-1, 1), "edge (-1,1): vertex id out of range"),
+    ])
+    def test_constructor_rejects_bad_edges(self, edge, message):
+        with pytest.raises(GraphInputError, match=re.escape(message)):
+            UnderlyingGraph(3, [(0, 1), edge])
+
     def test_odd_components(self):
         g = UnderlyingGraph(6, [(0, 1), (1, 2), (0, 2)])
         assert g.odd_components() == 4  # triangle plus three isolated vertices

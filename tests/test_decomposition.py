@@ -50,6 +50,15 @@ def bowtie() -> UnderlyingGraph:
     return UnderlyingGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
 
+def fan_with_chord() -> UnderlyingGraph:
+    """Vertex 2 and the edge (3,4), both joined to the edge (0,1).  Under the
+    matching {(0,1),(3,4)} every pair absorbs, so vertex 2 is freed only by
+    the tight-violation exchange (u, x, y) = (2, 0, 3)."""
+    return UnderlyingGraph(
+        5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4)]
+    )
+
+
 def chorded_c5() -> UnderlyingGraph:
     return UnderlyingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
 
@@ -201,6 +210,14 @@ class TestMaximizeFreeVertices:
         assert free_vertex_count(g, out) == 1
         assert start == [2, -1, 0, 4, 3]  # the result is a new list
 
+    def test_tight_violation_exchange(self):
+        g = fan_with_chord()
+        start = [1, 0, -1, 4, 3]
+        assert free_vertex_count(g, start) == 0
+        out = maximize_free_vertices(g, start)
+        assert out == [3, 4, -1, 0, 1]
+        assert free_vertex_count(g, out) == 1 == max_free_over_max_matchings(g)
+
     def test_reaches_exhaustive_optimum(self):
         rng = random.Random(17)
         for _ in range(60):
@@ -228,6 +245,10 @@ class TestTightComponents:
         g = chorded_c5()
         with pytest.raises(MatchingError, match="does not maximize free vertices"):
             tight_components(g, [2, -1, 0, 4, 3])
+
+    def test_rejects_matching_freed_by_the_tight_violation_exchange(self):
+        with pytest.raises(MatchingError, match="does not maximize free vertices"):
+            tight_components(fan_with_chord(), [1, 0, -1, 4, 3])
 
     def test_pair_split_by_absorption_set_named(self):
         # partner array claims 1 is matched to the leftover vertex 0 itself

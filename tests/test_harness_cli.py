@@ -22,7 +22,7 @@ from dicut.harness import (
     suite_tasks,
     verify_partition,
 )
-from dicut.generators import GadgetSpec
+from dicut.generators import FAMILIES, GadgetSpec
 from dicut.pipeline import PipelineConfig, StructuralDiagnostic
 
 
@@ -134,19 +134,22 @@ class TestCli:
         assert check["min_cut"] == report["min_cut"]
 
     def test_gen_every_family(self, tmp_path):
-        cases = [
-            ["gen", "d1_star_triangle", "--n", "6"],
-            ["gen", "eulerian_complete", "--q", "7"],
-            ["gen", "lower_bound", "--d", "3", "--k", "1"],
-            ["gen", "k33_oriented", "--n", "12", "--patched"],
-            ["gen", "k33_plus_3regular", "--n", "12"],
-            ["gen", "k55_mixed", "--n", "13"],
-            ["gen", "random_min_outdeg", "--n", "15", "--d", "2", "--seed", "4"],
-        ]
-        for i, argv in enumerate(cases):
-            out = tmp_path / f"case{i}.el"
-            assert main(argv + ["-o", str(out)]) == 0
-            read_edge_list(str(out))
+        # one value per GadgetSpec param, valid for every family that reads it
+        values = {"n": 13, "q": 7, "d": 3, "k": 1, "extra": 0.5, "seed": 4}
+        out = tmp_path / "g.el"
+        for family, names in FAMILIES.items():
+            for patched in (False, True) if "patched" in names else (False,):
+                params = {p: {**values, "patched": patched}[p] for p in names}
+                argv = ["gen", family, "-o", str(out)]
+                for p, v in params.items():
+                    if isinstance(v, bool):  # a store_true flag
+                        argv += [f"--{p}"] * v
+                    else:
+                        argv += [f"--{p}", str(v)]
+                assert main(argv) == 0
+                spec = GadgetSpec(family, params)
+                assert out.read_text().splitlines()[0] == f"# {spec.label()}"
+                assert read_edge_list(str(out)).edges == spec.build().edges
 
     def test_partition_json_echoes_the_whole_config(self, tmp_path, capsys):
         graph_file = tmp_path / "g.el"

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dicut.samplers as samplers_mod
@@ -16,7 +17,6 @@ from dicut.generators import (
 )
 from dicut.samplers import (
     EdgeProfile,
-    SamplerConfig,
     edge_profile,
     exact_fraction,
     expected_cuts,
@@ -145,30 +145,25 @@ def test_edge_profile_matches_full_scan(case, overlap):
 class TestSecondMoment:
     def test_empty_b_is_deterministic(self):
         g = three_cycle()
-        cfg = SamplerConfig(seed=1, epsilon=0.2)
-        out = second_moment_partition(g, [0], [1, 2], cfg)
+        out = second_moment_partition(g, [0], [1, 2], Fraction(1, 2), 0.2, seed=1)
         assert out.attempts_used == 1
         assert out.accepted
         assert (out.stats.e12, out.stats.e21) == (1, 1)
 
     def test_eulerian_k5_accepts(self):
         g = eulerian_complete(5)
-        out = second_moment_partition(
-            g, (), (), SamplerConfig(epsilon=0.2, seed=3, max_attempts=64)
-        )
+        out = second_moment_partition(g, (), (), 0.5, 0.2, seed=3, max_attempts=64)
         assert out.accepted
         assert out.stats.e12 >= Fraction(10, 4) - Fraction(2, 10) * 10
 
     def test_same_seed_bit_identical(self):
         g = random_min_outdeg(30, 2, 1.0, seed=7)
-        cfg = SamplerConfig(epsilon=0.05, seed=11)
-        assert second_moment_partition(g, [0], [1], cfg) == second_moment_partition(
-            g, [0], [1], cfg
-        )
+        args = (g, [0], [1], 0.5, 0.05, 11)
+        assert second_moment_partition(*args) == second_moment_partition(*args)
 
     def test_stats_recomputed_match_partition(self):
         g = random_min_outdeg(25, 2, 0.5, seed=2)
-        out = second_moment_partition(g, (), (), SamplerConfig(epsilon=0.1, seed=5))
+        out = second_moment_partition(g, (), (), 0.5, 0.1, seed=5)
         assert cut_stats(g, out.partition) == out.stats
         if out.accepted:
             assert out.stats.e12 >= out.targets[0]
@@ -178,14 +173,12 @@ class TestSecondMoment:
         # one dominating vertex breaks the degree hypothesis
         pairs = [(0, v) for v in range(1, 12)] + [(v, 0) for v in range(1, 12)]
         g = Digraph(12, pairs)
-        out = second_moment_partition(
-            g, (), (), SamplerConfig(epsilon=0.05, seed=1, max_attempts=4)
-        )
+        out = second_moment_partition(g, (), (), 0.5, 0.05, seed=1, max_attempts=4)
         assert out.warning is not None
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            second_moment_partition(Digraph(0, []), (), (), SamplerConfig())
+            second_moment_partition(Digraph(0, []), (), (), 0.5, 0.1, seed=0)
 
     def test_dense_instance_in_degree_regime(self):
         # max degree stays below eps^2*m/4, so the hypothesis holds and both
@@ -193,20 +186,40 @@ class TestSecondMoment:
         g = random_min_outdeg(2000, 3, extra=30, seed=5)
         eps = 0.1
         assert max(g.degree(v) for v in range(g.n)) <= eps * eps * g.m / 4
-        out = second_moment_partition(
-            g, (), (), SamplerConfig(epsilon=eps, seed=5)
-        )
+        out = second_moment_partition(g, (), (), 0.5, eps, seed=5)
         assert out.warning is None
         assert out.accepted
         assert out.stats.min_cut >= (0.25 - eps) * g.m
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(p=Fraction(3, 2))
-        with pytest.raises(ValueError):
-            SamplerConfig(epsilon=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(max_attempts=0)
+    def test_argument_validation(self):
+        g = three_cycle()
+        for a1, a2 in (((), ()), ([0], [1, 2])):  # B nonempty, then B empty
+            with pytest.raises(ValueError, match="p must lie"):
+                second_moment_partition(g, a1, a2, Fraction(3, 2), 0.1, seed=0)
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                second_moment_partition(g, a1, a2, 0.5, 0, seed=0)
+            with pytest.raises(ValueError, match="max_attempts"):
+                second_moment_partition(g, a1, a2, 0.5, 0.1, seed=0, max_attempts=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        density=st.floats(0.05, 1.0),
+        graph_seed=st.integers(0, 2**16),
+        slack=st.integers(0, 40),
+        p=st.sampled_from([Fraction(1, 2), Fraction(2, 5), Fraction(3, 5), 0.3]),
+    )
+    def test_no_warning_when_dense(self, n, density, graph_seed, slack, p):
+        # m >= 8n/eps^2 puts every degree (below 2n) under eps^2 m/4
+        rng = random.Random(graph_seed)
+        pairs = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and rng.random() < density]
+        g = Digraph(n, pairs)
+        assume(g.m > 0)
+        eps = Fraction(math.isqrt(800 * 800 * 8 * n // g.m) + 1 + slack, 800)
+        assert g.m >= 8 * n / eps**2
+        out = second_moment_partition(g, (), (), p, eps, seed=1, max_attempts=2)
+        assert out.warning is None
 
 
 class TestQuarterPartition:
@@ -221,11 +234,6 @@ class TestQuarterPartition:
         g = Digraph(10, pairs)
         out = quarter_partition(g, 0.1, seed=1, max_attempts=4)
         assert out.warning is not None
-
-    def test_dense_regime_clears_warning(self):
-        g = complete_antiparallel(30)  # m = 870 >= 8n/eps^2 with eps = 0.6
-        out = quarter_partition(g, 0.6, seed=1, max_attempts=4)
-        assert out.warning is None
 
     def test_determinism(self):
         g = complete_antiparallel(15)
