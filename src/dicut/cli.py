@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a built-in suite")
     bench.add_argument("--suite", choices=SUITES, required=True)
     bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--max-attempts", type=int, default=200)
     bench.add_argument("--json", action="store_true")
     return parser
 
@@ -215,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    reports = run_suite(args.suite, jobs=args.jobs, max_attempts=args.max_attempts)
+    reports = run_suite(args.suite, jobs=args.jobs)
     if args.json:
         print(
             json.dumps(

@@ -50,6 +50,27 @@ def _checked_ids(vertices: Iterable[int], n: int) -> list[int]:
     return keep
 
 
+def _components(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Connected components of a symmetric adjacency as sorted vertex tuples,
+    ordered by their smallest vertex."""
+    seen = bytearray(len(adj))
+    comps: list[tuple[int, ...]] = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = 1
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 class Digraph:
     """Loop-free directed graph on dense vertex ids 0..n-1.
 
@@ -142,18 +163,13 @@ class Digraph:
                 if j is not None:
                     adj[i].append(j)
                     adj[j].append(i)
+        rows = [tuple(sorted(set(a))) for a in adj]
         antiparallel: set[tuple[int, int]] = set()
-        for i, a in enumerate(adj):
-            row = sorted(set(a))
+        for i, (a, row) in enumerate(zip(adj, rows)):
             if len(row) < len(a):  # an antiparallel pair lists its other end twice
                 a.sort()
                 antiparallel.update((i, j) for j, k in zip(a, a[1:]) if j == k and i < j)
-            adj[i] = row
-        # symmetric, loop-free and in range by construction: skip the edge checks
-        graph = UnderlyingGraph.__new__(UnderlyingGraph)
-        graph.n, graph.m, graph.orig_ids = len(keep), sum(map(len, adj)) // 2, tuple(keep)
-        graph._adj = tuple(map(tuple, adj))
-        return graph, frozenset(antiparallel)
+        return _underlying_from_rows(rows, tuple(keep)), frozenset(antiparallel)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -164,12 +180,7 @@ class UnderlyingGraph:
 
     __slots__ = ("n", "m", "_adj", "orig_ids")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        orig_ids: tuple[int, ...] | None = None,
-    ) -> None:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
@@ -181,7 +192,7 @@ class UnderlyingGraph:
         self.n = n
         self._adj = tuple(tuple(sorted(set(a))) for a in adj)
         self.m = sum(len(a) for a in self._adj) // 2
-        self.orig_ids = orig_ids
+        self.orig_ids: tuple[int, ...] | None = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -199,41 +210,36 @@ class UnderlyingGraph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by min vertex."""
-        seen = [False] * self.n
-        comps: list[tuple[int, ...]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        return _components(self._adj)
 
     def odd_components(self) -> int:
         """Number of connected components of odd order."""
         return sum(1 for c in self.components() if len(c) % 2 == 1)
 
     def induced(self, vertices: Iterable[int]) -> "UnderlyingGraph":
+        """The induced subgraph, relabelled 0..k-1 in id order (see orig_ids)."""
         keep = _checked_ids(vertices, self.n)
         index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (i, index[v])
-            for i, u in enumerate(keep)
-            for v in self._adj[u]
-            if u < v and v in index
+        # the relabelling keeps id order, so each filtered row stays sorted
+        rows = [
+            tuple(j for j in map(index.get, self._adj[u]) if j is not None)
+            for u in keep
         ]
-        return UnderlyingGraph(len(keep), edges, orig_ids=tuple(keep))
+        return _underlying_from_rows(rows, tuple(keep))
 
     def __repr__(self) -> str:
         return f"UnderlyingGraph(n={self.n}, m={self.m})"
+
+
+def _underlying_from_rows(
+    rows: list[tuple[int, ...]], orig_ids: tuple[int, ...]
+) -> UnderlyingGraph:
+    """The unchecked constructor: rows must be sorted, symmetric, loop-free
+    and in range, as both induced builders make them."""
+    graph = UnderlyingGraph.__new__(UnderlyingGraph)
+    graph.n, graph.m, graph.orig_ids = len(rows), sum(map(len, rows)) // 2, orig_ids
+    graph._adj = tuple(rows)
+    return graph
 
 
 @dataclass(frozen=True)

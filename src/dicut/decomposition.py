@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core import Digraph, UnderlyingGraph
+from .core import Digraph, UnderlyingGraph, _components
 
 
 class MatchingError(ValueError):
@@ -97,15 +97,6 @@ def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
     return False
 
 
-def _induced_adjacency(
-    neighbors: Callable[[int], Iterable[int]], keep: Sequence[int]
-) -> tuple[dict[int, int], list[list[int]]]:
-    """Relabel the sorted vertex list `keep` to 0..len(keep)-1, keeping its
-    order; returns that map and the adjacency restricted to `keep`."""
-    pos = {v: i for i, v in enumerate(keep)}
-    return pos, [[pos[u] for u in neighbors(v) if u in pos] for v in keep]
-
-
 def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
     """Greedy matching, then augmenting-path search one connected component
     at a time.
@@ -125,23 +116,12 @@ def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
                     match[v] = u
                     match[u] = v
                     break
-    seen = bytearray(n)
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        stack = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if not seen[u]:
-                    seen[u] = 1
-                    comp.append(u)
-                    stack.append(u)
+    for comp in _components(adj):
         if sum(1 for v in comp if match[v] == -1) < 2:
             continue
-        comp.sort()
-        local, sub_adj = _induced_adjacency(adj.__getitem__, comp)
+        # a component holds every neighbour of its vertices: no membership test
+        local = {v: i for i, v in enumerate(comp)}
+        sub_adj = [[local[u] for u in adj[v]] for v in comp]
         sub_match = [local[match[v]] if match[v] != -1 else -1 for v in comp]
         for i in range(len(comp)):
             if sub_match[i] == -1:
@@ -162,14 +142,12 @@ def _perfect_matching(
 ) -> dict[int, int] | None:
     """A perfect matching of the subgraph induced by `vertices` as a map from
     each vertex to its mate, or None when there is none."""
-    keep = sorted(vertices)
-    if len(keep) % 2 == 1:
-        return None
-    _, adj = _induced_adjacency(graph.neighbors, keep)
-    partner = _max_matching_partner(adj)
+    sub = graph.induced(vertices)
+    partner = _max_matching_partner(sub._adj)
     if -1 in partner:
         return None
-    return {v: keep[p] for v, p in zip(keep, partner)}
+    orig = sub.orig_ids
+    return {v: orig[p] for v, p in zip(orig, partner)}
 
 
 def free_neighbor_edges(
@@ -315,9 +293,12 @@ def _tight_violation(graph: UnderlyingGraph, component: Sequence[int]):
     return None
 
 
-def _settle(graph: UnderlyingGraph, partner: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Run the free-vertex fixpoint in place on `partner` and return the tight
-    component of every non-free leftover vertex, in leftover-vertex order.
+def _settle(
+    graph: UnderlyingGraph, partner: list[int]
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[int]]]:
+    """Run the free-vertex fixpoint in place on `partner`; return the tight
+    component of every non-free leftover vertex, in leftover-vertex order,
+    and the free-neighbour lists that its last pass computed, by vertex.
 
     Each exchange keeps the cardinality and frees one more vertex, so the
     loop ends.  A settled component is a whole connected component whose only
@@ -328,15 +309,19 @@ def _settle(graph: UnderlyingGraph, partner: list[int]) -> tuple[tuple[int, ...]
     improved = True
     while improved:
         improved = False
+        frees: dict[int, list[int]] = {}
         for w in range(graph.n):
-            if partner[w] != -1 or w in settled or free_neighbor_edges(graph, partner, w):
+            if partner[w] != -1 or w in settled:
+                continue
+            frees[w] = free_neighbor_edges(graph, partner, w)
+            if frees[w]:
                 continue
             grower = _Grower(graph, partner, w)
             improved = grower.run()
             if improved:
                 break
             settled[w] = tuple(sorted(grower.in_t))
-    return tuple(settled[w] for w in sorted(settled))
+    return tuple(settled[w] for w in sorted(settled)), frees
 
 
 def _check_partner(graph: UnderlyingGraph, partner: Sequence[int]) -> None:
@@ -380,7 +365,7 @@ def tight_components(
     """
     _check_partner(graph, partner)
     settled = list(partner)
-    components = _settle(graph, settled)
+    components, _ = _settle(graph, settled)
     if settled != list(partner):
         raise MatchingError(
             "an exchange at equal cardinality frees a vertex; matching does "
@@ -460,14 +445,13 @@ def star_decompose(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    b_list = sorted(set(b_vertices))
     mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
     degree_cap = mean_degree / epsilon
-    graph, antiparallel = digraph.induced_underlying(b_list)
+    graph, antiparallel = digraph.induced_underlying(b_vertices)
     orig = graph.orig_ids
 
     partner = maximum_matching(graph)
-    tight = _settle(graph, partner)
+    tight, free_lists = _settle(graph, partner)
 
     sigma = 0
     if prefer_antiparallel:
@@ -481,55 +465,48 @@ def star_decompose(
                 continue
             sigma += 1
             a, b = options[0]
-            if partner[a] != b:
+            if partner[a] != b:  # the spare stays leftover: it has no free list
                 spare = next(v for v in comp if v not in (a, b))
                 partner[a] = b
                 partner[b] = a
                 partner[spare] = -1
 
-    seeds = sorted((v, p) for v, p in enumerate(partner) if p != -1 and v < p)
-    seed_index = {edge: i for i, edge in enumerate(seeds)}
-    leaves_of: dict[int, list[int]] = {i: [] for i in range(len(seeds))}
+    # each seed edge is keyed by its smaller end, the order the seeds sort in
+    seeds = [(v, p) for v, p in enumerate(partner) if v < p]
+    leaves_of: dict[int, list[int]] = {a: [] for a, _ in seeds}
     attach_at: dict[int, int] = {}
     leftover = []
     for w in range(graph.n):
         if partner[w] != -1:
             continue
-        frees = free_neighbor_edges(graph, partner, w)
+        frees = free_lists.get(w)
         if not frees or digraph.degree(orig[w]) > degree_cap:
             leftover.append(w)
             continue
-        i, v = min(
-            (seed_index[(min(v, partner[v]), max(v, partner[v]))], v)
-            for v in frees
-        )
-        leaves_of[i].append(w)
-        if i in attach_at and attach_at[i] != v:
-            a, b = seeds[i]
+        a, v = min((min(v, partner[v]), v) for v in frees)
+        leaves_of[a].append(w)
+        if a in attach_at and attach_at[a] != v:
             raise MatchingError(
-                f"two leaves of seed edge ({orig[a]},{orig[b]}) attach at "
-                f"different endpoints {orig[attach_at[i]]} and {orig[v]} (leaf "
+                f"two leaves of seed edge ({orig[a]},{orig[partner[a]]}) attach at "
+                f"different endpoints {orig[attach_at[a]]} and {orig[v]} (leaf "
                 f"{orig[w]}); matching was not maximum"
             )
-        attach_at[i] = v
+        attach_at[a] = v
 
-    stars = []
-    for i, (a, b) in enumerate(seeds):
-        apex = attach_at.get(i, a)
-        stars.append(
-            Star(
-                apex=orig[apex],
-                seed=(orig[a], orig[b]) if orig[a] < orig[b] else (orig[b], orig[a]),
-                leaves=tuple(orig[w] for w in leaves_of[i]),
-            )
+    stars = [
+        Star(
+            apex=orig[attach_at.get(a, a)],
+            seed=(orig[a], orig[b]),  # orig is increasing and a < b
+            leaves=tuple(orig[w] for w in leaves_of[a]),
         )
+        for a, b in seeds
+    ]
 
-    tight_orig = tuple(tuple(orig[v] for v in comp) for comp in tight)
     return StarDecomposition(
         stars=tuple(stars),
         leftover=tuple(orig[w] for w in leftover),
         tau=graph.odd_components(),
-        tight=tight_orig,
+        tight=tuple(tuple(orig[v] for v in comp) for comp in tight),
         sigma=sigma,
         tau_prime=len(tight) - sigma,
         degree_cap=degree_cap,

@@ -11,7 +11,8 @@ from .core import Digraph
 
 CONCLUDING_FAMILIES = ("k33_oriented", "k33_plus_3regular", "k55_mixed")
 
-# family -> the GadgetSpec params its builder reads
+OPTIONAL_PARAMS = ("patched", "extra", "seed")  # these keep the builder's default
+# family -> the GadgetSpec params its builder reads; the others are required
 FAMILIES: dict[str, tuple[str, ...]] = {
     "d1_star_triangle": ("n",),
     "eulerian_complete": ("q",),
@@ -108,7 +109,7 @@ def d1_gadget(n: int) -> Digraph:
     return graph
 
 
-def _patch_out_degree(n: int, pairs: list[tuple[int, int]], deficient: list[int],
+def _patch_out_degree(pairs: list[tuple[int, int]], deficient: list[int],
                       targets: list[int], want: int) -> None:
     """Give each deficient vertex `want` out-edges to distinct targets.
 
@@ -156,7 +157,7 @@ def concluding_gadgets(variant: str, n: int, patched: bool = False) -> Digraph:
                 for off in (1, 2, 3):
                     pairs.append((big[i], big[(i + off) % size]))
         if patched:
-            _patch_out_degree(n, pairs, small, big[:6], 3)
+            _patch_out_degree(pairs, small, big[:6], 3)
         graph = Digraph(n, pairs)
         if variant == "k33_plus_3regular" and not patched:
             _self_check(graph.m == 6 * (n - 3), variant, "m = 6(n-3)")
@@ -169,7 +170,7 @@ def concluding_gadgets(variant: str, n: int, patched: bool = False) -> Digraph:
     pairs = [(0, b) for b in big]
     pairs.extend((b, s) for b in big for s in small[1:])
     if patched:
-        _patch_out_degree(n, pairs, small[1:], big[:6], 3)
+        _patch_out_degree(pairs, small[1:], big[:6], 3)
     graph = Digraph(n, pairs)
     _self_check(graph.out_degree(0) == n - 5, variant, "vertex 0 has outdegree n-5")
     _self_check(
@@ -228,20 +229,25 @@ class GadgetSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        names = FAMILIES[self.family]
+        for name in sorted(self.params):
+            if name not in names:
+                raise ValueError(f"{self.family} takes no param {name!r}")
+        for name in names:
+            if name not in self.params and name not in OPTIONAL_PARAMS:
+                raise ValueError(f"{self.family} needs param {name!r}")
 
     def build(self) -> Digraph:
-        p = self.params
-        if self.family == "d1_star_triangle":
-            return d1_gadget(p["n"])
-        if self.family == "eulerian_complete":
-            return eulerian_complete(p["q"])
+        # the params are checked against FAMILIES, whose names the builders take
         if self.family == "lower_bound":
-            return lower_bound_gadget(p["d"], p["k"])[0]
+            return lower_bound_gadget(**self.params)[0]
         if self.family in CONCLUDING_FAMILIES:
-            return concluding_gadgets(self.family, p["n"], p.get("patched", False))
-        return random_min_outdeg(
-            p["n"], p["d"], p.get("extra", 0.0), p.get("seed", 0)
-        )
+            return concluding_gadgets(self.family, **self.params)
+        if self.family == "d1_star_triangle":
+            return d1_gadget(**self.params)
+        if self.family == "eulerian_complete":
+            return eulerian_complete(**self.params)
+        return random_min_outdeg(**self.params)
 
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))

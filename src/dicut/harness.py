@@ -188,14 +188,14 @@ def suite_tasks(name: str) -> list[BenchTask]:
     return sorted(SUITE_TASKS[name](), key=lambda t: t.key)
 
 
-def run_bench_task(task: BenchTask, max_attempts: int = 200) -> RunReport:
+def run_bench_task(task: BenchTask) -> RunReport:
     from .pipeline import PipelineConfig, run
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     digraph = task.spec.build()
     timings["build"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    config = PipelineConfig(d=task.d, seed=task.seed, max_attempts=max_attempts)
+    config = PipelineConfig(d=task.d, seed=task.seed)
     t0 = time.perf_counter()
     result = run(digraph, config)
     timings["partition"] = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -205,17 +205,17 @@ def run_bench_task(task: BenchTask, max_attempts: int = 200) -> RunReport:
     )
 
 
-def run_suite(name: str, jobs: int = 1, max_attempts: int = 200) -> list[RunReport]:
+def run_suite(name: str, jobs: int = 1) -> list[RunReport]:
     """Run a named suite; reports come back in task-key order regardless of
     scheduling, so fixed seeds give identical output for any job count."""
     tasks = suite_tasks(name)
     if jobs <= 1:
-        return [run_bench_task(t, max_attempts) for t in tasks]
+        return [run_bench_task(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
     # the pool starts every worker at the first submit: no more than tasks
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures = [pool.submit(run_bench_task, t, max_attempts) for t in tasks]
+        futures = [pool.submit(run_bench_task, t) for t in tasks]
         return [f.result() for f in futures]
 
 

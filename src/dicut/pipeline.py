@@ -39,6 +39,7 @@ ODD_BOUND_DIVISOR = {2: 3, 3: 5}
 TEST_CONSTANT_SCALE = 100
 RESTART_MAX_N = 32
 RESTART_COUNT = 8
+LARGE_DEGREE_EXPONENT = 0.75
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class PipelineConfig:
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     enable_local_search: bool = True
     test_constants: bool = False
-    large_degree_exponent: float = 0.75
+    large_degree_exponent: float = LARGE_DEGREE_EXPONENT
 
     def __post_init__(self) -> None:
         if self.d not in (2, 3):
@@ -114,7 +115,7 @@ class SurplusProfile:
 
 
 def split_large(
-    digraph: Digraph, exponent: float = 0.75
+    digraph: Digraph, exponent: float = LARGE_DEGREE_EXPONENT
 ) -> tuple[tuple[int, ...], tuple[int, ...], Digraph, int]:
     """Separate vertices of total degree >= n^exponent and strip the edges
     running inside that set; returns (A, B, stripped digraph, removed count).
@@ -224,9 +225,7 @@ def surplus_profile(
 ) -> SurplusProfile:
     """Surpluses, huge vertices (surplus >= theta), and buffer-pair count."""
     vertices = tuple(sorted(large))
-    signed = tuple(
-        stripped.out_degree(v) - stripped.in_degree(v) for v in vertices
-    )
+    signed = tuple(_signed_surpluses(stripped, vertices))
     mags = [abs(s) for s in signed]
     ranked = sorted(zip(vertices, mags), key=lambda t: (-t[1], t[0]))
     huge = tuple(v for v, s in ranked if s >= theta)
@@ -311,15 +310,11 @@ def _polish(
     return best
 
 
-def guarantee_fraction(d: int) -> Fraction:
-    return Fraction(d - 1, 2 * (2 * d - 1))
-
-
-def guarantee_target(d: int, m: int, epsilon: float) -> float:
-    """Cut-size target ((d-1)/(2(2d-1)) - epsilon) * m; 1/6 and 1/5 at eps=0."""
+def guarantee_target(d: int, m: int, epsilon: float) -> Fraction:
+    """Exact target ((d-1)/(2(2d-1)) - epsilon) * m; 1/6 and 1/5 of m at eps=0."""
     if d not in (2, 3):
         raise ValueError(f"d must be 2 or 3, got {d}")
-    return float((guarantee_fraction(d) - exact_fraction(epsilon)) * m)
+    return (Fraction(d - 1, 2 * (2 * d - 1)) - exact_fraction(epsilon)) * m
 
 
 @dataclass(frozen=True)
@@ -397,12 +392,12 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
                 "min_cut_after": stats.min_cut,
             }
         )
-    target = (guarantee_fraction(config.d) - exact_fraction(config.epsilon)) * m
+    target = guarantee_target(config.d, m, config.epsilon)
     return PartitionResult(
         partition=partition,
         stats=stats,
         guarantee=float(target),
-        achieved_ratio=stats.min_cut / m if m else 0.0,
+        achieved_ratio=stats.min_cut / m,  # m >= d n > 0 past the outdegree check
         meets_guarantee=stats.min_cut >= target,
         branch_trace=tuple(trace),
         removed_a_edges=removed,

@@ -230,6 +230,22 @@ def pair_lists(draw, max_n=7):
     return n, pairs
 
 
+@given(pair_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_underlying_induced_matches_checked_constructor(case, rng):
+    n, pairs = case
+    keep = rng.sample(range(n), rng.randint(0, n))
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    expected = UnderlyingGraph(len(keep), [
+        (index[u], index[v]) for u, v in pairs if u in index and v in index
+    ])
+    got = UnderlyingGraph(n, pairs).induced(keep)
+    assert [got.neighbors(v) for v in range(got.n)] == [
+        expected.neighbors(v) for v in range(expected.n)
+    ]
+    assert (got.n, got.m, got.orig_ids) == (expected.n, expected.m, tuple(sorted(keep)))
+
+
 @given(pair_lists(), st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_adjacency_agrees_with_edge_set(case, as_generator, rng):

@@ -516,8 +516,12 @@ class TestOneFixpoint:
     def test_one_matching_and_one_grow_per_leftover_vertex(self, monkeypatch):
         g, _ = lower_bound_gadget(2, 50)
         _, rest, stripped, _ = split_large(g)
-        calls = {"maximum_matching": 0, "run": 0}
+        calls = {"maximum_matching": 0, "run": 0, "free_neighbor_edges": 0}
         real_matching, real_run = maximum_matching, _Grower.run
+
+        def counted_free(graph, partner, w):
+            calls["free_neighbor_edges"] += 1
+            return free_neighbor_edges(graph, partner, w)
 
         def counted_matching(graph):
             calls["maximum_matching"] += 1
@@ -529,6 +533,13 @@ class TestOneFixpoint:
 
         monkeypatch.setattr(decomposition_mod, "maximum_matching", counted_matching)
         monkeypatch.setattr(_Grower, "run", counted_run)
+        monkeypatch.setattr(decomposition_mod, "free_neighbor_edges", counted_free)
         dec = star_decompose(stripped, rest, epsilon=0.0125)
         assert len(dec.tight) == 50  # one per Eulerian triangle copy
-        assert calls == {"maximum_matching": 1, "run": len(dec.tight)}
+        leftover_vertices = len(dec.leftover) + sum(len(s.leaves) for s in dec.stars)
+        assert calls == {
+            "maximum_matching": 1,
+            "run": len(dec.tight),
+            "free_neighbor_edges": leftover_vertices,
+        }
+        assert leftover_vertices == 50

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,23 @@ class TestGadgetSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             GadgetSpec("mystery", {})
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("lower_bound", {"d": 2, "k": 1, "n": 99}, "lower_bound takes no param 'n'"),
+        ("eulerian_complete", {"q": 5, "seed": 3},
+         "eulerian_complete takes no param 'seed'"),
+        ("lower_bound", {"d": 2}, "lower_bound needs param 'k'"),
+        ("random_min_outdeg", {"n": 12}, "random_min_outdeg needs param 'd'"),
+    ])
+    def test_params_checked_against_family(self, family, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GadgetSpec(family, params)
+
+    def test_optional_params_keep_builder_defaults(self):
+        plain = GadgetSpec("random_min_outdeg", {"n": 12, "d": 2}).build()
+        assert plain.edges == random_min_outdeg(12, 2).edges
+        patched = GadgetSpec("k55_mixed", {"n": 20}).build()
+        assert patched.edges == concluding_gadgets("k55_mixed", 20).edges
 
     def test_every_family_buildable(self):
         specs = [

@@ -1,5 +1,6 @@
 import random
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -301,7 +302,7 @@ class TestGuaranteeTarget:
     def test_values(self):
         assert guarantee_target(2, 600, 0) == 100
         assert guarantee_target(3, 1000, 0.05) == 150
-        assert guarantee_target(2, 16, 0) == pytest.approx(8 / 3)
+        assert guarantee_target(2, 16, 0) == Fraction(8, 3)  # exact, not a float
 
     def test_bad_d(self):
         with pytest.raises(ValueError):
