@@ -1,13 +1,14 @@
 """Command-line interface: generate instances, partition, verify, benchmark.
 
-Exit codes: 0 success, 1 invalid input, 2 guarantee not met under --strict,
-3 internal structural diagnostic.
+Exit codes: 0 success, 1 invalid input or a closed stdout, 2 guarantee not
+met under --strict, 3 internal structural diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Any
@@ -246,7 +247,14 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (`dicut ... | head`), which is no input
+        # error; what is still buffered goes to devnull, not to a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
     except StructuralDiagnostic as exc:
         print(f"structural diagnostic: {exc}", file=sys.stderr)
         print(json.dumps(exc.payload, sort_keys=True), file=sys.stderr)

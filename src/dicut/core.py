@@ -4,11 +4,10 @@ projection to the underlying undirected simple graph."""
 from __future__ import annotations
 
 import gc
-import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 
 class GraphInputError(ValueError):
@@ -27,13 +26,21 @@ class StructuralDiagnostic(RuntimeError):
         self.payload = payload or {}
 
 
-def _sorted_contains(adj: tuple[int, ...], v: int) -> bool:
+def _sorted_contains(adj: Sequence[int], v: int) -> bool:
     i = bisect_left(adj, v)
     return i < len(adj) and adj[i] == v
 
 
-def _raise_duplicate(pairs: Iterable[tuple[int, int]]) -> None:
-    """Raise for the first position that repeats an earlier pair."""
+def _raise_first_bad(n: int, pairs: Sequence[tuple[int, int]]) -> None:
+    """Raise for the first edge out of range or a loop, else for the first
+    position that repeats an earlier pair."""
+    for pos, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(
+                f"edge #{pos} ({u},{v}): vertex id out of range [0,{n})"
+            )
+        if u == v:
+            raise GraphInputError(f"edge #{pos} ({u},{v}): loops are not allowed")
     seen: set[tuple[int, int]] = set()
     for pos, (u, v) in enumerate(pairs):
         if (u, v) in seen:
@@ -85,24 +92,20 @@ class Digraph:
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
         if not isinstance(pairs, Sequence):
-            pairs = list(pairs)  # reread by _raise_duplicate
+            pairs = list(pairs)  # reread by _raise_first_bad
         out: list[list[int]] = [[] for _ in range(n)]
-        in_: list[list[int]] = [[] for _ in range(n)]
-        for pos, (u, v) in enumerate(pairs):
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphInputError(
-                    f"edge #{pos} ({u},{v}): vertex id out of range [0,{n})"
-                )
-            if u == v:
-                raise GraphInputError(f"edge #{pos} ({u},{v}): loops are not allowed")
-            out[u].append(v)
-            in_[v].append(u)
-        if any(len(set(a)) < len(a) for a in out):
-            _raise_duplicate(pairs)
-        self.n = n
-        self.m = sum(len(a) for a in out)
-        self._out = tuple(tuple(sorted(a)) for a in out)
-        self._in = tuple(tuple(sorted(a)) for a in in_)
+        try:
+            # out[u] would take a negative tail; a tail >= n raises IndexError
+            if min(map(itemgetter(0), pairs), default=0) < 0:
+                raise IndexError
+            for u, v in pairs:
+                out[u].append(v)
+        except IndexError:
+            pass
+        else:
+            if _build_adjacency(self, out):
+                return
+        _raise_first_bad(n, pairs)
 
     @classmethod
     def from_edge_list(
@@ -173,6 +176,30 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
+
+
+def _build_adjacency(graph: Digraph, out: list[list[int]]) -> bool:
+    """Set graph's slots from filled out-lists, one per vertex; False, with
+    the slots unset, if a row holds an id outside [0, n), a loop or a repeat.
+    Each row is sorted and replaced in `out` by its tuple once checked, and
+    each in-list once filled, so that no list outlives its tuple for long;
+    the in-lists are filled in tail order, so they come out sorted."""
+    n = len(out)
+    in_: list[list[int]] = [[] for _ in range(n)]
+    for u, a in enumerate(out):
+        if a:
+            a.sort()
+            if (a[0] < 0 or a[-1] >= n or _sorted_contains(a, u)
+                    or len(set(a)) < len(a)):
+                return False
+            for v in a:
+                in_[v].append(u)
+        out[u] = tuple(a)
+    for v, a in enumerate(in_):
+        in_[v] = tuple(a)
+    graph.n, graph.m = n, sum(map(len, out))
+    graph._out, graph._in = tuple(out), tuple(in_)
+    return True
 
 
 class UnderlyingGraph:
@@ -305,8 +332,43 @@ def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
 # ---------------------------------------------------------------------------
 
 _SLICE_CHARS = 1 << 20
-# exactly what format_edge_list writes for edges; such slices skip the line loop
-_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _slices(text: str, pos: int) -> Iterator[str]:
+    """The text from pos on in pieces of about _SLICE_CHARS characters, each
+    cut just after a '\n', so each piece splits into lines as the whole does."""
+    while pos < len(text):
+        end = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
+def _canonical_tokens(chunk: str) -> list[str] | None:
+    """The tokens of a slice made only of "u v\n" lines of ASCII digits, the
+    form format_edge_list writes; None for any other slice."""
+    lines = chunk.count("\n")
+    # digits after the last line break would vanish from the test below
+    if not chunk.endswith("\n") or chunk.translate(_DIGITS) != " \n" * lines:
+        return None
+    tokens = chunk.split()
+    # an empty digit run leaves its line one token short
+    return tokens if len(tokens) == 2 * lines else None
+
+
+def _slice_tokens(chunk: str) -> list[str] | None:
+    """The two tokens of each edge line of a slice, blank and '#' lines
+    skipped; None if a line holds another number of tokens."""
+    tokens = _canonical_tokens(chunk)
+    if tokens is None:
+        tokens = []
+        for ln in chunk.splitlines():
+            pair = ln.split()
+            if pair and not pair[0].startswith("#"):
+                if len(pair) != 2:
+                    return None
+                tokens += pair
+    return tokens
 
 
 def _find_header(text: str) -> tuple[str, int]:
@@ -324,21 +386,25 @@ def _find_header(text: str) -> tuple[str, int]:
 
 
 def parse_edge_list(text: str) -> Digraph:
-    """Parse the edge-list format, tokenizing canonical slices in C.
+    """Parse the edge-list format straight into the adjacency.
 
     The body is read in slices of about 1 MB, each cut just after a newline.
-    A slice of plain "u v" lines is split in one call and its tokens are
-    looked up as ids; any other slice goes line by line. The first bad line
-    is raised only after the line count matches the header, so the count
-    error takes precedence.
+    Each slice's tokens are looked up as ids and added to the out-lists, one
+    tail's run of edges at a time where the tails do not decrease; no list
+    beyond the ids the body can spell exists before the line count matches
+    the header.  Any other token, and every error, sends the body to a line
+    reader and then to Digraph(n, pairs), so each message, the count error
+    before the first bad line, is the same whichever path found it.
 
-    The cyclic collector, which would walk its millions of tuples again and
+    The cyclic collector, which would walk its millions of lists again and
     again and free none, is paused; the caller's state is restored on exit.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _parse_edge_list(text)
+        n, m, start = parse_header(text)
+        graph = _parse_ids(text, n, m, start)
+        return graph or Digraph(n, _read_pairs(text, start, m))
     finally:
         if enabled:
             gc.enable()
@@ -355,27 +421,50 @@ def parse_header(text: str) -> tuple[int, int, int]:
     return n, m, pos
 
 
-def _parse_edge_list(text: str) -> Digraph:
-    n, m, pos = parse_header(text)
-    # ids 0..n-1 as the writer spells them, so that each id becomes one shared
-    # int; the body cannot name more distinct ids than it has characters
-    ids = {str(v): v for v in range(min(n, len(text) - pos))}
+def _parse_ids(text: str, n: int, m: int, start: int) -> Digraph | None:
+    """The graph of a body whose every edge line is two ids spelled as
+    str(id); None for any other body and for any error, which the line
+    reader and Digraph(n, pairs) then report."""
+    # ids as the writer spells them, so that each id becomes one shared int,
+    # and their out-lists; the body cannot name an id beyond its length, so
+    # nothing of size n is allocated before the line count matches
+    k = max(0, min(n, len(text) - start))
+    ids = {str(v): v for v in range(k)}
+    out: list[list[int]] = [[] for _ in range(k)]
+    count = 0
+    for chunk in _slices(text, start):
+        tokens = _slice_tokens(chunk)
+        if tokens is None:
+            return None
+        try:
+            ids_read = list(map(ids.__getitem__, tokens))
+        except KeyError:  # an id >= n, or one that is not spelled as str(id)
+            return None
+        tails, heads = ids_read[0::2], ids_read[1::2]
+        if tails == sorted(tails):
+            lo = 0
+            while lo < len(tails):
+                hi = bisect_right(tails, tails[lo], lo)
+                out[tails[lo]] += heads[lo:hi]
+                lo = hi
+        else:
+            for u, v in zip(tails, heads):
+                out[u].append(v)
+        count += len(tails)
+    if count != m or n < 0:
+        return None
+    out += [[] for _ in range(n - k)]
+    graph = Digraph.__new__(Digraph)
+    return graph if _build_adjacency(graph, out) else None
+
+
+def _read_pairs(text: str, start: int, m: int) -> list[tuple[int, int]]:
+    """The body's (u, v) pairs, line by line; raises if the header's m is not
+    the line count, else for the first bad line."""
     pairs: list[tuple[int, int]] = []
     count = 0
     bad: tuple[str, ValueError] | None = None
-    while pos < len(text):
-        end = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
-        chunk = text[pos:end]
-        pos = end
-        if _CANONICAL.fullmatch(chunk):
-            before = len(pairs)
-            try:
-                it = map(ids.__getitem__, chunk.split())
-                pairs.extend(zip(it, it))
-                count += chunk.count("\n")
-                continue
-            except KeyError:  # an id >= n or with a leading zero
-                del pairs[before:]  # read the slice line by line instead
+    for chunk in _slices(text, start):
         for ln in chunk.splitlines():
             ln = ln.strip()
             if not ln or ln.startswith("#"):
@@ -392,7 +481,7 @@ def _parse_edge_list(text: str) -> Digraph:
         raise GraphInputError(f"header promises {m} edges, found {count}")
     if bad is not None:
         raise GraphInputError(f"bad edge line {bad[0]!r}") from bad[1]
-    return Digraph(n, pairs)
+    return pairs
 
 
 def format_edge_list(digraph: Digraph, comments: Sequence[str] = ()) -> str:

@@ -4,10 +4,41 @@ plain references for graph operations the library no longer carries."""
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from dicut.core import Digraph, UnderlyingGraph
+from dicut.core import Digraph, GraphInputError, UnderlyingGraph
 from dicut.decomposition import free_neighbor_edges
+
+
+def reference_digraph(n: int, pairs: Iterable[tuple[int, int]]):
+    """(n, m, out-lists, in-lists) of the digraph, built edge by edge with
+    the range and loop checks per edge, then the duplicate check."""
+    if n < 0:
+        raise GraphInputError(f"vertex count must be nonnegative, got {n}")
+    if not isinstance(pairs, Sequence):
+        pairs = list(pairs)
+    out: list[list[int]] = [[] for _ in range(n)]
+    in_: list[list[int]] = [[] for _ in range(n)]
+    for pos, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(
+                f"edge #{pos} ({u},{v}): vertex id out of range [0,{n})"
+            )
+        if u == v:
+            raise GraphInputError(f"edge #{pos} ({u},{v}): loops are not allowed")
+        out[u].append(v)
+        in_[v].append(u)
+    seen: set[tuple[int, int]] = set()
+    for pos, (u, v) in enumerate(pairs):
+        if (u, v) in seen:
+            raise GraphInputError(f"edge #{pos} ({u},{v}): duplicate directed edge")
+        seen.add((u, v))
+    return (
+        n,
+        len(pairs),
+        tuple(tuple(sorted(a)) for a in out),
+        tuple(tuple(sorted(a)) for a in in_),
+    )
 
 
 def random_undirected(rng: random.Random, n: int, p: float) -> UnderlyingGraph:

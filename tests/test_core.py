@@ -4,10 +4,11 @@ import json
 import random
 import re
 import tracemalloc
+from bisect import bisect_right
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dicut.core as core_mod
@@ -32,7 +33,13 @@ from dicut.generators import (
 )
 from dicut.oracle import all_bipartitions
 
-from .conftest import antiparallel_pairs, induced, random_digraph, underlying
+from .conftest import (
+    antiparallel_pairs,
+    induced,
+    random_digraph,
+    reference_digraph,
+    underlying,
+)
 from .test_pipeline import _rescanning_sweep
 
 
@@ -289,6 +296,48 @@ def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
             assert und.has_edge(u, v) == ((min(u, v), max(u, v)) in norm)
 
 
+def construction_outcome(build, n, pairs):
+    """(n, m, out-lists, in-lists), or the exception's type and message."""
+    try:
+        got = build(n, pairs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    if isinstance(got, Digraph):
+        return got.n, got.m, got._out, got._in
+    return got
+
+
+@st.composite
+def raw_pair_lists(draw):
+    """(n, pairs) with ids from -2 to n + 1, so that negative ids, ids >= n,
+    loops and repeats all occur, each somewhere in the list."""
+    n = draw(st.integers(min_value=-1, max_value=7))
+    vid = st.integers(min_value=0, max_value=max(n - 1, 0))
+    if draw(st.booleans()):
+        vid = st.integers(min_value=-2, max_value=n + 1)
+    pairs = draw(st.lists(st.tuples(vid, vid), max_size=20))
+    if pairs and draw(st.booleans()):  # repeat an earlier pair
+        pos = draw(st.integers(min_value=0, max_value=len(pairs)))
+        pairs.insert(pos, draw(st.sampled_from(pairs)))
+    return n, pairs
+
+
+@given(raw_pair_lists(), st.booleans())
+@example((3, [(0, 1), (-1, 0)]), False)  # out[-1] would take it as the edge (2, 0)
+@example((3, [(0, 1), (1, -1)]), False)
+@example((3, [(0, 1), (3, 0)]), True)
+@example((3, [(0, 1), (0, 3), (1, 1)]), False)  # range before a later loop
+@example((3, [(0, 1), (0, 1), (2, 2)]), False)  # a loop anywhere before a repeat
+@example((3, [(0, 1), (0, 1), (3, 0)]), True)
+@example((0, [(0, 0)]), False)
+@settings(max_examples=400, deadline=None)
+def test_digraph_matches_per_edge_reference(case, as_generator):
+    n, pairs = case
+    arg = (e for e in pairs) if as_generator else pairs
+    expected = construction_outcome(reference_digraph, n, pairs)
+    assert construction_outcome(Digraph, n, arg) == expected
+
+
 def test_digraph_retains_adjacency_only():
     # the sorted out- and in-lists hold one reference per edge each; a stored
     # tuple of (u, v) tuples would add about 64 B per edge on top
@@ -519,6 +568,7 @@ def test_parse_edge_list_matches_line_reader(text, slice_chars):
         "3 2\n0 1\n2 2\n",
         "3 2\n0 1\n0 3\n",
         "3 2\n0 1\u20281 2\n",
+        "3 1\n0 \n1",  # two one-token lines, not the edge 0 1
         "-1 0\n",
         "# only comments\n\n",
     ],
@@ -530,22 +580,74 @@ def test_parse_edge_list_examples(text, slice_chars):
     assert got == parse_outcome(reference_parse_edge_list, text)
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize(
-    "text",
-    ["3 2\n0 1\n1 2\n", "3 2\n0 1\n", "3 1\n0 0\n", "3 2\n0 1\nx 2\n"],
+# the regular expression that core._canonical_tokens's translate test replaced
+CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+_DIGIT_RUNS = st.text(alphabet="0123456789", min_size=1, max_size=3) | st.just("")
+_NEAR_CANONICAL_LINES = st.builds(
+    lambda a, sep, b, end: a + sep + b + end,
+    _DIGIT_RUNS,
+    st.sampled_from([" "] * 6 + ["  ", "\t", ""]),
+    _DIGIT_RUNS,
+    st.sampled_from(["\n"] * 6 + ["\r\n", " \n", "\r", ""]),
 )
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789 \n\r\t#x-", max_size=40),
+        st.lists(_NEAR_CANONICAL_LINES, max_size=6).map("".join),
+    ).filter(bool)  # a slice is never empty
+)
+@example("0 \n0")  # a digit run after the last break, which translate drops
+@settings(max_examples=600, deadline=None)
+def test_canonical_tokens_agree_with_the_regex(chunk):
+    tokens = core_mod._canonical_tokens(chunk)
+    if CANONICAL.fullmatch(chunk):
+        assert tokens == chunk.split()
+    else:
+        assert tokens is None
+
+
+@pytest.mark.parametrize(
+    "text, slice_chars, by_runs",
+    [
+        # slices "0 1\n0 2\n", "0 3\n1 0\n", "2 0\n": tail 0 spans two
+        ("4 5\n0 1\n0 2\n0 3\n1 0\n2 0\n", 4, True),
+        ("3 3\n1 2\n0 1\n2 0\n", 1 << 20, False),  # tails out of order
+        # not canonical, so tokenized line by line, but still no line reader
+        ("# c\n3 3\r\n0 1\r\n\n# x\n0 2\n\t1 2 ", 1 << 20, True),
+    ],
+)
+def test_parse_edge_list_fills_by_runs_or_by_edge(text, slice_chars, by_runs):
+    reader = core_mod._read_pairs
+    with mock.patch.object(core_mod, "_SLICE_CHARS", slice_chars), \
+            mock.patch.object(core_mod, "bisect_right", wraps=bisect_right) as runs, \
+            mock.patch.object(core_mod, "_read_pairs", wraps=reader) as lines:
+        got = parse_outcome(parse_edge_list, text)
+    assert (runs.called, lines.called) == (by_runs, False)
+    assert got == parse_outcome(reference_parse_edge_list, text)
+
+
+# each text and the number of builds its parse makes: a loop is rejected by
+# the id path's build and then by Digraph's
+BUILDS = {
+    "3 2\n0 1\n1 2\n": 1, "3 2\n0 1\n": 0, "3 1\n0 0\n": 2, "3 2\n0 1\nx 2\n": 0
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", list(BUILDS))
 def test_parse_edge_list_pauses_and_restores_the_collector(monkeypatch, enabled, text):
     """The cyclic collector is off for the parse and the build, and the
     caller's state comes back afterwards, after a GraphInputError too."""
     during = []
-    real = core_mod.Digraph
+    real = core_mod._build_adjacency
 
-    def build(n, pairs):
+    def build(graph, out):
         during.append(gc.isenabled())
-        return real(n, pairs)
+        return real(graph, out)
 
-    monkeypatch.setattr(core_mod, "Digraph", build)
+    monkeypatch.setattr(core_mod, "_build_adjacency", build)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -554,7 +656,7 @@ def test_parse_edge_list_pauses_and_restores_the_collector(monkeypatch, enabled,
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert not any(during)
+    assert during == [False] * BUILDS[text]
 
 
 def test_parse_edge_list_keeps_error_cause():

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import io
 import json
 import os
 import re
@@ -190,6 +191,29 @@ class TestCli:
         assert main(["oracle", "-i", str(bad)]) == 1
         missing = tmp_path / "missing.el"
         assert main(["oracle", "-i", str(missing)]) == 1
+
+    def test_closed_stdout_exits_one_quietly(self, tmp_path, monkeypatch, capsys):
+        """A reader that closed the pipe early (`| head`) is no input error:
+        exit 1, nothing on stderr, and stdout's descriptor now writes to
+        devnull, so the flush at exit cannot raise again."""
+        graph_file = tmp_path / "g.el"
+        main(["gen", "lower_bound", "--d", "2", "--k", "2", "-o", str(graph_file)])
+        capsys.readouterr()
+        with open(tmp_path / "stdout", "w") as fd_holder, monkeypatch.context() as mp:
+
+            class ClosedPipe(io.StringIO):
+                def write(self, s):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return fd_holder.fileno()
+
+            mp.setattr(sys, "stdout", ClosedPipe())
+            code = main(["partition", "-i", str(graph_file), "--d", "2"])
+            now = os.fstat(fd_holder.fileno())
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        assert os.path.samestat(now, os.stat(os.devnull))
 
     def test_oracle_checks_header_n_before_building(self, tmp_path, capsys, monkeypatch):
         def no_build(text):
