@@ -107,17 +107,6 @@ class Digraph:
                 return
         _raise_first_bad(n, pairs)
 
-    @classmethod
-    def from_edge_list(
-        cls, pairs: Iterable[tuple[int, int]], n: int | None = None
-    ) -> "Digraph":
-        """Build a Digraph from (u, v) pairs; n defaults to max id + 1."""
-        if not isinstance(pairs, Sequence):
-            pairs = list(pairs)  # read twice: once for n, once to build
-        if n is None:
-            n = max((max(u, v) for u, v in pairs), default=-1) + 1
-        return cls(n, pairs)
-
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge (u, v), sorted; rebuilt from the adjacency on each access."""
@@ -200,6 +189,13 @@ def _build_adjacency(graph: Digraph, out: list[list[int]]) -> bool:
     graph.n, graph.m = n, sum(map(len, out))
     graph._out, graph._in = tuple(out), tuple(in_)
     return True
+
+
+def _from_rows(out: list[list[int]]) -> Digraph | None:
+    """The graph whose out-lists are `out`, one distinct list per vertex,
+    which _build_adjacency takes over; None if it rejects a row."""
+    graph = Digraph.__new__(Digraph)
+    return graph if _build_adjacency(graph, out) else None
 
 
 class UnderlyingGraph:
@@ -454,8 +450,7 @@ def _parse_ids(text: str, n: int, m: int, start: int) -> Digraph | None:
     if count != m or n < 0:
         return None
     out += [[] for _ in range(n - k)]
-    graph = Digraph.__new__(Digraph)
-    return graph if _build_adjacency(graph, out) else None
+    return _from_rows(out)
 
 
 def _read_pairs(text: str, start: int, m: int) -> list[tuple[int, int]]:

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import Digraph
+from .core import Digraph, GraphInputError, _from_rows
 
 CONCLUDING_FAMILIES = ("k33_oriented", "k33_plus_3regular", "k55_mixed")
 
@@ -26,6 +26,14 @@ def _self_check(ok: bool, family: str, prop: str) -> None:
     """Raise when a built instance lacks a property its family guarantees."""
     if not ok:
         raise RuntimeError(f"{family} generator self-check failed: {prop}")
+
+
+def _build(rows: list[list[int]], family: str) -> Digraph:
+    """The graph whose out-lists are `rows`, one distinct list per vertex;
+    a row set the builder rejects is a bug in the family's generator."""
+    graph = _from_rows(rows)
+    _self_check(graph is not None, family, "rows in range, without loops or repeats")
+    return graph
 
 
 def eulerian_complete(q: int) -> Digraph:
@@ -49,8 +57,10 @@ def eulerian_complete(q: int) -> Digraph:
             stack.append(w)
         else:
             circuit.append(stack.pop())
-    pairs = [(circuit[i], circuit[i + 1]) for i in range(len(circuit) - 1)]
-    graph = Digraph(q, pairs)
+    rows: list[list[int]] = [[] for _ in range(q)]
+    for u, v in zip(circuit, circuit[1:]):
+        rows[u].append(v)
+    graph = _build(rows, "eulerian_complete")
     _self_check(graph.m == q * (q - 1) // 2, "eulerian_complete", "m = q(q-1)/2")
     _self_check(
         all(graph.out_degree(v) == (q - 1) // 2 for v in range(q)),
@@ -71,17 +81,14 @@ def lower_bound_gadget(d: int, k: int) -> tuple[Digraph, int]:
         raise ValueError(f"d must be >= 2, got {d}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    pairs: list[tuple[int, int]] = []
-    core = eulerian_complete(2 * d + 1)
-    pairs.extend(core.edges)
     v0 = 0
-    offset = 2 * d + 1
-    copy_edges = eulerian_complete(2 * d - 1).edges
-    for _ in range(k):
-        pairs.extend((offset + u, offset + v) for u, v in copy_edges)
-        pairs.extend((offset + u, v0) for u in range(2 * d - 1))
-        offset += 2 * d - 1
-    graph = Digraph(k * (2 * d - 1) + (2 * d + 1), pairs)
+    n = k * (2 * d - 1) + (2 * d + 1)
+    rows = list(map(list, eulerian_complete(2 * d + 1)._out))
+    copy = eulerian_complete(2 * d - 1)._out
+    # a copy's vertex u is offset + u, and every copy vertex points to v0
+    for offset in range(2 * d + 1, n, 2 * d - 1):
+        rows += ([*map(offset.__add__, a), v0] for a in copy)
+    graph = _build(rows, "lower_bound")
     _self_check(
         graph.m == k * d * (2 * d - 1) + d * (2 * d + 1),
         "lower_bound",
@@ -100,35 +107,29 @@ def d1_gadget(n: int) -> Digraph:
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    pairs = [(0, 1), (1, 2), (2, 0)]
-    pairs.extend((v, 0) for v in range(3, n))
-    graph = Digraph(n, pairs)
+    rows = [[1], [2], [0]] + [[0] for _ in range(3, n)]
+    graph = _build(rows, "d1_star_triangle")
     _self_check(
         graph.min_out_degree() == 1, "d1_star_triangle", "minimum outdegree is 1"
     )
     return graph
 
 
-def _patch_out_degree(pairs: list[tuple[int, int]], deficient: list[int],
+def _patch_out_degree(rows: list[list[int]], deficient: list[int],
                       targets: list[int], want: int) -> None:
-    """Give each deficient vertex `want` out-edges to distinct targets.
+    """Give each deficient vertex `want` out-edges, appending to its row the
+    first targets it does not point to yet.
 
     Added edges may form antiparallel pairs with existing ones; duplicates
     are skipped by construction (targets are distinct per vertex).
     """
-    have = {p: 0 for p in deficient}
-    for u, _ in pairs:
-        if u in have:
-            have[u] += 1
-    existing = set(pairs)
     for v in deficient:
+        row = rows[v]
         for t in targets:
-            if have[v] >= want:
+            if len(row) >= want:
                 break
-            if t != v and (v, t) not in existing:
-                pairs.append((v, t))
-                existing.add((v, t))
-                have[v] += 1
+            if t != v and t not in row:
+                row.append(t)
 
 
 def concluding_gadgets(variant: str, n: int, patched: bool = False) -> Digraph:
@@ -150,15 +151,15 @@ def concluding_gadgets(variant: str, n: int, patched: bool = False) -> Digraph:
             raise ValueError(f"{variant} needs n >= 9, got {n}")
         small = list(range(3))
         big = list(range(3, n))
-        pairs = [(b, s) for b in big for s in small]
+        rows = [[] for _ in small] + [small[:] for _ in big]
         if variant == "k33_plus_3regular":
-            size = len(big)
-            for i in range(size):
-                for off in (1, 2, 3):
-                    pairs.append((big[i], big[(i + off) % size]))
+            # big[i] points to big[i + off], indices taken cyclically
+            for off in (1, 2, 3):
+                for row, t in zip(rows[3:], big[off:] + big[:off]):
+                    row.append(t)
         if patched:
-            _patch_out_degree(pairs, small, big[:6], 3)
-        graph = Digraph(n, pairs)
+            _patch_out_degree(rows, small, big[:6], 3)
+        graph = _build(rows, variant)
         if variant == "k33_plus_3regular" and not patched:
             _self_check(graph.m == 6 * (n - 3), variant, "m = 6(n-3)")
         return graph
@@ -167,11 +168,10 @@ def concluding_gadgets(variant: str, n: int, patched: bool = False) -> Digraph:
         raise ValueError(f"k55_mixed needs n >= 11, got {n}")
     small = list(range(5))
     big = list(range(5, n))
-    pairs = [(0, b) for b in big]
-    pairs.extend((b, s) for b in big for s in small[1:])
+    rows = [big[:]] + [[] for _ in small[1:]] + [small[1:] for _ in big]
     if patched:
-        _patch_out_degree(pairs, small[1:], big[:6], 3)
-    graph = Digraph(n, pairs)
+        _patch_out_degree(rows, small[1:], big[:6], 3)
+    graph = _build(rows, variant)
     _self_check(graph.out_degree(0) == n - 5, variant, "vertex 0 has outdegree n-5")
     _self_check(
         all(graph.in_degree(v) == n - 5 for v in small[1:]),
@@ -192,21 +192,17 @@ def random_min_outdeg(n: int, d: int, extra: float = 0.0, seed: int = 0) -> Digr
     if d < 0 or extra < 0:
         raise ValueError("d and extra must be nonnegative")
     rng = random.Random(seed)
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for v in range(n):
-        for j in rng.sample(range(n - 1), d):
-            w = j if j < v else j + 1  # the j-th id other than v
-            pairs.append((v, w))
-            seen.add((v, w))
-    attempts = round(extra * n)
-    for _ in range(attempts):
+    # j maps to the j-th id other than v
+    rows = [
+        [j if j < v else j + 1 for j in rng.sample(range(n - 1), d)]
+        for v in range(n)
+    ]
+    for _ in range(round(extra * n)):
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u != v and (u, v) not in seen:
-            pairs.append((u, v))
-            seen.add((u, v))
-    graph = Digraph(n, pairs)
+        if u != v and v not in rows[u]:
+            rows[u].append(v)
+    graph = _build(rows, "random_min_outdeg")
     _self_check(
         graph.min_out_degree() >= d, "random_min_outdeg", "minimum outdegree >= d"
     )
@@ -214,9 +210,12 @@ def random_min_outdeg(n: int, d: int, extra: float = 0.0, seed: int = 0) -> Digr
 
 
 def complete_antiparallel(n: int) -> Digraph:
-    """Digraph with both directed edges between every vertex pair."""
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    return Digraph(n, pairs)
+    """Digraph with both directed edges between every vertex pair. Every row
+    is cut from one list of the ids, so the graph holds n id ints in all."""
+    if n < 0:
+        raise GraphInputError(f"vertex count must be nonnegative, got {n}")
+    ids = list(range(n))
+    return _build([ids[:u] + ids[u + 1:] for u in ids], "complete_antiparallel")
 
 
 @dataclass(frozen=True)

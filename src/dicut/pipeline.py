@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from .core import (
     Bipartition, CutStats, Digraph, GraphInputError, StructuralDiagnostic,
-    _side2_ends, cut_stats,
+    _from_rows, _side2_ends, cut_stats,
 )
 from .decomposition import star_decompose
 from .samplers import (
@@ -131,13 +131,11 @@ def split_large(
     removed = sum(len(aset.intersection(digraph.out_neighbors(u))) for u in large)
     if not removed:
         return large, rest, digraph, 0
-    kept = [
-        (u, v)
-        for u in range(n)
-        for v in digraph.out_neighbors(u)
-        if not (u in aset and v in aset)
-    ]
-    return large, rest, Digraph(n, kept), removed
+    rows = list(map(list, digraph._out))
+    for u in large:
+        rows[u] = [v for v in rows[u] if v not in aset]
+    # rows of a valid graph with some heads dropped, which the builder accepts
+    return large, rest, _from_rows(rows), removed
 
 
 def min_gap(surpluses: Sequence[int]) -> GapSplit:

@@ -41,6 +41,16 @@ def reference_digraph(n: int, pairs: Iterable[tuple[int, int]]):
     )
 
 
+def from_edge_list(
+    pairs: Iterable[tuple[int, int]], n: int | None = None
+) -> Digraph:
+    """Digraph(n, pairs), with n defaulting to the largest id + 1."""
+    pairs = list(pairs)  # read twice: once for n, once to build
+    if n is None:
+        n = max((max(u, v) for u, v in pairs), default=-1) + 1
+    return Digraph(n, pairs)
+
+
 def random_undirected(rng: random.Random, n: int, p: float) -> UnderlyingGraph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -35,6 +35,7 @@ from dicut.oracle import all_bipartitions
 
 from .conftest import (
     antiparallel_pairs,
+    from_edge_list,
     induced,
     random_digraph,
     reference_digraph,
@@ -44,7 +45,7 @@ from .test_pipeline import _rescanning_sweep
 
 
 def three_cycle() -> Digraph:
-    return Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
+    return from_edge_list([(0, 1), (1, 2), (2, 0)])
 
 
 class TestDigraphConstruction:
@@ -57,19 +58,19 @@ class TestDigraphConstruction:
         )
 
     def test_antiparallel_pair_allowed(self):
-        g = Digraph.from_edge_list([(0, 1), (1, 0)])
+        g = from_edge_list([(0, 1), (1, 0)])
         assert g.m == 2
         assert antiparallel_pairs(g) == 1
 
     def test_from_edge_list_reads_a_one_shot_iterator(self):
         pairs = [(0, 1), (1, 0), (1, 2)]
-        g = Digraph.from_edge_list(p for p in pairs)
+        g = from_edge_list(p for p in pairs)
         assert (g.n, g.m) == (3, 3)
         assert g.edges == tuple(sorted(pairs))
 
     def test_loop_rejected_with_position(self):
         with pytest.raises(GraphInputError, match=r"edge #0 \(0,0\).*loop"):
-            Digraph.from_edge_list([(0, 0)])
+            from_edge_list([(0, 0)])
 
     def test_duplicate_rejected_with_position(self):
         with pytest.raises(GraphInputError, match=r"edge #2.*duplicate"):
@@ -354,7 +355,7 @@ def test_digraph_retains_adjacency_only():
 
 class TestUnderlying:
     def test_antiparallel_collapse(self):
-        g = Digraph.from_edge_list([(0, 1), (1, 0)])
+        g = from_edge_list([(0, 1), (1, 0)])
         assert underlying(g).edges == ((0, 1),)
 
     def test_three_cycle_triangle(self):
@@ -379,7 +380,7 @@ class TestUnderlying:
         assert g.odd_components() == 4  # triangle plus three isolated vertices
 
     def test_induced_mapping(self):
-        g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0), (0, 2)])
+        g = from_edge_list([(0, 1), (1, 2), (2, 0), (0, 2)])
         sub, antiparallel = g.induced_underlying([2, 0])
         assert sub.orig_ids == (0, 2)
         assert sub.edges == ((0, 1),)  # old (2,0) and (0,2) relabeled, collapsed
@@ -397,7 +398,7 @@ class TestUnderlying:
 
 class TestInterchangeFormats:
     def test_edge_list_round_trip(self):
-        g = Digraph.from_edge_list([(0, 1), (1, 0), (2, 1)])
+        g = from_edge_list([(0, 1), (1, 0), (2, 1)])
         text = format_edge_list(g, comments=["demo instance"])
         back = parse_edge_list(text)
         assert back.n == g.n and back.edges == g.edges
@@ -670,7 +671,7 @@ def test_parse_edge_list_keeps_error_cause():
     [
         (Digraph(0, []), ()),
         (Digraph(5, [(3, 1), (3, 0)]), ()),  # 0, 1, 2 and 4 have no out-edges
-        (Digraph.from_edge_list([(0, 1), (1, 0), (2, 1), (1, 2)]), ("pair",)),
+        (from_edge_list([(0, 1), (1, 0), (2, 1), (1, 2)]), ("pair",)),
         (complete_antiparallel(12), ()),
         (
             lower_bound_gadget(2, 3)[0],

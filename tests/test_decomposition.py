@@ -29,6 +29,7 @@ from dicut.pipeline import split_large
 
 from .conftest import (
     free_vertex_count,
+    from_edge_list,
     induced,
     matching_size,
     random_digraph,
@@ -331,14 +332,14 @@ class TestStarDecompose:
         assert (dec.tau, dec.sigma, dec.tau_prime) == (2, 0, 2)
 
     def test_antiparallel_triangle_seeding(self):
-        d = Digraph.from_edge_list([(0, 1), (1, 0), (1, 2), (2, 0)])
+        d = from_edge_list([(0, 1), (1, 0), (1, 2), (2, 0)])
         dec = star_decompose(d, range(3), epsilon=0.25, prefer_antiparallel=True)
         assert dec.stars[0].seed == (0, 1)
         assert dec.sigma == 1 and dec.tau_prime == 0
 
     def test_antiparallel_seeding_moves_seed(self):
         # antiparallel pair sits on an edge the plain matching does not pick
-        d = Digraph.from_edge_list([(0, 1), (1, 2), (2, 1), (2, 0)])
+        d = from_edge_list([(0, 1), (1, 2), (2, 1), (2, 0)])
         plain = star_decompose(d, range(3), epsilon=0.25)
         seeded = star_decompose(d, range(3), epsilon=0.25, prefer_antiparallel=True)
         assert plain.stars[0].seed == (0, 1)
@@ -347,7 +348,7 @@ class TestStarDecompose:
         assert len(plain.leftover) == len(seeded.leftover)
 
     def test_perfect_matching_digraph(self):
-        d = Digraph.from_edge_list([(0, 1), (2, 3), (4, 5)])
+        d = from_edge_list([(0, 1), (2, 3), (4, 5)])
         dec = star_decompose(d, range(6), epsilon=0.25)
         assert len(dec.stars) == 3
         assert dec.leftover == ()

@@ -7,9 +7,10 @@ import pytest
 
 import dicut
 import dicut.generators as gen_mod
-from dicut.core import cut_stats
+from dicut.core import GraphInputError, cut_stats
 from dicut.generators import (
     GadgetSpec,
+    complete_antiparallel,
     concluding_gadgets,
     d1_gadget,
     eulerian_complete,
@@ -17,6 +18,141 @@ from dicut.generators import (
     random_min_outdeg,
 )
 from dicut.oracle import all_bipartitions, exact_judicious
+
+from .conftest import reference_digraph
+
+
+# Reference builders: each family as a list of (u, v) pairs, built the plain
+# way, for reference_digraph to turn into adjacency lists.
+
+
+def reference_eulerian(q):
+    remaining = [set(range(q)) - {v} for v in range(q)]
+    circuit = []
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        if remaining[v]:
+            w = min(remaining[v])
+            remaining[v].discard(w)
+            remaining[w].discard(v)
+            stack.append(w)
+        else:
+            circuit.append(stack.pop())
+    return q, [(circuit[i], circuit[i + 1]) for i in range(len(circuit) - 1)]
+
+
+def reference_lower_bound(d, k):
+    _, pairs = reference_eulerian(2 * d + 1)
+    _, copy_edges = reference_eulerian(2 * d - 1)
+    offset = 2 * d + 1
+    for _ in range(k):
+        pairs.extend((offset + u, offset + v) for u, v in copy_edges)
+        pairs.extend((offset + u, 0) for u in range(2 * d - 1))
+        offset += 2 * d - 1
+    return offset, pairs
+
+
+def reference_d1(n):
+    return n, [(0, 1), (1, 2), (2, 0)] + [(v, 0) for v in range(3, n)]
+
+
+def reference_patch(pairs, deficient, targets, want):
+    have = {p: 0 for p in deficient}
+    for u, _ in pairs:
+        if u in have:
+            have[u] += 1
+    existing = set(pairs)
+    for v in deficient:
+        for t in targets:
+            if have[v] >= want:
+                break
+            if t != v and (v, t) not in existing:
+                pairs.append((v, t))
+                existing.add((v, t))
+                have[v] += 1
+
+
+def reference_concluding(variant, n, patched):
+    if variant == "k55_mixed":
+        small, big = list(range(5)), list(range(5, n))
+        pairs = [(0, b) for b in big]
+        pairs.extend((b, s) for b in big for s in small[1:])
+        if patched:
+            reference_patch(pairs, small[1:], big[:6], 3)
+        return n, pairs
+    small, big = list(range(3)), list(range(3, n))
+    pairs = [(b, s) for b in big for s in small]
+    if variant == "k33_plus_3regular":
+        for i in range(len(big)):
+            for off in (1, 2, 3):
+                pairs.append((big[i], big[(i + off) % len(big)]))
+    if patched:
+        reference_patch(pairs, small, big[:6], 3)
+    return n, pairs
+
+
+def reference_random(n, d, extra, seed):
+    rng = random.Random(seed)
+    pairs, seen = [], set()
+    for v in range(n):
+        for j in rng.sample(range(n - 1), d):
+            w = j if j < v else j + 1
+            pairs.append((v, w))
+            seen.add((v, w))
+    for _ in range(round(extra * n)):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v and (u, v) not in seen:
+            pairs.append((u, v))
+            seen.add((u, v))
+    return n, pairs
+
+
+def reference_complete(n):
+    return n, [(u, v) for u in range(n) for v in range(n) if u != v]
+
+
+def lower_bound_graph(d, k):
+    return lower_bound_gadget(d, k)[0]
+
+
+REFERENCE_GRID = (
+    [(eulerian_complete, reference_eulerian, (q,)) for q in (3, 5, 7, 9)]
+    + [
+        (lower_bound_graph, reference_lower_bound, (d, k))
+        for d in (2, 3)
+        for k in (0, 1, 5, 50)
+    ]
+    + [(d1_gadget, reference_d1, (n,)) for n in (4, 5, 10, 101)]
+    + [
+        (concluding_gadgets, reference_concluding, (variant, n, patched))
+        for variant, low in (
+            ("k33_oriented", 9), ("k33_plus_3regular", 9), ("k55_mixed", 11)
+        )
+        for n in (low, 1003)
+        for patched in (False, True)
+    ]
+    + [
+        (random_min_outdeg, reference_random, args)
+        for args in [(10, 2, 0.0, 0), (30, 3, 1.0, 5), (12, 11, 0.0, 3),
+                     (12, 11, 2.0, 4), (1500, 3, 0.2, 7)]
+    ]
+    + [
+        (complete_antiparallel, reference_complete, (n,))
+        for n in (0, 1, 2, 3, 40)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "build, reference, args",
+    REFERENCE_GRID,
+    ids=[f"{b.__name__}{args}" for b, _, args in REFERENCE_GRID],
+)
+def test_rows_match_pair_reference(build, reference, args):
+    g = build(*args)
+    assert (g.n, g.m, g._out, g._in) == reference_digraph(*reference(*args))
 
 
 class TestEulerianComplete:
@@ -158,6 +294,19 @@ class TestRandomMinOutdeg:
         assert random_min_outdeg(n, d, extra, seed).edges == tuple(sorted(pairs))
 
 
+class TestCompleteAntiparallel:
+    def test_rows_share_the_id_ints(self):
+        g = complete_antiparallel(400)
+        assert g.m == 400 * 399
+        assert len({id(v) for a in g._out for v in a}) <= g.n
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(
+            GraphInputError, match="vertex count must be nonnegative, got -1"
+        ):
+            complete_antiparallel(-1)
+
+
 class TestGadgetSpec:
     def test_build_and_label(self):
         spec = GadgetSpec("eulerian_complete", {"q": 5})
@@ -220,11 +369,22 @@ class TestGadgetSpec:
     ],
 )
 def test_self_check_names_family_and_property(monkeypatch, build, message):
-    real = gen_mod.Digraph
-    # drop the last edge, so the built instance misses its family's property
-    monkeypatch.setattr(gen_mod, "Digraph", lambda n, pairs: real(n, list(pairs)[:-1]))
+    real = gen_mod._from_rows
+
+    def drop_last_edge(rows):
+        # the built instance then misses its family's property
+        next(row for row in reversed(rows) if row).pop()
+        return real(rows)
+
+    monkeypatch.setattr(gen_mod, "_from_rows", drop_last_edge)
     with pytest.raises(RuntimeError, match=message):
         build()
+
+
+def test_rejected_rows_name_the_family(monkeypatch):
+    monkeypatch.setattr(gen_mod, "_from_rows", lambda rows: None)
+    with pytest.raises(RuntimeError, match="complete_antiparallel .*: rows in range"):
+        complete_antiparallel(3)
 
 
 def test_no_assert_statements_in_src():

@@ -22,7 +22,12 @@ from dicut.oracle import (
     max_free_over_max_matchings,
 )
 
-from .conftest import random_digraph, random_undirected, triangle_graph
+from .conftest import (
+    from_edge_list,
+    random_digraph,
+    random_undirected,
+    triangle_graph,
+)
 
 
 def reference_exact_judicious(digraph):
@@ -124,7 +129,7 @@ class TestExactJudicious:
         assert _fields(exact_judicious(g)) == reference_exact_judicious(g)
 
     def test_three_cycle(self):
-        g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
+        g = from_edge_list([(0, 1), (1, 2), (2, 0)])
         result = exact_judicious(g)
         assert result.optimum == 1
         assert result.evaluated == 4

@@ -32,7 +32,7 @@ from dicut.pipeline import (
 )
 from dicut.samplers import edge_profile
 
-from .conftest import random_digraph
+from .conftest import from_edge_list, random_digraph, reference_digraph
 
 
 def greedy_gap(surpluses):
@@ -80,6 +80,8 @@ class TestSplitLarge:
             assert removed == len(inside)
             assert stripped.m == g.m - removed
             assert set(stripped.edges) == set(g.edges) - set(inside)
+            kept = sorted(set(g.edges) - set(inside))
+            assert (stripped._out, stripped._in) == reference_digraph(g.n, kept)[2:]
             assert sorted(large + rest) == list(range(g.n))
             if removed:
                 stripping += 1
@@ -167,7 +169,7 @@ class TestGapPartitionOnDigraph:
 
     @pytest.mark.parametrize("large", [(-1,), (0, 0), (5,)], ids=["neg", "dup", "n"])
     def test_rejects_bad_vertex_ids(self, large):
-        g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
+        g = from_edge_list([(0, 1), (1, 2), (2, 0)])
         with pytest.raises(ValueError, match=r"distinct vertex ids in \[0, 3\)"):
             gap_partition(g, large)
 
@@ -181,7 +183,7 @@ class TestGapPartitionOnDigraph:
         ],
     )
     def test_rejects_each_edge_kind_inside_large_set(self, pairs, crossing):
-        g = Digraph.from_edge_list(pairs)
+        g = from_edge_list(pairs)
         large = (0, 1)
         raw = min_gap([g.out_degree(v) - g.in_degree(v) for v in large])
         a1 = tuple(large[i] for i in raw.a1)
@@ -223,12 +225,12 @@ class TestSurplusProfile:
 
 class TestLocalSearch:
     def test_fixpoint_unchanged(self):
-        g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
+        g = from_edge_list([(0, 1), (1, 2), (2, 0)])
         part = Bipartition((1, 2, 2))
         assert local_search(g, part) == part  # min cut 1 is optimal here
 
     def test_escapes_trivial_partition(self):
-        g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
+        g = from_edge_list([(0, 1), (1, 2), (2, 0)])
         out = local_search(g, Bipartition((1, 1, 1)))
         assert cut_stats(g, out).min_cut == 1
 
@@ -311,7 +313,7 @@ class TestGuaranteeTarget:
 
 class TestRunD2:
     def test_rejects_low_outdegree(self):
-        g = Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
+        g = from_edge_list([(0, 1), (1, 2), (2, 0)])
         with pytest.raises(GraphInputError, match="outdegree 1 at vertex 0"):
             run(g, PipelineConfig(d=2))
 

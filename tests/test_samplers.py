@@ -25,8 +25,11 @@ from dicut.samplers import (
     star_bisection,
 )
 
+from .conftest import from_edge_list
+
+
 def three_cycle() -> Digraph:
-    return Digraph.from_edge_list([(0, 1), (1, 2), (2, 0)])
+    return from_edge_list([(0, 1), (1, 2), (2, 0)])
 
 
 class TestExpectedCuts:
@@ -250,7 +253,7 @@ def antiparallel_triangles(count: int) -> Digraph:
 
 class TestStarBisection:
     def test_perfect_matching_cut_is_constant(self):
-        g = Digraph.from_edge_list([(0, 1), (2, 3), (4, 5), (6, 7)])
+        g = from_edge_list([(0, 1), (2, 3), (4, 5), (6, 7)])
         dec = star_decompose(g, range(8), epsilon=0.25)
         out = star_bisection(g, (), (), dec, 0.05, seed=3, max_attempts=8)
         # every matched edge crosses: the two directional cuts always sum to 4
