@@ -26,13 +26,7 @@ from dicut.generators import (
     random_min_outdeg,
 )
 from dicut.harness import run_suite, suite_tasks
-from dicut.oracle import (
-    all_bipartitions,
-    brute_force_tight_check,
-    exact_judicious,
-    exact_max_matching,
-    exact_min_gap,
-)
+from dicut.oracle import exact_judicious
 from dicut.pipeline import PipelineConfig, min_gap, run
 from dicut.samplers import expected_cuts
 
@@ -42,6 +36,12 @@ from .conftest import (
     random_digraph,
     random_undirected,
     underlying,
+)
+from .exhaustive import (
+    all_bipartitions,
+    brute_force_tight_check,
+    exact_max_matching,
+    exact_min_gap,
 )
 
 

@@ -31,7 +31,6 @@ from dicut.generators import (
     eulerian_complete,
     lower_bound_gadget,
 )
-from dicut.oracle import all_bipartitions
 
 from .conftest import (
     antiparallel_pairs,
@@ -41,6 +40,7 @@ from .conftest import (
     reference_digraph,
     underlying,
 )
+from .exhaustive import all_bipartitions
 from .test_pipeline import _rescanning_sweep
 
 

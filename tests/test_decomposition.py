@@ -19,12 +19,6 @@ from dicut.decomposition import (
     tight_components,
 )
 from dicut.generators import lower_bound_gadget
-from dicut.oracle import (
-    brute_force_tight_check,
-    exact_max_matching,
-    max_free_over_max_matchings,
-)
-
 from dicut.pipeline import split_large
 
 from .conftest import (
@@ -36,6 +30,11 @@ from .conftest import (
     random_undirected,
     triangle_graph,
     underlying,
+)
+from .exhaustive import (
+    brute_force_tight_check,
+    exact_max_matching,
+    max_free_over_max_matchings,
 )
 
 

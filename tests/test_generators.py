@@ -17,9 +17,10 @@ from dicut.generators import (
     lower_bound_gadget,
     random_min_outdeg,
 )
-from dicut.oracle import all_bipartitions, exact_judicious
+from dicut.oracle import exact_judicious
 
 from .conftest import reference_digraph
+from .exhaustive import all_bipartitions
 
 
 # Reference builders: each family as a list of (u, v) pairs, built the plain

@@ -12,21 +12,25 @@ from dicut.core import (
     UnderlyingGraph,
     cut_stats,
 )
-from dicut.generators import random_min_outdeg
-from dicut.oracle import (
-    all_bipartitions,
-    enumerate_perfect_matchings,
-    exact_judicious,
-    exact_max_matching,
-    exact_min_gap,
-    max_free_over_max_matchings,
+from dicut.generators import (
+    complete_antiparallel,
+    eulerian_complete,
+    random_min_outdeg,
 )
+from dicut.oracle import exact_judicious
 
 from .conftest import (
     from_edge_list,
     random_digraph,
     random_undirected,
     triangle_graph,
+)
+from .exhaustive import (
+    all_bipartitions,
+    enumerate_perfect_matchings,
+    exact_max_matching,
+    exact_min_gap,
+    max_free_over_max_matchings,
 )
 
 
@@ -80,11 +84,13 @@ INNER = oracle_mod._INNER_BITS
 @st.composite
 def oracle_digraphs(draw):
     """Digraphs on 0..16 vertices, weighted toward n = L-1..L+2 around the
-    inner block of L vertices, in shapes with many tied optima."""
+    inner block of L vertices, in shapes with many tied optima; the
+    transitive tournament gives every vertex a distinct surplus, so the
+    outer surplus sum takes many values."""
     n = draw(st.one_of(st.sampled_from(range(INNER - 1, INNER + 3)), st.integers(0, 16)))
     rng = draw(st.randoms(use_true_random=False))
     shape = draw(st.sampled_from(["random", "edgeless", "complete", "antiparallel",
-                                  "copies"]))
+                                  "copies", "transitive"]))
     p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
     pairs = []
     if shape == "random":
@@ -92,6 +98,8 @@ def oracle_digraphs(draw):
                  if u != v and rng.random() < p]
     elif shape == "complete":
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    elif shape == "transitive":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     elif shape == "antiparallel":
         for u in range(n):
             for v in range(u + 1, n):
@@ -127,6 +135,49 @@ class TestExactJudicious:
     def test_matches_reference_at_n20(self):
         g = random_min_outdeg(20, 3, 1.0, seed=13)
         assert _fields(exact_judicious(g)) == reference_exact_judicious(g)
+
+    @pytest.mark.parametrize(
+        "g, optimum, witness",
+        [
+            # every split gives |V1||V2| edges each way: best at 12/12
+            (complete_antiparallel(24), 144, "1" + "2" * 12 + "1" * 11),
+            # every vertex is balanced, so every split is: best at 12/11
+            (eulerian_complete(23), 66, "1" + "2" * 11 + "1" * 11),
+        ],
+        ids=["complete_antiparallel-24", "eulerian_complete-23"],
+    )
+    def test_closed_form_at_the_size_cap(self, g, optimum, witness):
+        # the largest m (552) and 2^13 outer steps
+        result = exact_judicious(g)
+        assert result.optimum == optimum
+        assert "".join(map(str, result.witness.side)) == witness
+        assert result.evaluated == 1 << (g.n - 1)
+
+    @pytest.mark.parametrize(
+        "n, d, seed, optimum, witness",
+        [
+            (18, 2, 7, 17, "121222212222111111"),
+            (18, 3, 7, 22, "111222212112212121"),
+            (20, 2, 7, 19, "11212211111222221121"),
+            (20, 3, 7, 24, "12111211122122112212"),
+            (22, 2, 7, 20, "1121221111222212221121"),
+            (22, 3, 7, 27, "1211122212122212121111"),
+            (18, 2, 8, 17, "121221122212211221"),
+            (18, 3, 8, 21, "112112222121212112"),
+            (20, 2, 8, 20, "12122122212221211112"),
+            (20, 3, 8, 25, "11212222122121121211"),
+            (22, 2, 8, 21, "1212112221222121121111"),
+            (22, 3, 8, 28, "1211211121122211221212"),
+        ],
+    )
+    def test_pinned_benchmark_instances(self, n, d, seed, optimum, witness):
+        # the exact_small benchmark graphs; the Gray-code reference takes
+        # seconds at n = 22, so the results it gave are pinned
+        result = exact_judicious(random_min_outdeg(n, d, 0.5, seed))
+        assert (result.optimum, "".join(map(str, result.witness.side))) == (
+            optimum, witness,
+        )
+        assert result.evaluated == 1 << (n - 1)
 
     def test_three_cycle(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)])

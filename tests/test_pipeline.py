@@ -16,7 +16,7 @@ from dicut.generators import (
     lower_bound_gadget,
     random_min_outdeg,
 )
-from dicut.oracle import exact_judicious, exact_min_gap
+from dicut.oracle import exact_judicious
 from dicut.pipeline import (
     GapPartition,
     PipelineConfig,
@@ -33,6 +33,7 @@ from dicut.pipeline import (
 from dicut.samplers import edge_profile
 
 from .conftest import from_edge_list, random_digraph, reference_digraph
+from .exhaustive import exact_min_gap
 
 
 def greedy_gap(surpluses):
