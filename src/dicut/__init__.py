@@ -19,7 +19,7 @@ _EXPORTS = {
     "oracle": ("OracleResult", "exact_judicious"),
     "pipeline": ("PartitionResult", "PipelineConfig", "guarantee_target",
                  "local_search", "run"),
-    "samplers": ("SampleOutcome", "expected_cuts", "quarter_partition",
+    "samplers": ("SampleOutcome", "quarter_partition",
                  "second_moment_partition", "star_bisection"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -28,37 +28,43 @@ class MatchingError(ValueError):
     """A matching handed to a decomposition routine violates its precondition."""
 
 
+class _OwnBase(dict):
+    """Blossom bases: a vertex that no contraction has reached is its own."""
+
+    def __missing__(self, v: int) -> int:
+        return v
+
+
 def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
     """Search an augmenting path from an exposed root, contracting blossoms.
 
     Classic alternating-tree search for general graphs; flips the path into
-    `match` and returns True when one is found.
+    `match` and returns True when one is found.  State is kept only for the
+    vertices the tree reaches, so a search costs what it touches, not O(n).
     """
-    n = len(adj)
-    parent = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    used[root] = True
+    parent: dict[int, int] = {}
+    base = _OwnBase()
+    used = {root}
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
@@ -68,19 +74,19 @@ def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # odd cycle: contract the blossom to its base
+            if to == root or (match[to] != -1 and match[to] in parent):
+                # odd cycle: contract the blossom to its base; only tree
+                # vertices can sit in it, taken in id order as they are queued
                 cur = lca(v, to)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 mark_path(v, cur, to, blossom)
                 mark_path(to, cur, v, blossom)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = cur
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
-            elif parent[to] == -1:
+                for i in sorted(i for i in used.union(parent) if base[i] in blossom):
+                    base[i] = cur
+                    if i not in used:
+                        used.add(i)
+                        queue.append(i)
+            elif to not in parent:
                 parent[to] = v
                 if match[to] == -1:
                     # flip the alternating path back to the root
@@ -92,20 +98,17 @@ def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
                         match[pv] = u
                         u = ppv
                     return True
-                used[match[to]] = True
+                used.add(match[to])
                 queue.append(match[to])
     return False
 
 
 def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy matching, then augmenting-path search one connected component
-    at a time.
+    """Greedy matching, then an augmenting-path search from each exposed
+    vertex in increasing order.
 
-    An augmenting path never leaves its root's component, so each component
-    is relabelled monotonically (sorted ids -> 0..size-1) and searched on its
-    own: a root costs O(component) instead of O(n), and roots are still tried
-    in increasing order, which keeps the result equal to the whole-graph loop.
-    Components with fewer than two exposed vertices hold no augmenting path.
+    An augmenting path never leaves its root's component, so components
+    with fewer than two exposed vertices are skipped.
     """
     n = len(adj)
     match = [-1] * n
@@ -119,15 +122,9 @@ def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
     for comp in _components(adj):
         if sum(1 for v in comp if match[v] == -1) < 2:
             continue
-        # a component holds every neighbour of its vertices: no membership test
-        local = {v: i for i, v in enumerate(comp)}
-        sub_adj = [[local[u] for u in adj[v]] for v in comp]
-        sub_match = [local[match[v]] if match[v] != -1 else -1 for v in comp]
-        for i in range(len(comp)):
-            if sub_match[i] == -1:
-                _augment(sub_adj, sub_match, i)
-        for v, p in zip(comp, sub_match):
-            match[v] = comp[p] if p != -1 else -1
+        for v in comp:
+            if match[v] == -1:
+                _augment(adj, match, v)
     return match
 
 

@@ -94,16 +94,6 @@ def expected_mean_cuts(profile: EdgeProfile, p: Fraction) -> tuple[Fraction, Fra
     return e12, e21
 
 
-def expected_cuts(
-    digraph: Digraph, a1: Iterable[int], a2: Iterable[int], p
-) -> tuple[float, float]:
-    """Exact expectations of both directional cuts under independent placement
-    of the leftover set B (side 1 with probability p)."""
-    prof = edge_profile(digraph, a1, a2)
-    e12, e21 = expected_mean_cuts(prof, Fraction(p))
-    return float(e12), float(e21)
-
-
 def _accept_loop(
     digraph: Digraph,
     a1: set[int],

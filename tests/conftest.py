@@ -8,6 +8,7 @@ from typing import Iterable, Sequence
 
 from dicut.core import Digraph, GraphInputError, UnderlyingGraph
 from dicut.decomposition import free_neighbor_edges
+from dicut.generators import lower_bound_gadget
 
 
 def reference_digraph(n: int, pairs: Iterable[tuple[int, int]]):
@@ -63,6 +64,21 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
         (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p
     ]
     return Digraph(n, pairs)
+
+
+def chained_lower_bound_gadget(d: int, k: int, seed: int = 0) -> Digraph:
+    """lower_bound_gadget(d, k) with its k copies chained into one component:
+    one edge from a seeded random vertex of each copy to a seeded random
+    vertex of the next copy."""
+    g, _ = lower_bound_gadget(d, k)
+    rng = random.Random(seed)
+    size = 2 * d - 1
+    starts = range(2 * d + 1, g.n, size)
+    chain = [
+        (a + rng.randrange(size), b + rng.randrange(size))
+        for a, b in zip(starts, starts[1:])
+    ]
+    return Digraph(g.n, [*g.edges, *chain])
 
 
 def triangle_graph() -> UnderlyingGraph:

@@ -28,7 +28,7 @@ from dicut.generators import (
 from dicut.harness import run_suite, suite_tasks
 from dicut.oracle import exact_judicious
 from dicut.pipeline import PipelineConfig, min_gap, run
-from dicut.samplers import expected_cuts
+from dicut.samplers import edge_profile, expected_mean_cuts
 
 from .conftest import (
     free_vertex_count,
@@ -191,7 +191,7 @@ def test_criterion_08_sampler_expectation():
             a1 = set(vertices[: rng.randint(0, 2)])
             a2 = set(vertices[len(a1) : len(a1) + rng.randint(0, 2)])
         p = rng.choice([0.3, 0.5, 0.6, 0.25])
-        expect, _ = expected_cuts(g, a1, a2, p)
+        expect, _ = expected_mean_cuts(edge_profile(g, a1, a2), Fraction(p))
         b = [v for v in range(n) if v not in a1 and v not in a2]
         draw_rng = random.Random(9000 + fixture)
         total = 0.0

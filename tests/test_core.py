@@ -430,6 +430,13 @@ class TestInterchangeFormats:
             parse_partition("0 x\n", 2)
         with pytest.raises(GraphInputError, match="bad partition line '0 1 2'"):
             parse_partition("0 1 2\n1 1\n", 2)
+        for line in ("2 1", "-1 2"):
+            with pytest.raises(GraphInputError, match="vertex id out of range"):
+                parse_partition(f"0 1\n{line}\n", 2)
+
+    def test_partition_skips_comments_and_blank_lines(self):
+        text = "# sides\n\n0 1\n   \n# vertex 1\n1 2\n"
+        assert parse_partition(text, 2) == Bipartition((1, 2))
 
 
 def test_all_bipartitions_counts():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import dicut.decomposition as decomposition_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicut.core import Digraph, UnderlyingGraph
+from dicut.core import Digraph, UnderlyingGraph, _components
 from dicut.decomposition import (
     _augment,
     _Grower,
@@ -22,6 +23,7 @@ from dicut.generators import lower_bound_gadget
 from dicut.pipeline import split_large
 
 from .conftest import (
+    chained_lower_bound_gadget,
     free_vertex_count,
     from_edge_list,
     induced,
@@ -110,19 +112,25 @@ def multi_component_graphs(draw, max_n=80):
     return UnderlyingGraph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
-def whole_graph_partner(adj):
-    """Reference: greedy pass, then one augmenting search over the whole
-    graph from every exposed vertex in id order."""
-    n = len(adj)
-    match = [-1] * n
-    for v in range(n):
+def greedy_partner(adj):
+    """The greedy pass that starts every maximum matching: each exposed
+    vertex, in id order, takes its first exposed neighbour."""
+    match = [-1] * len(adj)
+    for v in range(len(adj)):
         if match[v] == -1:
             for u in adj[v]:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
-    for v in range(n):
+    return match
+
+
+def whole_graph_partner(adj):
+    """Reference: greedy pass, then one augmenting search over the whole
+    graph from every exposed vertex in id order."""
+    match = greedy_partner(adj)
+    for v in range(len(adj)):
         if match[v] == -1:
             _augment(adj, match, v)
     return match
@@ -181,6 +189,73 @@ class TestMaximumMatching:
         spokes = [(i, i + 5) for i in range(5)]
         g = UnderlyingGraph(10, outer + inner + spokes)
         assert matching_size(maximum_matching(g)) == 5
+
+
+def chained_b(d: int, k: int) -> UnderlyingGraph:
+    """The underlying graph of B that the bisection branch decomposes on the
+    chained gadget: one connected component of k copies."""
+    _, rest, stripped, _ = split_large(chained_lower_bound_gadget(d, k))
+    graph, _ = stripped.induced_underlying(rest)
+    return graph
+
+
+PINNED_MATCHINGS = {
+    # name: (graph builder, sha256 of the partner list with neighbours in
+    # sorted order, the same with each neighbour list reversed)
+    "random-n60-s1": (
+        lambda: random_undirected(random.Random(1), 60, 2.5 / 59),
+        "cf5834ae01f0a9ffe4015f7ae3d566286d3820abb77c0ea604175faa66834c7f",
+        "16730328322d009cc58557461b25870b7351f000e0a7917bbffebf66bb523e67",
+    ),
+    "random-n120-s2": (
+        lambda: random_undirected(random.Random(2), 120, 3.0 / 119),
+        "f60230691433e4fa3c735d92d279b31302d74dd05c2e71eb7dabd339f498ceac",
+        "80feeabb8520658a601ce853bd3d559c4bff5ecef89f0d6a43b5220dd69cd99f",
+    ),
+    "random-n200-s3": (
+        lambda: random_undirected(random.Random(3), 200, 2.0 / 199),
+        "156d63fd82c782cde0918710743eccfe28d740cdd10b2d22779f907ecb382835",
+        "70913e48c14f470391b48b93722bcd7d149606e02a0fd1617c5d7a8d0b6cee3b",
+    ),
+    "random-n40-s4-dense": (
+        lambda: random_undirected(random.Random(4), 40, 0.3),
+        "03ba978119ba40a745820630de74019cfb0197a013a73813c34561edc2f75509",
+        "79016428281d4cebf6827fe1b05c9452bfcd375e9ef5abe7e1b51aabb5468294",
+    ),
+    "chained-d2-k400": (
+        lambda: chained_b(2, 400),
+        "5fc93d25a1e172d4995423e5c640ad8650e39aaf9b16c236343b95005a08d591",
+        "1c7a047184cf0ee9a92fc967e2de32241d7fe91ee8b6078e7aaf3c479f88f863",
+    ),
+    "chained-d3-k200": (
+        lambda: chained_b(3, 200),
+        "751c893e330c000533e9fa3df2c6155bdbcc89e174fb5fc28df73c4465d08a2d",
+        "e92913885ced82a8c838dfef4187e39127c51b799a956278037e5b413dcbd882",
+    ),
+}
+
+
+class TestPinnedMatchings:
+    """Which maximum matching the search returns, not only its size: the
+    star decomposition and so every partition downstream depend on it."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
+    @pytest.mark.parametrize("name", sorted(PINNED_MATCHINGS))
+    def test_partner_list_pinned(self, name, reverse):
+        build, sorted_sha, reversed_sha = PINNED_MATCHINGS[name]
+        g = build()
+        adj = [list(g.neighbors(v)) for v in range(g.n)]
+        if reverse:
+            adj = [a[::-1] for a in adj]
+        greedy = greedy_partner(adj)
+        # the augmenting search runs: some component keeps two exposed vertices
+        assert any(
+            sum(greedy[v] == -1 for v in comp) >= 2 for comp in _components(adj)
+        )
+        partner = _max_matching_partner(adj) if reverse else maximum_matching(g)
+        assert matching_size(partner) > matching_size(greedy)
+        digest = hashlib.sha256(",".join(map(str, partner)).encode()).hexdigest()
+        assert digest == (reversed_sha if reverse else sorted_sha)
 
 
 class TestMaximizeFreeVertices:

@@ -209,6 +209,10 @@ class TestLowerBoundGadget:
         with pytest.raises(ValueError):
             lower_bound_gadget(1, 3)
 
+    def test_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            lower_bound_gadget(2, -1)
+
 
 class TestD1Gadget:
     def test_n4_exact_edges(self):
@@ -252,6 +256,8 @@ class TestConcludingGadgets:
             concluding_gadgets("k44", 50)
         with pytest.raises(ValueError):
             concluding_gadgets("k33_oriented", 5)
+        with pytest.raises(ValueError, match="k55_mixed needs n >= 11, got 10"):
+            concluding_gadgets("k55_mixed", 10)
 
 
 class TestRandomMinOutdeg:
@@ -274,6 +280,11 @@ class TestRandomMinOutdeg:
     def test_d_too_large(self):
         with pytest.raises(ValueError):
             random_min_outdeg(5, 5, 0, seed=0)
+
+    @pytest.mark.parametrize("d, extra", [(-1, 0.0), (2, -0.5)])
+    def test_negative_d_or_extra(self, d, extra):
+        with pytest.raises(ValueError, match="d and extra must be nonnegative"):
+            random_min_outdeg(5, d, extra, seed=0)
 
     @pytest.mark.parametrize(
         "n, d, extra, seed",

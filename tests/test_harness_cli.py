@@ -362,6 +362,40 @@ class TestCli:
         main(["gen", "d1_star_triangle", "--n", "6", "-o", str(graph_file)])
         assert main(["partition", "-i", str(graph_file), "--d", "2"]) == 1
 
+    @pytest.mark.parametrize("suite", ["gadgets", "oracle-small"])
+    def test_bench_text(self, suite, capsys):
+        assert main(["bench", "--suite", suite]) == 0
+        line = re.compile(
+            r"(\S+): n=(\d+) m=(\d+) min_cut=(\d+) ratio=\d\.\d{4} "
+            r"meets=(True|False)(?: oracle=(\d+))?"
+        )
+        out = capsys.readouterr().out
+        rows = [line.fullmatch(ln).groups() for ln in out.splitlines()]
+        assert rows == [
+            (r.instance["key"], str(r.n), str(r.m), str(r.min_cut),
+             str(r.meets_guarantee), r.oracle and str(r.oracle["optimum"]))
+            for r in run_suite(suite)
+        ]
+
+    def test_oracle_and_verify_without_json_print_indented_json(self, tmp_path, capsys):
+        graph_file, part_file = tmp_path / "g.el", tmp_path / "p.txt"
+        main(["gen", "eulerian_complete", "--q", "5", "-o", str(graph_file)])
+        main(["partition", "-i", str(graph_file), "--d", "2", "-o", str(part_file)])
+        capsys.readouterr()
+        for argv in (["oracle", "-i", str(graph_file)],
+                     ["verify", "-i", str(graph_file), "-p", str(part_file)]):
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            assert main([*argv, "--json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+    def test_partition_of_empty_graph_exits_one(self, tmp_path, capsys):
+        graph_file = tmp_path / "empty.el"
+        graph_file.write_text("0 0\n")
+        assert main(["partition", "-i", str(graph_file), "--d", "2"]) == 1
+        assert capsys.readouterr().err == "error: empty graph\n"
+
     def test_bench_json(self, capsys):
         assert main(["bench", "--suite", "oracle-small", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

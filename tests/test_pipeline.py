@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import astuple, replace
 from fractions import Fraction
@@ -32,7 +33,12 @@ from dicut.pipeline import (
 )
 from dicut.samplers import edge_profile
 
-from .conftest import from_edge_list, random_digraph, reference_digraph
+from .conftest import (
+    chained_lower_bound_gadget,
+    from_edge_list,
+    random_digraph,
+    reference_digraph,
+)
 from .exhaustive import exact_min_gap
 
 
@@ -312,6 +318,22 @@ class TestGuaranteeTarget:
             guarantee_target(4, 100, 0.1)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_config_rejects_d_outside_two_and_three(self, d):
+        with pytest.raises(ValueError, match=f"d must be 2 or 3, got {d}"):
+            PipelineConfig(d=d)
+
+    @pytest.mark.parametrize("epsilon", [0, -0.1, 0.25, 0.5])
+    def test_config_rejects_epsilon_outside_open_quarter(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/4\)"):
+            PipelineConfig(d=2, epsilon=epsilon)
+
+    def test_run_rejects_empty_graph(self):
+        with pytest.raises(GraphInputError, match="empty graph"):
+            run(Digraph(0, []), PipelineConfig(d=2))
+
+
 class TestRunD2:
     def test_rejects_low_outdegree(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)])
@@ -366,6 +388,24 @@ class TestRunD2:
         g = random_min_outdeg(300, 2, 1.0, seed=5)
         cfg = PipelineConfig(d=2, epsilon=0.05, seed=9)
         assert run(g, cfg) == run(g, cfg)
+
+
+@pytest.mark.parametrize(
+    "d, k, partition_sha",
+    [
+        (2, 400, "3bffa9dfb920a303984b9499fcc4bca32d323d7fe8ba140615db5311964d6250"),
+        (3, 200, "529b6e4bed65c7cfa5fb970ef4d293ec95580a98e6ae886bf297cfc171586ac8"),
+    ],
+)
+def test_chained_gadget_takes_bisection(d, k, partition_sha):
+    # the chain joins every copy into one component of B, so the blossom
+    # search runs on one large component
+    g = chained_lower_bound_gadget(d, k)
+    result = run(g, PipelineConfig(d=d, epsilon=0.05, seed=1))
+    assert "bisection" in [rec["step"] for rec in result.branch_trace]
+    assert result.meets_guarantee
+    side = "".join(map(str, result.partition.side))
+    assert hashlib.sha256(side.encode("ascii")).hexdigest() == partition_sha
 
 
 class TestRunD3:

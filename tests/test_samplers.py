@@ -19,7 +19,7 @@ from dicut.samplers import (
     EdgeProfile,
     edge_profile,
     exact_fraction,
-    expected_cuts,
+    expected_mean_cuts,
     quarter_partition,
     second_moment_partition,
     star_bisection,
@@ -35,23 +35,24 @@ def three_cycle() -> Digraph:
 class TestExpectedCuts:
     def test_uniform_no_anchors(self):
         g = random_min_outdeg(20, 2, 0.5, seed=4)
-        e12, e21 = expected_cuts(g, (), (), 0.5)
+        e12, e21 = expected_mean_cuts(edge_profile(g, (), ()), Fraction(1, 2))
         assert e12 == e21 == g.m / 4
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_no_anchor_symmetry(self, p):
         g = random_min_outdeg(15, 2, 0.2, seed=6)
-        e12, e21 = expected_cuts(g, (), (), p)
+        e12, e21 = expected_mean_cuts(edge_profile(g, (), ()), Fraction(p))
         assert e12 == e21 == pytest.approx(p * (1 - p) * g.m)
 
     def test_three_cycle_hand_value(self):
-        assert expected_cuts(three_cycle(), [0], [], 0.5) == (0.75, 0.75)
+        prof = edge_profile(three_cycle(), [0], [])
+        assert expected_mean_cuts(prof, Fraction(1, 2)) == (0.75, 0.75)
 
     def test_degenerate_p(self):
         g = random_min_outdeg(12, 2, 0.5, seed=5)
         prof = edge_profile(g, {0, 1}, {2})
         for p in (0, 1):
-            e12, e21 = expected_cuts(g, {0, 1}, {2}, p)
+            e12, e21 = expected_mean_cuts(prof, Fraction(p))
             # inside-B edges never cross when everything lands on one side
             assert e12 + e21 == pytest.approx(
                 prof.a1a2 + prof.a2a1
@@ -61,7 +62,7 @@ class TestExpectedCuts:
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            expected_cuts(three_cycle(), [0], [0], 0.5)
+            expected_mean_cuts(edge_profile(three_cycle(), [0], [0]), Fraction(1, 2))
 
     def test_out_of_range_rejected(self):
         for a1 in ([3], [-1]):
@@ -72,7 +73,7 @@ class TestExpectedCuts:
         g = random_min_outdeg(16, 2, 1.0, seed=9)
         a1, a2 = {0, 1}, {2}
         p = Fraction(1, 3)
-        e12_expect, _ = expected_cuts(g, a1, a2, p)
+        e12_expect, _ = expected_mean_cuts(edge_profile(g, a1, a2), Fraction(p))
         rng = random.Random(123)
         draws = 4000
         total = 0
