@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -132,9 +133,7 @@ class Digraph:
         return len(self._out[v]) + len(self._in[v])
 
     def min_out_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(len(a) for a in self._out)
+        return min(map(len, self._out), default=0)
 
     def argmin_out_degree(self) -> int:
         """Smallest-id vertex realizing the minimum outdegree."""
@@ -305,20 +304,28 @@ def _side2_ends(side: Sequence[int], lists: Iterable[tuple[int, ...]]) -> list[i
     ]
 
 
-def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
-    """Exact directional counts, from scratch: each out-list's side-2 ends are
-    counted by one C-level gather, so a call costs O(n + m) with a small
-    per-edge constant.  Nothing is cached between calls."""
+def _check_cover(digraph: Digraph, partition: Bipartition) -> None:
     if len(partition) != digraph.n:
         raise ValueError(
             f"partition covers {len(partition)} vertices, digraph has {digraph.n}"
         )
-    side, out = partition.side, digraph._out
-    twos = _side2_ends(side, out)
-    # a side-1 tail's side-2 heads cut forward; a side-2 tail's others backward
-    e12 = sum([t for t, s in zip(twos, side) if s == 1])
-    e21 = sum([len(a) - t for a, t, s in zip(out, twos, side) if s == 2])
-    return CutStats(e12, e21)
+
+
+def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
+    """Exact directional counts, from scratch, reading only side 2's rows.
+
+    With e22 the edges inside side 2, the in-degrees summed over side 2 are
+    e12 + e22 and the out-degrees e21 + e22; e22 counts the side-2 ends of
+    side 2's out-lists, each by one C-level gather.  A call costs O(n) plus
+    the volume of side 2, with a small per-edge constant.  Nothing is cached
+    between calls."""
+    _check_cover(digraph, partition)
+    side = partition.side
+    on_two = list(map((2).__eq__, side))
+    rows = list(compress(digraph._out, on_two))
+    e22 = sum(_side2_ends(side, rows))
+    e12 = sum(map(len, compress(digraph._in, on_two))) - e22
+    return CutStats(e12, sum(map(len, rows)) - e22)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import partial
+from itertools import compress, filterfalse
+from operator import add, le
 from typing import Any, Sequence
 
 from .core import (
     Bipartition, CutStats, Digraph, GraphInputError, StructuralDiagnostic,
-    _from_rows, _side2_ends, cut_stats,
+    _check_cover, _from_rows, _side2_ends, cut_stats,
 )
 from .decomposition import star_decompose
 from .samplers import (
@@ -125,9 +127,11 @@ def split_large(
     """
     n = digraph.n
     threshold = n**exponent
-    large = tuple(v for v in range(n) if digraph.degree(v) >= threshold)
+    degrees = map(add, map(len, digraph._out), map(len, digraph._in))
+    # partial(le, threshold)(deg) is threshold <= deg
+    large = tuple(compress(range(n), map(partial(le, threshold), degrees)))
     aset = set(large)
-    rest = tuple(v for v in range(n) if v not in aset)
+    rest = tuple(filterfalse(aset.__contains__, range(n)))
     removed = sum(len(aset.intersection(digraph.out_neighbors(u))) for u in large)
     if not removed:
         return large, rest, digraph, 0
@@ -246,54 +250,112 @@ def local_search(digraph: Digraph, partition: Bipartition) -> Bipartition:
     The tie-breaking plateau moves cost nothing on the primary objective but
     let the search walk out of shallow local optima on small instances.
     """
-    return _sweep(digraph, partition, cut_stats(digraph, partition))[0]
+    return _sweep(digraph, partition)[1]
 
 
 def _sweep(
-    digraph: Digraph, partition: Bipartition, stats: CutStats
-) -> tuple[Bipartition, CutStats]:
-    """local_search from a partition whose cuts `stats` are known; returns the
-    result with its cuts.  two[v] counts the side-2 ends of v's edges, so a
-    visit costs O(1) and a flip of v O(deg v) (Fiduccia-Mattheyses gains)."""
+    digraph: Digraph, partition: Bipartition
+) -> tuple[CutStats, Bipartition, CutStats]:
+    """local_search with the cuts it starts from and ends at: returns (cuts of
+    `partition`, result, cuts of the result).
+
+    two[v] counts the side-2 ends of v's edges, so a visit costs O(1) and a
+    flip of v O(deg v) (Fiduccia-Mattheyses gains).  The first pass visits
+    every vertex.  Later passes visit, in the same order, only the vertices
+    whose flag allows the flip to pass: with a and b the changes to e12 and
+    e21 if v flips, up12[v] is (a, b) > (0, 0) as tuples, which the
+    lexicographic test needs while e12 <= e21, and up21[v] is (b, a) > (0, 0),
+    needed while e21 < e12.  A visit recomputes v's flags and a flip raises
+    both flags of every neighbour, so each skipped visit is one that fails.
+    """
+    _check_cover(digraph, partition)
     side = list(partition.side)
     out, in_ = digraph._out, digraph._in
-    two = list(map(add, _side2_ends(side, out), _side2_ends(side, in_)))
+    out_two = _side2_ends(side, out)
+    two = list(map(add, out_two, _side2_ends(side, in_)))
     indeg, outdeg = list(map(len, in_)), list(map(len, out))
-    e12, e21 = stats.e12, stats.e21
+    # side 2's in- and out-degrees count e12 and e21, each plus e22
+    on_two = list(map((2).__eq__, side))
+    e22 = sum(compress(out_two, on_two))
+    e12 = sum(compress(indeg, on_two)) - e22
+    e21 = sum(compress(outdeg, on_two)) - e22
+    start = CutStats(e12, e21)
     low, total = min(e12, e21), e12 + e21
-    improved = True
+    improved = False
+    # list iterators read the live lists, so each visit sees earlier flips
+    for v, (s, c, i, o) in enumerate(zip(side, two, indeg, outdeg)):
+        # moving v from side 1 to side 2 changes e12 by (in-edges from
+        # side 1) - (out-edges to side 2) = i - c; e21 likewise by o - c
+        if s == 1:
+            n12, n21 = e12 + i - c, e21 + o - c
+        else:
+            n12, n21 = e12 - i + c, e21 - o + c
+        new_low = n12 if n12 < n21 else n21
+        if new_low > low or (new_low == low and n12 + n21 > total):
+            side[v] = 3 - s
+            step = 1 if s == 1 else -1
+            for t in out[v] + in_[v]:
+                two[t] += step
+            e12, e21, low, total = n12, n21, new_low, n12 + n21
+            improved = True
+    if improved:
+        up12, up21 = bytearray(digraph.n), bytearray(digraph.n)
+        for v, (s, c, i, o) in enumerate(zip(side, two, indeg, outdeg)):
+            if s == 1:
+                a, b = i - c, o - c
+            else:
+                a, b = c - i, c - o
+            if a > 0:
+                up12[v] = 1
+                up21[v] = b >= 0
+            elif b > 0:
+                up21[v] = 1
+                up12[v] = a == 0
     while improved:
         improved = False
-        # list iterators read the live lists, so each visit sees earlier flips
-        for v, (s, c, i, o) in enumerate(zip(side, two, indeg, outdeg)):
-            # moving v from side 1 to side 2 changes e12 by (in-edges from
-            # side 1) - (out-edges to side 2) = i - c; e21 likewise by o - c
+        flags = up12 if e12 <= e21 else up21
+        v = flags.find(1)
+        while v >= 0:
+            s, c = side[v], two[v]
             if s == 1:
-                n12, n21 = e12 + i - c, e21 + o - c
+                a, b = indeg[v] - c, outdeg[v] - c
             else:
-                n12, n21 = e12 - i + c, e21 - o + c
+                a, b = c - indeg[v], c - outdeg[v]
+            n12, n21 = e12 + a, e21 + b
             new_low = n12 if n12 < n21 else n21
             if new_low > low or (new_low == low and n12 + n21 > total):
                 side[v] = 3 - s
                 step = 1 if s == 1 else -1
                 for t in out[v] + in_[v]:
                     two[t] += step
+                    up12[t] = up21[t] = 1
+                a, b = -a, -b
                 e12, e21, low, total = n12, n21, new_low, n12 + n21
+                flags = up12 if e12 <= e21 else up21
                 improved = True
-    return Bipartition(tuple(side)), CutStats(e12, e21)
+            if a > 0:
+                up12[v] = 1
+                up21[v] = b >= 0
+            elif b > 0:
+                up21[v] = 1
+                up12[v] = a == 0
+            else:
+                up12[v] = up21[v] = 0
+            v = flags.find(1, v + 1)
+    return start, Bipartition(tuple(side)), CutStats(e12, e21)
 
 
 def _polish(
-    digraph: Digraph, partition: Bipartition, stats: CutStats, seed: int
-) -> Bipartition:
+    digraph: Digraph, partition: Bipartition, seed: int
+) -> tuple[Bipartition, CutStats]:
     """Local search from the sampled partition; tiny instances also restart
     from a few seeded random partitions, keeping the best result seen.
+    Returns the best partition and the cuts of `partition`.
 
     Sampler guarantees are asymptotic, so at very small n the hill climb does
-    real work; restarts are deterministic per seed.  `stats` are the cuts
-    of `partition`, already counted by the caller.
+    real work; restarts are deterministic per seed.
     """
-    best, best_stats = _sweep(digraph, partition, stats)
+    sampled, best, best_stats = _sweep(digraph, partition)
     if digraph.n <= RESTART_MAX_N:
         best_key = best_stats.min_cut, best_stats.total
         rng = random.Random(seed)
@@ -301,11 +363,11 @@ def _polish(
             start = Bipartition(
                 tuple(1 if rng.random() < 0.5 else 2 for _ in range(digraph.n))
             )
-            candidate, cand_stats = _sweep(digraph, start, cut_stats(digraph, start))
+            _, candidate, cand_stats = _sweep(digraph, start)
             cand_key = cand_stats.min_cut, cand_stats.total
             if cand_key > best_key:
                 best, best_key = candidate, cand_key
-    return best
+    return best, sampled
 
 
 def guarantee_target(d: int, m: int, epsilon: float) -> Fraction:
@@ -376,11 +438,8 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
     partition = outcome.partition
 
     if config.enable_local_search:
-        # the sampler counted its cuts on the stripped digraph, which is the
-        # input itself unless edges inside the large set were removed
-        sampled = outcome.stats if not removed else cut_stats(digraph, partition)
+        partition, sampled = _polish(digraph, partition, config.seed)
         min_cut_before = sampled.min_cut
-        partition = _polish(digraph, partition, sampled, config.seed)
     stats = cut_stats(digraph, partition)
     if config.enable_local_search:
         trace.append(

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse
+from operator import add
 from typing import Callable, Iterable
 
 from .core import Bipartition, CutStats, Digraph, cut_stats
@@ -165,10 +167,12 @@ def second_moment_partition(
         m12, m21 = expected_mean_cuts(prof, p)
         return m12 - eps * m, m21 - eps * m
 
-    b_order = sorted(v for v in range(digraph.n) if v not in s1 and v not in s2)
+    b_order = list(filterfalse((s1 | s2).__contains__, range(digraph.n)))
     warning = None
     if b_order:
-        max_deg = max(digraph.degree(v) for v in b_order)
+        out_len = map(len, map(digraph._out.__getitem__, b_order))
+        in_len = map(len, map(digraph._in.__getitem__, b_order))
+        max_deg = max(map(add, out_len, in_len))
         if Fraction(max_deg) > eps * eps * m / 4:
             warning = (
                 f"degree hypothesis fails: max B-degree {max_deg} exceeds "

@@ -101,6 +101,14 @@ class TestCutStats:
         with pytest.raises(ValueError, match="covers 2"):
             cut_stats(three_cycle(), Bipartition((1, 2)))
 
+    def test_matches_per_edge_recount_on_every_bipartition(self):
+        # antiparallel pairs {0, 1} and {2, 3}; 4 and 5 are isolated; the
+        # bipartitions include all on side 1 and all on side 2
+        g = Digraph(6, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (3, 2)])
+        for part in all_bipartitions(6, fixed_side1=None):
+            stats = cut_stats(g, part)
+            assert (stats.e12, stats.e21) == recount(g, part.side)
+
     def test_eulerian_k5_always_balanced(self):
         g = eulerian_complete(5)
         for part in all_bipartitions(5):
@@ -151,7 +159,8 @@ class TestGatherEdgeCases:
         g = hub_digraph()
         for part in hub_partitions(g.n):
             start = cut_stats(g, part)
-            result, stats = pipeline._sweep(g, part, start)
+            swept, result, stats = pipeline._sweep(g, part)
+            assert swept == start
             assert (stats.e12, stats.e21) == recount(g, result.side)
             assert pipeline.local_search(g, part) == result
             assert result == _rescanning_sweep(g, part, start)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dicut.pipeline as pipeline_mod
 import dicut.samplers as samplers_mod
-from dicut.core import Bipartition, Digraph, GraphInputError, cut_stats
+from dicut.core import Bipartition, CutStats, Digraph, GraphInputError, cut_stats
 from dicut.generators import (
     complete_antiparallel,
     concluding_gadgets,
@@ -251,13 +251,19 @@ class TestLocalSearch:
             assert after >= before
 
 
-def _rescanning_sweep(digraph: Digraph, partition: Bipartition, stats) -> Bipartition:
-    """Reference: local search that rescans each visited vertex's edges."""
+def _rescanning_sweep(
+    digraph: Digraph, partition: Bipartition, stats, flips: list | None = None
+) -> Bipartition:
+    """Reference: local search that rescans each visited vertex's edges and
+    visits every vertex on each pass.  Appends (pass, vertex, e12, e21) to
+    `flips` after each flip, when given."""
     side = list(partition.side)
     e12, e21 = stats.e12, stats.e21
     improved = True
+    passes = -1
     while improved:
         improved = False
+        passes += 1
         for v in range(digraph.n):
             s = side[v]
             o_same = o_diff = i_same = i_diff = 0
@@ -281,6 +287,8 @@ def _rescanning_sweep(digraph: Digraph, partition: Bipartition, stats) -> Bipart
                 side[v] = 3 - s
                 e12, e21 = n12, n21
                 improved = True
+                if flips is not None:
+                    flips.append((passes, v, e12, e21))
     return Bipartition(tuple(side))
 
 
@@ -303,8 +311,40 @@ def test_local_search_matches_rescanning_sweep(case):
     g, part = case
     expected = _rescanning_sweep(g, part, cut_stats(g, part))
     assert local_search(g, part) == expected
-    result, stats = pipeline_mod._sweep(g, part, cut_stats(g, part))
+    start, result, stats = pipeline_mod._sweep(g, part)
+    assert start == cut_stats(g, part)
     assert result == expected and stats == cut_stats(g, result)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_search_matches_rescanning_sweep_at_n2000(d):
+    """From the sampler's partition and from random ones, over many passes."""
+    g = random_min_outdeg(2000, d, 1.0, seed=d)
+    config = PipelineConfig(d=d, seed=1, enable_local_search=False)
+    rng = random.Random(d)
+    starts = [run(g, config).partition]
+    starts += [Bipartition(tuple(rng.choice((1, 2)) for _ in range(g.n)))
+               for _ in range(2)]
+    for part in starts:
+        flips: list = []
+        expected = _rescanning_sweep(g, part, cut_stats(g, part), flips)
+        assert flips[-1][0] >= 2  # a flip in the third pass or later
+        start, result, stats = pipeline_mod._sweep(g, part)
+        assert start == cut_stats(g, part)
+        assert result == expected and stats == cut_stats(g, result)
+
+
+def test_local_search_follows_the_lower_cut_across_sides():
+    """In the second pass, flipping vertex 0 makes e21 the lower cut; vertex 3
+    then passes, though its flip lowers e12, so only up21 admits it."""
+    g = Digraph(5, [(0, 2), (1, 2), (2, 4), (3, 2), (3, 4)])
+    part = Bipartition((1, 2, 1, 1, 1))
+    flips: list = []
+    expected = _rescanning_sweep(g, part, cut_stats(g, part), flips)
+    assert flips == [
+        (0, 0, 0, 2), (0, 2, 1, 1), (1, 0, 2, 1), (1, 1, 3, 1), (1, 3, 2, 2)
+    ]
+    assert pipeline_mod._sweep(g, part) == (CutStats(0, 1), expected, CutStats(2, 2))
 
 
 class TestGuaranteeTarget:
@@ -554,7 +594,8 @@ class TestStructuralDiagnostics:
 
 
 class TestCutCounting:
-    """run() counts the sampled and the final partition once each."""
+    """run() calls cut_stats once, on the final partition; the polish counts
+    the sampled partition's cuts from its own gathers."""
 
     def _count(self, monkeypatch):
         calls = []
@@ -575,16 +616,25 @@ class TestCutCounting:
             "structural"
         ]
         assert result.removed_a_edges == 0
-        # nothing stripped: the sampler's counts serve as min_cut_before
         assert calls == [result.partition]
 
     def test_stripped_graph_recounts_sample(self, monkeypatch):
-        g = complete_antiparallel(40)  # every edge lies inside the large set
+        # a complete antiparallel K40 as the large set, and 200 vertices of
+        # outdegree 3 feeding it, so the gap split puts K40 on both sides
+        k, rest = 40, 200
+        rows = [[v for v in range(k) if v != u] for u in range(k)]
+        rows += [[j % k, (j + 1) % k, k + (j + 1) % rest] for j in range(rest)]
+        g = Digraph(k + rest, [(u, v) for u, row in enumerate(rows) for v in row])
         calls = self._count(monkeypatch)
         result = run(g, PipelineConfig(d=2, seed=1))
-        assert result.removed_a_edges == g.m
-        # the sampler counted on the stripped copy, so the input recounts
-        assert len(calls) == 2 and calls[-1] == result.partition
+        assert result.removed_a_edges == k * (k - 1)
+        assert calls == [result.partition]
+        # the sampler counted on the stripped copy; the polish's start, which
+        # it counts itself, is the sampled partition's min cut on the input
+        unpolished = run(g, PipelineConfig(d=2, seed=1, enable_local_search=False))
+        sampled = result.branch_trace[-2]
+        before = result.branch_trace[-1]["min_cut_before"]
+        assert before == unpolished.stats.min_cut > min(sampled["e12"], sampled["e21"])
 
     def test_dense_branch_reuses_sampler_stats(self, monkeypatch):
         g = random_min_outdeg(100, 2, extra=12, seed=3)
