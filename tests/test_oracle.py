@@ -1,4 +1,5 @@
 import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ from dicut.core import (
 from dicut.generators import (
     complete_antiparallel,
     eulerian_complete,
+    lower_bound_gadget,
     random_min_outdeg,
 )
 from dicut.oracle import exact_judicious
@@ -86,11 +88,16 @@ def oracle_digraphs(draw):
     """Digraphs on 0..16 vertices, weighted toward n = L-1..L+2 around the
     inner block of L vertices, in shapes with many tied optima; the
     transitive tournament gives every vertex a distinct surplus, so the
-    outer surplus sum takes many values."""
-    n = draw(st.one_of(st.sampled_from(range(INNER - 1, INNER + 3)), st.integers(0, 16)))
-    rng = draw(st.randoms(use_true_random=False))
+    outer surplus sum takes many values.  The "width" shape draws m on
+    either side of 127, where the lanes widen from 8 to 16 bits."""
     shape = draw(st.sampled_from(["random", "edgeless", "complete", "antiparallel",
-                                  "copies", "transitive"]))
+                                  "copies", "transitive", "width"]))
+    if shape == "width":
+        n = draw(st.integers(13, 16))
+    else:
+        n = draw(st.one_of(st.sampled_from(range(INNER - 1, INNER + 3)),
+                           st.integers(0, 16)))
+    rng = draw(st.randoms(use_true_random=False))
     p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
     pairs = []
     if shape == "random":
@@ -100,6 +107,9 @@ def oracle_digraphs(draw):
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     elif shape == "transitive":
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    elif shape == "width":
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(n) if u != v],
+                           draw(st.integers(122, 133)))
     elif shape == "antiparallel":
         for u in range(n):
             for v in range(u + 1, n):
@@ -178,6 +188,38 @@ class TestExactJudicious:
             optimum, witness,
         )
         assert result.evaluated == 1 << (n - 1)
+
+    @pytest.mark.parametrize("inner", [INNER, 1, 3])
+    @pytest.mark.parametrize(
+        "missing, typecode", [((), "H"), ((7, 23), "B")], ids=["m128", "m127"]
+    )
+    def test_lane_width_boundary(self, missing, typecode, inner):
+        # K_{8,16} with every edge leaving the 8-side 0..7: m = 128 is the
+        # least m that needs 16-bit lanes, as a split with every edge going
+        # from side 1 to side 2 puts 2^7 + 128 in an 8-bit gap lane.  Less
+        # one edge, m = 127 takes 8-bit lanes.  The optimum splits both
+        # sides in half, 4 * 8 = 32 edges each way; the results are pinned
+        # from the oracle with 16-bit lanes only.
+        g = Digraph(24, [(u, v) for u in range(8) for v in range(8, 24)
+                         if (u, v) != missing])
+        assert g.m == (127 if missing else 128)
+        with mock.patch.object(oracle_mod, "_INNER_BITS", inner), \
+                mock.patch.object(oracle_mod, "array", wraps=array) as spy:
+            result = exact_judicious(g)
+        assert {call.args[0] for call in spy.call_args_list} == {typecode}
+        assert _fields(result) == (
+            32, Bipartition((1, 2, 2, 2, 2, 1, 1, 1) + (2,) * 8 + (1,) * 8), 1 << 23,
+        )
+        assert cut_stats(g, result.witness).min_cut == 32
+
+    @pytest.mark.parametrize(
+        "d, k", [(2, k) for k in range(7)] + [(3, k) for k in range(4)]
+    )
+    def test_lower_bound_gadget_reaches_its_cap(self, d, k):
+        # the paper's constants are best possible: no bipartition of the
+        # gadget beats k d(d-1)/2 + d(d+1)/2 in both directions
+        g, _ = lower_bound_gadget(d, k)
+        assert exact_judicious(g).optimum == k * d * (d - 1) // 2 + d * (d + 1) // 2
 
     def test_three_cycle(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)])

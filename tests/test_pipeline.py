@@ -448,6 +448,16 @@ def test_chained_gadget_takes_bisection(d, k, partition_sha):
     assert hashlib.sha256(side.encode("ascii")).hexdigest() == partition_sha
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d, k", [(2, 5), (2, 50), (3, 5), (3, 50)])
+def test_run_reaches_the_gadget_cap(d, k, seed):
+    # k d(d-1)/2 + d(d+1)/2 is the gadget's exact optimum (pinned against
+    # the oracle in test_oracle.py for n <= 23)
+    g, _ = lower_bound_gadget(d, k)
+    result = run(g, PipelineConfig(d=d, epsilon=0.05, seed=seed))
+    assert result.stats.min_cut == k * d * (d - 1) // 2 + d * (d + 1) // 2
+
+
 class TestRunD3:
     def test_rejects_low_outdegree(self):
         with pytest.raises(GraphInputError, match="need at least 3"):
