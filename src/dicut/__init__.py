@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": ("Bipartition", "CutStats", "Digraph", "GraphInputError",
-             "StructuralDiagnostic", "UnderlyingGraph", "cut_stats",
-             "read_edge_list", "write_edge_list"),
+             "StructuralDiagnostic", "cut_stats", "read_edge_list",
+             "write_edge_list"),
     "decomposition": ("StarDecomposition", "maximize_free_vertices",
                       "maximum_matching", "star_decompose", "tight_components"),
     "generators": ("GadgetSpec", "concluding_gadgets", "d1_gadget",

@@ -1,5 +1,6 @@
 """Directed-graph data model: degree accounting, directional cuts, and the
-projection to the underlying undirected simple graph."""
+projection of an induced subgraph to its underlying undirected simple graph,
+given as a tuple of sorted, symmetric neighbour rows."""
 
 from __future__ import annotations
 
@@ -139,12 +140,14 @@ class Digraph:
         """Smallest-id vertex realizing the minimum outdegree."""
         return min(range(self.n), key=lambda v: (len(self._out[v]), v))
 
-    def induced_underlying(
-        self, vertices: Iterable[int]
-    ) -> tuple["UnderlyingGraph", frozenset[tuple[int, int]]]:
-        """The underlying graph of the subgraph induced by `vertices`, relabelled
-        0..k-1 in id order (orig_ids records the map), and its antiparallel
-        pairs (i, j), i < j, from one pass over the out-lists."""
+    def induced_underlying(self, vertices: Iterable[int]) -> tuple[
+        tuple[tuple[int, ...], ...], tuple[int, ...], frozenset[tuple[int, int]]
+    ]:
+        """The underlying simple graph of the subgraph induced by `vertices`,
+        relabelled 0..k-1 in id order, as (rows, orig_ids, antiparallel): the
+        sorted neighbour row of each new id, the original id of each new id,
+        and the antiparallel pairs (i, j), i < j, from one pass over the
+        out-lists."""
         keep = _checked_ids(vertices, self.n)
         index = {v: i for i, v in enumerate(keep)}
         adj: list[list[int]] = [[] for _ in keep]
@@ -160,7 +163,7 @@ class Digraph:
             if len(row) < len(a):  # an antiparallel pair lists its other end twice
                 a.sort()
                 antiparallel.update((i, j) for j, k in zip(a, a[1:]) if j == k and i < j)
-        return _underlying_from_rows(rows, tuple(keep)), frozenset(antiparallel)
+        return tuple(rows), tuple(keep), frozenset(antiparallel)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -195,73 +198,6 @@ def _from_rows(out: list[list[int]]) -> Digraph | None:
     which _build_adjacency takes over; None if it rejects a row."""
     graph = Digraph.__new__(Digraph)
     return graph if _build_adjacency(graph, out) else None
-
-
-class UnderlyingGraph:
-    """Simple undirected graph (no loops, no parallel edges) on ids 0..n-1."""
-
-    __slots__ = ("n", "m", "_adj", "orig_ids")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise GraphInputError(f"loop edge ({u},{v}) in undirected graph")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphInputError(f"edge ({u},{v}): vertex id out of range")
-            adj[u].append(v)
-            adj[v].append(u)
-        self.n = n
-        self._adj = tuple(tuple(sorted(set(a))) for a in adj)
-        self.m = sum(len(a) for a in self._adj) // 2
-        self.orig_ids: tuple[int, ...] | None = None
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Every edge as (u, v) with u < v, sorted; rebuilt on each access."""
-        return tuple((u, v) for u, a in enumerate(self._adj) for v in a if u < v)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and _sorted_contains(self._adj[u], v)
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, ordered by min vertex."""
-        return _components(self._adj)
-
-    def odd_components(self) -> int:
-        """Number of connected components of odd order."""
-        return sum(1 for c in self.components() if len(c) % 2 == 1)
-
-    def induced(self, vertices: Iterable[int]) -> "UnderlyingGraph":
-        """The induced subgraph, relabelled 0..k-1 in id order (see orig_ids)."""
-        keep = _checked_ids(vertices, self.n)
-        index = {v: i for i, v in enumerate(keep)}
-        # the relabelling keeps id order, so each filtered row stays sorted
-        rows = [
-            tuple(j for j in map(index.get, self._adj[u]) if j is not None)
-            for u in keep
-        ]
-        return _underlying_from_rows(rows, tuple(keep))
-
-    def __repr__(self) -> str:
-        return f"UnderlyingGraph(n={self.n}, m={self.m})"
-
-
-def _underlying_from_rows(
-    rows: list[tuple[int, ...]], orig_ids: tuple[int, ...]
-) -> UnderlyingGraph:
-    """The unchecked constructor: rows must be sorted, symmetric, loop-free
-    and in range, as both induced builders make them."""
-    graph = UnderlyingGraph.__new__(UnderlyingGraph)
-    graph.n, graph.m, graph.orig_ids = len(rows), sum(map(len, rows)) // 2, orig_ids
-    graph._adj = tuple(rows)
-    return graph
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ Tight components are exactly the components whose leftover vertex can never
 be made free, and there is one per non-free leftover vertex once the
 matching maximizes the number of free vertices.
 
-A matching is a partner list: partner[v] is v's mate, or -1 when v is a
-leftover vertex.  Tight components are sorted vertex tuples.
+The graph is `adj`, its neighbour rows: adj[v] lists v's neighbours in
+increasing order, and u is in adj[v] exactly when v is in adj[u].  A matching
+is a partner list: partner[v] is v's mate, or -1 when v is a leftover vertex.
+Tight components are sorted vertex tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, UnderlyingGraph, _components
+from .core import Digraph, _components, _sorted_contains
 
 
 class MatchingError(ValueError):
@@ -103,9 +105,11 @@ def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
     return False
 
 
-def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy matching, then an augmenting-path search from each exposed
-    vertex in increasing order.
+def maximum_matching(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Maximum-cardinality matching (not merely maximal) of a general graph,
+    as a partner list: a greedy matching, then an augmenting-path search from
+    each exposed vertex in increasing order.  The rows need not be sorted;
+    their order picks which maximum matching comes out.
 
     An augmenting path never leaves its root's component, so components
     with fewer than two exposed vertices are skipped.
@@ -128,38 +132,35 @@ def _max_matching_partner(adj: Sequence[Sequence[int]]) -> list[int]:
     return match
 
 
-def maximum_matching(graph: UnderlyingGraph) -> list[int]:
-    """Maximum-cardinality matching (not merely maximal) of a general graph,
-    as a partner list."""
-    return _max_matching_partner(graph._adj)
-
-
 def _perfect_matching(
-    graph: UnderlyingGraph, vertices: Iterable[int]
+    adj: Sequence[Sequence[int]], vertices: Iterable[int]
 ) -> dict[int, int] | None:
-    """A perfect matching of the subgraph induced by `vertices` as a map from
-    each vertex to its mate, or None when there is none."""
-    sub = graph.induced(vertices)
-    partner = _max_matching_partner(sub._adj)
+    """A perfect matching of the subgraph induced by the distinct `vertices`
+    as a map from each vertex to its mate, or None when there is none."""
+    keep = sorted(vertices)
+    index = {v: i for i, v in enumerate(keep)}
+    # the relabelling keeps id order, so each filtered row stays sorted
+    rows = [tuple(j for j in map(index.get, adj[u]) if j is not None) for u in keep]
+    partner = maximum_matching(rows)
     if -1 in partner:
         return None
-    orig = sub.orig_ids
-    return {v: orig[p] for v, p in zip(orig, partner)}
+    return {v: keep[p] for v, p in zip(keep, partner)}
 
 
 def free_neighbor_edges(
-    graph: UnderlyingGraph, partner: Sequence[int], w: int
+    adj: Sequence[Sequence[int]], partner: Sequence[int], w: int
 ) -> list[int]:
     """Matched neighbors v of w whose partner is not adjacent to w."""
     out = []
-    for v in graph.neighbors(w):
+    row = adj[w]
+    for v in row:
         p = partner[v]
         if p == -1:
             raise MatchingError(
                 f"vertices {w} and {v} are adjacent and both unmatched; "
                 "matching is not even maximal"
             )
-        if not graph.has_edge(w, p):
+        if not _sorted_contains(row, p):
             out.append(v)
     return out
 
@@ -175,8 +176,10 @@ class _Grower:
     against the tight-component definition directly.
     """
 
-    def __init__(self, graph: UnderlyingGraph, partner: list[int], w: int) -> None:
-        self.graph = graph
+    def __init__(
+        self, adj: Sequence[Sequence[int]], partner: list[int], w: int
+    ) -> None:
+        self.adj = adj
         self.partner = partner
         self.w = w
         self.in_t: set[int] = {w}
@@ -213,11 +216,9 @@ class _Grower:
     def run(self) -> bool:
         """Returns True when the matching was improved; otherwise `in_t` ends
         as w's whole connected component, which is then tight."""
-        graph, partner = self.graph, self.partner
+        adj, partner = self.adj, self.partner
         while True:
-            boundary = sorted(
-                {x for t in self.in_t for x in graph.neighbors(t)} - self.in_t
-            )
+            boundary = sorted({x for t in self.in_t for x in adj[t]} - self.in_t)
             if not boundary:
                 return self._finish_component()
             for x in boundary:
@@ -235,9 +236,9 @@ class _Grower:
                     f"matched pair ({v1},{v2}) split by the absorption set "
                     f"of leftover vertex {self.w}"
                 )
-            n1 = {t for t in graph.neighbors(v1) if t in self.in_t}
-            n2 = {t for t in graph.neighbors(v2) if t in self.in_t}
-            for w2 in graph.neighbors(v2):
+            n1 = {t for t in adj[v1] if t in self.in_t}
+            n2 = {t for t in adj[v2] if t in self.in_t}
+            for w2 in adj[v2]:
                 if w2 not in self.in_t and partner[w2] == -1 and w2 != v1:
                     raise MatchingError(
                         f"leftover vertex {w2} adjacent to the partner of a "
@@ -253,7 +254,7 @@ class _Grower:
             self.anchor[v2] = a
 
     def _finish_component(self) -> bool:
-        violation = _tight_violation(self.graph, sorted(self.in_t))
+        violation = _tight_violation(self.adj, sorted(self.in_t))
         if violation is None:
             return False
         u, x, y, mates = violation
@@ -266,7 +267,7 @@ class _Grower:
         return True
 
 
-def _tight_violation(graph: UnderlyingGraph, component: Sequence[int]):
+def _tight_violation(adj: Sequence[Sequence[int]], component: Sequence[int]):
     """Search for (u, x, y) with x ~ u, y in N(x) outside N[u], and the rest of
     the component perfectly matchable; returns (u, x, y, mates) with `mates`
     a perfect matching of the rest, or None when the component is tight.
@@ -276,22 +277,22 @@ def _tight_violation(graph: UnderlyingGraph, component: Sequence[int]):
     """
     comp = set(component)
     size = len(comp)
-    if all(graph.degree(v) == size - 1 for v in component):
+    if all(len(adj[v]) == size - 1 for v in component):
         return None  # odd cliques carry no half-adjacent edges
     for u in component:
-        nu = set(graph.neighbors(u))
+        nu = set(adj[u])
         for x in sorted(nu):
-            for y in graph.neighbors(x):
+            for y in adj[x]:
                 if y == u or y in nu:
                     continue
-                mates = _perfect_matching(graph, comp - {u, x, y})
+                mates = _perfect_matching(adj, comp - {u, x, y})
                 if mates is not None:
                     return u, x, y, mates
     return None
 
 
 def _settle(
-    graph: UnderlyingGraph, partner: list[int]
+    adj: Sequence[Sequence[int]], partner: list[int]
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[int]]]:
     """Run the free-vertex fixpoint in place on `partner`; return the tight
     component of every non-free leftover vertex, in leftover-vertex order,
@@ -307,13 +308,13 @@ def _settle(
     while improved:
         improved = False
         frees: dict[int, list[int]] = {}
-        for w in range(graph.n):
+        for w in range(len(adj)):
             if partner[w] != -1 or w in settled:
                 continue
-            frees[w] = free_neighbor_edges(graph, partner, w)
+            frees[w] = free_neighbor_edges(adj, partner, w)
             if frees[w]:
                 continue
-            grower = _Grower(graph, partner, w)
+            grower = _Grower(adj, partner, w)
             improved = grower.run()
             if improved:
                 break
@@ -321,20 +322,22 @@ def _settle(
     return tuple(settled[w] for w in sorted(settled)), frees
 
 
-def _check_partner(graph: UnderlyingGraph, partner: Sequence[int]) -> None:
-    """Reject a partner list that is not a matching of `graph`."""
-    if len(partner) != graph.n:
-        raise MatchingError(f"{len(partner)} partners for {graph.n} vertices")
+def _check_partner(adj: Sequence[Sequence[int]], partner: Sequence[int]) -> None:
+    """Reject a partner list that is not a matching of the graph."""
+    if len(partner) != len(adj):
+        raise MatchingError(f"{len(partner)} partners for {len(adj)} vertices")
     for v, p in enumerate(partner):
         if p == -1:
             continue
-        if not graph.has_edge(v, p):
+        if not _sorted_contains(adj[v], p):
             raise MatchingError(f"matched pair ({v},{p}) is not an edge")
         if partner[p] != v:
             raise MatchingError(f"{v} is matched to {p} but {p} to {partner[p]}")
 
 
-def maximize_free_vertices(graph: UnderlyingGraph, partner: Sequence[int]) -> list[int]:
+def maximize_free_vertices(
+    adj: Sequence[Sequence[int]], partner: Sequence[int]
+) -> list[int]:
     """Re-match, at equal cardinality, until no single exchange of the two
     kinds (re-matching a grown component after stealing one matched edge, or
     re-seating a component near-matching) increases the free-vertex count.
@@ -343,16 +346,16 @@ def maximize_free_vertices(graph: UnderlyingGraph, partner: Sequence[int]) -> li
     non-free leftover vertex then sits in its own tight component.  Returns
     a new partner list.
     """
-    _check_partner(graph, partner)
-    if partner.count(-1) != maximum_matching(graph).count(-1):
+    _check_partner(adj, partner)
+    if partner.count(-1) != maximum_matching(adj).count(-1):
         raise MatchingError("matching is not maximum")
     out = list(partner)
-    _settle(graph, out)
+    _settle(adj, out)
     return out
 
 
 def tight_components(
-    graph: UnderlyingGraph, partner: Sequence[int]
+    adj: Sequence[Sequence[int]], partner: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
     """One tight component per non-free leftover vertex, recovered by growing
     the pair-absorption set until the component disconnects.
@@ -360,9 +363,9 @@ def tight_components(
     Requires a maximum matching that already maximizes free vertices; a
     matching that the free-vertex fixpoint would change is rejected.
     """
-    _check_partner(graph, partner)
+    _check_partner(adj, partner)
     settled = list(partner)
-    components, _ = _settle(graph, settled)
+    components, _ = _settle(adj, settled)
     if settled != list(partner):
         raise MatchingError(
             "an exchange at equal cardinality frees a vertex; matching does "
@@ -444,11 +447,10 @@ def star_decompose(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
     degree_cap = mean_degree / epsilon
-    graph, antiparallel = digraph.induced_underlying(b_vertices)
-    orig = graph.orig_ids
+    adj, orig, antiparallel = digraph.induced_underlying(b_vertices)
 
-    partner = maximum_matching(graph)
-    tight, free_lists = _settle(graph, partner)
+    partner = maximum_matching(adj)
+    tight, free_lists = _settle(adj, partner)
 
     sigma = 0
     if prefer_antiparallel:
@@ -473,7 +475,7 @@ def star_decompose(
     leaves_of: dict[int, list[int]] = {a: [] for a, _ in seeds}
     attach_at: dict[int, int] = {}
     leftover = []
-    for w in range(graph.n):
+    for w in range(len(adj)):
         if partner[w] != -1:
             continue
         frees = free_lists.get(w)
@@ -502,7 +504,7 @@ def star_decompose(
     return StarDecomposition(
         stars=tuple(stars),
         leftover=tuple(orig[w] for w in leftover),
-        tau=graph.odd_components(),
+        tau=sum(len(comp) % 2 for comp in _components(adj)),
         tight=tuple(tuple(orig[v] for v in comp) for comp in tight),
         sigma=sigma,
         tau_prime=len(tight) - sigma,

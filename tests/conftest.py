@@ -1,12 +1,16 @@
 """Shared helpers: seeded random graph builders used across the suite, and
-plain references for graph operations the library no longer carries."""
+plain references for graph operations the library no longer carries.
+
+An undirected simple graph is given as its rows, as the decomposition takes
+it: rows[v] is the sorted tuple of v's neighbours, and u is in rows[v]
+exactly when v is in rows[u]."""
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, Sequence
 
-from dicut.core import Digraph, GraphInputError, UnderlyingGraph
+from dicut.core import Digraph, GraphInputError
 from dicut.decomposition import free_neighbor_edges
 from dicut.generators import lower_bound_gadget
 
@@ -52,11 +56,44 @@ def from_edge_list(
     return Digraph(n, pairs)
 
 
-def random_undirected(rng: random.Random, n: int, p: float) -> UnderlyingGraph:
+Rows = tuple[tuple[int, ...], ...]
+
+
+def undirected(n: int, edges: Iterable[tuple[int, int]]) -> Rows:
+    """The rows of the simple graph on 0..n-1 with these edges; a repeated
+    edge, in either orientation, is kept once.  Raises for a loop or an id
+    outside [0, n)."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise GraphInputError(f"loop edge ({u},{v}) in undirected graph")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(f"edge ({u},{v}): vertex id out of range")
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def edges_of(rows: Rows) -> tuple[tuple[int, int], ...]:
+    """Every edge as (u, v) with u < v, sorted."""
+    return tuple((u, v) for u, a in enumerate(rows) for v in a if u < v)
+
+
+def induced_rows(rows: Rows, vertices: Iterable[int]) -> tuple[Rows, tuple[int, ...]]:
+    """The subgraph induced by `vertices`, relabelled 0..k-1 in id order, and
+    the original id of each new vertex."""
+    keep = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(keep)}
+    return tuple(
+        tuple(sorted(index[u] for u in rows[v] if u in index)) for v in keep
+    ), keep
+
+
+def random_undirected(rng: random.Random, n: int, p: float) -> Rows:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return UnderlyingGraph(n, edges)
+    return undirected(n, edges)
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -81,8 +118,8 @@ def chained_lower_bound_gadget(d: int, k: int, seed: int = 0) -> Digraph:
     return Digraph(g.n, [*g.edges, *chain])
 
 
-def triangle_graph() -> UnderlyingGraph:
-    return UnderlyingGraph(3, [(0, 1), (1, 2), (0, 2)])
+def triangle_graph() -> Rows:
+    return undirected(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def induced(digraph: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
@@ -94,9 +131,9 @@ def induced(digraph: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tuple[i
     return Digraph(len(keep), pairs), keep
 
 
-def underlying(digraph: Digraph) -> UnderlyingGraph:
+def underlying(digraph: Digraph) -> Rows:
     """Forget orientation; antiparallel pairs collapse to one edge."""
-    return UnderlyingGraph(digraph.n, digraph.edges)
+    return undirected(digraph.n, digraph.edges)
 
 
 def antiparallel_pairs(digraph: Digraph) -> int:
@@ -109,9 +146,9 @@ def matching_size(partner: list[int]) -> int:
     return (len(partner) - partner.count(-1)) // 2
 
 
-def free_vertex_count(graph: UnderlyingGraph, partner: list[int]) -> int:
+def free_vertex_count(rows: Rows, partner: list[int]) -> int:
     """Leftover vertices of the partner list that have a free neighbour."""
     return sum(
         1 for w, p in enumerate(partner)
-        if p == -1 and free_neighbor_edges(graph, partner, w)
+        if p == -1 and free_neighbor_edges(rows, partner, w)
     )

@@ -2,14 +2,17 @@
 minimum sign gap, maximum and perfect matchings, the tight-component test
 and the free-vertex maximum.  Tests check the library against them; no
 module of the library reads them.  The library's own exhaustive max-min cut
-is ``dicut.oracle.exact_judicious``."""
+is ``dicut.oracle.exact_judicious``.  Undirected graphs are given as sorted,
+symmetric neighbour rows (see ``conftest``)."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from dicut.core import Bipartition, UnderlyingGraph
+from dicut.core import Bipartition, _components
+
+from .conftest import Rows, induced_rows
 
 MAX_GAP_A = 15
 MAX_MATCH_N = 12
@@ -49,19 +52,15 @@ def exact_min_gap(surpluses: Sequence[int]) -> int:
     return best
 
 
-def _adj_masks(graph: UnderlyingGraph) -> list[int]:
-    masks = [0] * graph.n
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+def _adj_masks(rows: Rows) -> list[int]:
+    return [sum(1 << v for v in row) for row in rows]
 
 
-def exact_max_matching(graph: UnderlyingGraph) -> int:
+def exact_max_matching(rows: Rows) -> int:
     """Exhaustive maximum matching size (bitmask recursion with memo)."""
-    if graph.n > MAX_MATCH_N:
+    if len(rows) > MAX_MATCH_N:
         raise ValueError(f"exact_max_matching is capped at n <= {MAX_MATCH_N}")
-    masks = _adj_masks(graph)
+    masks = _adj_masks(rows)
 
     @lru_cache(maxsize=None)
     def best(mask: int) -> int:
@@ -77,16 +76,14 @@ def exact_max_matching(graph: UnderlyingGraph) -> int:
             out = max(out, 1 + best(rest & ~(1 << u)))
         return out
 
-    return best((1 << graph.n) - 1)
+    return best((1 << len(rows)) - 1)
 
 
-def enumerate_perfect_matchings(
-    graph: UnderlyingGraph,
-) -> Iterator[tuple[tuple[int, int], ...]]:
+def enumerate_perfect_matchings(rows: Rows) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield every perfect matching as a sorted tuple of (u, v) edges."""
-    if graph.n > MAX_PM_N:
+    if len(rows) > MAX_PM_N:
         raise ValueError(f"enumerate_perfect_matchings is capped at n <= {MAX_PM_N}")
-    masks = _adj_masks(graph)
+    masks = _adj_masks(rows)
 
     def rec(mask: int, acc: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
         if mask == 0:
@@ -102,25 +99,24 @@ def enumerate_perfect_matchings(
             yield from rec(rest & ~(1 << u), acc)
             acc.pop()
 
-    if graph.n % 2 == 0:
-        yield from rec((1 << graph.n) - 1, [])
+    if len(rows) % 2 == 0:
+        yield from rec((1 << len(rows)) - 1, [])
 
 
-def brute_force_tight_check(graph: UnderlyingGraph) -> bool:
+def brute_force_tight_check(rows: Rows) -> bool:
     """Definitional tight-component test by full enumeration; test oracle only.
 
     True iff for every vertex v the rest has a perfect matching and no such
     matching has an edge with exactly one endpoint adjacent to v.
     """
-    if graph.n > MAX_PM_N - 1:
+    n = len(rows)
+    if n > MAX_PM_N - 1:
         raise ValueError(f"brute_force_tight_check is capped at n <= {MAX_PM_N - 1}")
-    if len(graph.components()) != 1:
+    if len(_components(rows)) != 1:
         raise ValueError("tight check expects a single connected component")
-    for v in range(graph.n):
-        rest = [u for u in range(graph.n) if u != v]
-        sub = graph.induced(rest)
-        orig = sub.orig_ids
-        neighbors = set(graph.neighbors(v))
+    for v in range(n):
+        sub, orig = induced_rows(rows, [u for u in range(n) if u != v])
+        neighbors = set(rows[v])
         found = False
         for pm in enumerate_perfect_matchings(sub):
             found = True
@@ -132,17 +128,17 @@ def brute_force_tight_check(graph: UnderlyingGraph) -> bool:
     return True
 
 
-def max_free_over_max_matchings(graph: UnderlyingGraph) -> int:
+def max_free_over_max_matchings(rows: Rows) -> int:
     """Exhaustive maximum of the free-vertex count over all maximum matchings.
 
     A vertex w outside the matching is free when some neighbor's matching
     edge has its other endpoint non-adjacent to w.  Test oracle only.
     """
-    if graph.n > MAX_MATCH_N:
+    if len(rows) > MAX_MATCH_N:
         raise ValueError(f"capped at n <= {MAX_MATCH_N}")
-    masks = _adj_masks(graph)
-    target = exact_max_matching(graph)
-    full = (1 << graph.n) - 1
+    masks = _adj_masks(rows)
+    target = exact_max_matching(rows)
+    full = (1 << len(rows)) - 1
     best_free = -1
 
     def free_count(pairs: list[tuple[int, int]], unmatched: int) -> int:
@@ -183,5 +179,5 @@ def max_free_over_max_matchings(graph: UnderlyingGraph) -> int:
             acc.pop()
         rec(rest, acc, size)  # v stays unmatched
 
-    rec((1 << graph.n) - 1, [], 0)
+    rec(full, [], 0)
     return best_free

@@ -18,7 +18,6 @@ from dicut.core import (
     Bipartition,
     Digraph,
     GraphInputError,
-    UnderlyingGraph,
     cut_stats,
     format_edge_list,
     format_partition,
@@ -34,11 +33,14 @@ from dicut.generators import (
 
 from .conftest import (
     antiparallel_pairs,
+    edges_of,
     from_edge_list,
     induced,
+    induced_rows,
     random_digraph,
     reference_digraph,
     underlying,
+    undirected,
 )
 from .exhaustive import all_bipartitions
 from .test_pipeline import _rescanning_sweep
@@ -215,8 +217,7 @@ def test_label_swap_swaps_cuts(g, rng):
 @given(digraphs())
 @settings(max_examples=60, deadline=None)
 def test_underlying_collapses_antiparallel(g):
-    und = underlying(g)
-    assert und.m == g.m - antiparallel_pairs(g)
+    assert len(edges_of(underlying(g))) == g.m - antiparallel_pairs(g)
 
 
 @given(digraphs(), st.randoms(use_true_random=False))
@@ -224,11 +225,8 @@ def test_underlying_collapses_antiparallel(g):
 def test_induced_underlying_matches_two_builds(g, rng):
     keep = [v for v in range(g.n) if rng.random() < 0.7]
     sub, orig_ids = induced(g, keep)
-    expected = underlying(sub)
-    graph, antiparallel = g.induced_underlying(reversed(keep))
-    assert (graph.n, graph.m, graph.orig_ids) == (expected.n, expected.m, orig_ids)
-    assert graph.edges == expected.edges
-    assert all(graph.neighbors(v) == expected.neighbors(v) for v in range(sub.n))
+    rows, orig, antiparallel = g.induced_underlying(reversed(keep))
+    assert (rows, orig) == (underlying(sub), orig_ids)
     assert antiparallel == {
         (u, v) for u, v in sub.edges if u < v and sub.has_edge(v, u)
     }
@@ -247,29 +245,13 @@ def pair_lists(draw, max_n=7):
     return n, pairs
 
 
-@given(pair_lists(), st.randoms(use_true_random=False))
-@settings(max_examples=200, deadline=None)
-def test_underlying_induced_matches_checked_constructor(case, rng):
-    n, pairs = case
-    keep = rng.sample(range(n), rng.randint(0, n))
-    index = {v: i for i, v in enumerate(sorted(keep))}
-    expected = UnderlyingGraph(len(keep), [
-        (index[u], index[v]) for u, v in pairs if u in index and v in index
-    ])
-    got = UnderlyingGraph(n, pairs).induced(keep)
-    assert [got.neighbors(v) for v in range(got.n)] == [
-        expected.neighbors(v) for v in range(expected.n)
-    ]
-    assert (got.n, got.m, got.orig_ids) == (expected.n, expected.m, tuple(sorted(keep)))
-
-
 @given(pair_lists(), st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
     n, pairs = case
     edge_set = set(pairs)
     norm = {(min(e), max(e)) for e in edge_set}
-    assert UnderlyingGraph(n, pairs).edges == tuple(sorted(norm))
+    assert edges_of(undirected(n, pairs)) == tuple(sorted(norm))
     arg = (e for e in pairs) if as_generator else pairs
     if len(edge_set) < len(pairs):
         second = next(pos for pos, e in enumerate(pairs) if e in pairs[:pos])
@@ -278,7 +260,7 @@ def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
         return
     g = Digraph(n, arg)
     assert g.edges == tuple(sorted(edge_set))
-    assert g.induced_underlying(range(n))[1] == {
+    assert g.induced_underlying(range(n))[2] == {
         (u, v) for (u, v) in edge_set if u < v and (v, u) in edge_set
     }
     assert g.m == len(edge_set)
@@ -287,7 +269,7 @@ def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
     kept = tuple(
         sorted((index[u], index[v]) for u, v in norm if u in index and v in index)
     )
-    assert g.induced_underlying(keep)[0].edges == kept
+    assert edges_of(g.induced_underlying(keep)[0]) == kept
     back = parse_edge_list(format_edge_list(g))
     assert (back.n, back.edges) == (n, g.edges)
     side = tuple(rng.choice((1, 2)) for _ in range(n))
@@ -297,13 +279,11 @@ def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
         sum(1 for u, v in edge_set if (side[u], side[v]) == (2, 1)),
     )
     und = underlying(g)
-    assert und.edges == tuple(sorted(norm))
-    assert und.m == len(norm)
-    assert und.induced(keep).edges == kept
+    assert edges_of(und) == tuple(sorted(norm))
+    assert edges_of(induced_rows(und, keep)[0]) == kept
     for u in range(-2, n + 2):
         for v in range(-2, n + 2):
             assert g.has_edge(u, v) == ((u, v) in edge_set)
-            assert und.has_edge(u, v) == ((min(u, v), max(u, v)) in norm)
 
 
 def construction_outcome(build, n, pairs):
@@ -365,15 +345,15 @@ def test_digraph_retains_adjacency_only():
 class TestUnderlying:
     def test_antiparallel_collapse(self):
         g = from_edge_list([(0, 1), (1, 0)])
-        assert underlying(g).edges == ((0, 1),)
+        assert edges_of(underlying(g)) == ((0, 1),)
 
     def test_three_cycle_triangle(self):
-        assert underlying(three_cycle()).m == 3
+        assert len(edges_of(underlying(three_cycle()))) == 3
 
     def test_eulerian_k7(self):
         und = underlying(eulerian_complete(7))
-        assert und.m == 21
-        assert all(und.degree(v) == 6 for v in range(7))
+        assert len(edges_of(und)) == 21
+        assert all(len(row) == 6 for row in und)
 
     @pytest.mark.parametrize("edge, message", [
         ((2, 2), "loop edge (2,2) in undirected graph"),
@@ -382,25 +362,19 @@ class TestUnderlying:
     ])
     def test_constructor_rejects_bad_edges(self, edge, message):
         with pytest.raises(GraphInputError, match=re.escape(message)):
-            UnderlyingGraph(3, [(0, 1), edge])
-
-    def test_odd_components(self):
-        g = UnderlyingGraph(6, [(0, 1), (1, 2), (0, 2)])
-        assert g.odd_components() == 4  # triangle plus three isolated vertices
+            undirected(3, [(0, 1), edge])
 
     def test_induced_mapping(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0), (0, 2)])
-        sub, antiparallel = g.induced_underlying([2, 0])
-        assert sub.orig_ids == (0, 2)
-        assert sub.edges == ((0, 1),)  # old (2,0) and (0,2) relabeled, collapsed
+        rows, orig, antiparallel = g.induced_underlying([2, 0])
+        assert orig == (0, 2)
+        assert rows == ((1,), (0,))  # old (2,0) and (0,2) relabeled, collapsed
         assert antiparallel == {(0, 1)}
 
     @pytest.mark.parametrize("ids, bad", [([-1, 0], -1), ([5], 5), ([0, 3, 4], 3)])
     def test_induced_rejects_unknown_ids(self, ids, bad):
         digraph = three_cycle()
         message = re.escape(f"unknown vertex id {bad} (n=3)")
-        with pytest.raises(GraphInputError, match=message):
-            underlying(digraph).induced(ids)
         with pytest.raises(GraphInputError, match=message):
             digraph.induced_underlying(ids)
 

@@ -7,11 +7,11 @@ import dicut.decomposition as decomposition_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicut.core import Digraph, UnderlyingGraph, _components
+from dicut.core import Digraph, _components
 from dicut.decomposition import (
     _augment,
     _Grower,
-    _max_matching_partner,
+    _perfect_matching,
     MatchingError,
     free_neighbor_edges,
     maximize_free_vertices,
@@ -23,46 +23,52 @@ from dicut.generators import lower_bound_gadget
 from dicut.pipeline import split_large
 
 from .conftest import (
+    Rows,
     chained_lower_bound_gadget,
+    edges_of,
     free_vertex_count,
     from_edge_list,
     induced,
+    induced_rows,
     matching_size,
     random_digraph,
     random_undirected,
     triangle_graph,
     underlying,
+    undirected,
 )
 from .exhaustive import (
+    MAX_PM_N,
     brute_force_tight_check,
+    enumerate_perfect_matchings,
     exact_max_matching,
     max_free_over_max_matchings,
 )
 
 
-def k_graph(n: int) -> UnderlyingGraph:
-    return UnderlyingGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+def k_graph(n: int) -> Rows:
+    return undirected(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def two_triangles() -> UnderlyingGraph:
-    return UnderlyingGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+def two_triangles() -> Rows:
+    return undirected(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
-def bowtie() -> UnderlyingGraph:
-    return UnderlyingGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+def bowtie() -> Rows:
+    return undirected(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
 
-def fan_with_chord() -> UnderlyingGraph:
+def fan_with_chord() -> Rows:
     """Vertex 2 and the edge (3,4), both joined to the edge (0,1).  Under the
     matching {(0,1),(3,4)} every pair absorbs, so vertex 2 is freed only by
     the tight-violation exchange (u, x, y) = (2, 0, 3)."""
-    return UnderlyingGraph(
+    return undirected(
         5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4)]
     )
 
 
-def chorded_c5() -> UnderlyingGraph:
-    return UnderlyingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+def chorded_c5() -> Rows:
+    return undirected(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
 
 
 @st.composite
@@ -74,7 +80,7 @@ def graphs(draw, max_n=10):
         if pool
         else []
     )
-    return UnderlyingGraph(n, edges)
+    return undirected(n, edges)
 
 
 @st.composite
@@ -109,7 +115,7 @@ def multi_component_graphs(draw, max_n=80):
     bridges = draw(st.lists(st.tuples(ids, ids), max_size=3))
     edges += [(u, v) for u, v in bridges if u != v]
     perm = draw(st.permutations(range(n)))
-    return UnderlyingGraph(n, [(perm[u], perm[v]) for u, v in edges])
+    return undirected(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def greedy_partner(adj):
@@ -140,10 +146,10 @@ class TestMaximumMatching:
     @given(multi_component_graphs(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_per_component_search_equals_whole_graph(self, g, reverse):
-        adj = [list(g.neighbors(v)) for v in range(g.n)]
+        adj = [list(row) for row in g]
         if reverse:  # neighbour order steers the search; keep it arbitrary
             adj = [a[::-1] for a in adj]
-        assert _max_matching_partner(adj) == whole_graph_partner(adj)
+        assert maximum_matching(adj) == whole_graph_partner(adj)
 
     def test_size_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -153,12 +159,12 @@ class TestMaximumMatching:
                 g = random_undirected(rng, n, avg_degree / (n - 1))
                 ref = nx.Graph()
                 ref.add_nodes_from(range(n))
-                ref.add_edges_from(g.edges)
+                ref.add_edges_from(edges_of(g))
                 expected = len(nx.max_weight_matching(ref, maxcardinality=True))
                 assert matching_size(maximum_matching(g)) == expected, (n, avg_degree)
 
     def test_path_four(self):
-        p4 = UnderlyingGraph(4, [(0, 1), (1, 2), (2, 3)])
+        p4 = undirected(4, [(0, 1), (1, 2), (2, 3)])
         m = maximum_matching(p4)
         assert matching_size(m) == 2 and -1 not in m
 
@@ -180,23 +186,45 @@ class TestMaximumMatching:
     def test_blossom_heavy_cases(self):
         # odd cycles force blossom contraction
         for n in (5, 7, 9, 11):
-            cyc = UnderlyingGraph(n, [(i, (i + 1) % n) for i in range(n)])
+            cyc = undirected(n, [(i, (i + 1) % n) for i in range(n)])
             assert matching_size(maximum_matching(cyc)) == n // 2
 
     def test_petersen_graph(self):
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]
-        g = UnderlyingGraph(10, outer + inner + spokes)
+        g = undirected(10, outer + inner + spokes)
         assert matching_size(maximum_matching(g)) == 5
 
 
-def chained_b(d: int, k: int) -> UnderlyingGraph:
+class TestPerfectMatching:
+    def test_matches_exhaustive_on_induced_subsets(self):
+        """_perfect_matching filters the induced rows itself: None exactly
+        when the induced subgraph has no perfect matching, else a perfect
+        matching of it in original ids, whatever order the subset comes in."""
+        rng = random.Random(31)
+        matched = 0
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            g = random_undirected(rng, n, rng.uniform(0.15, 0.8))
+            vertices = rng.sample(range(n), rng.randint(0, min(n, MAX_PM_N)))
+            mates = _perfect_matching(g, vertices)
+            sub, _ = induced_rows(g, vertices)
+            if next(enumerate_perfect_matchings(sub), None) is None:
+                assert mates is None, (g, vertices)
+                continue
+            matched += 1
+            assert mates is not None and sorted(mates) == sorted(vertices)
+            assert all(mates[p] == v and p in g[v] for v, p in mates.items())
+        assert matched > 100
+
+
+def chained_b(d: int, k: int) -> Rows:
     """The underlying graph of B that the bisection branch decomposes on the
     chained gadget: one connected component of k copies."""
     _, rest, stripped, _ = split_large(chained_lower_bound_gadget(d, k))
-    graph, _ = stripped.induced_underlying(rest)
-    return graph
+    rows, _, _ = stripped.induced_underlying(rest)
+    return rows
 
 
 PINNED_MATCHINGS = {
@@ -243,8 +271,7 @@ class TestPinnedMatchings:
     @pytest.mark.parametrize("name", sorted(PINNED_MATCHINGS))
     def test_partner_list_pinned(self, name, reverse):
         build, sorted_sha, reversed_sha = PINNED_MATCHINGS[name]
-        g = build()
-        adj = [list(g.neighbors(v)) for v in range(g.n)]
+        adj = [list(row) for row in build()]
         if reverse:
             adj = [a[::-1] for a in adj]
         greedy = greedy_partner(adj)
@@ -252,7 +279,7 @@ class TestPinnedMatchings:
         assert any(
             sum(greedy[v] == -1 for v in comp) >= 2 for comp in _components(adj)
         )
-        partner = _max_matching_partner(adj) if reverse else maximum_matching(g)
+        partner = maximum_matching(adj)
         assert matching_size(partner) > matching_size(greedy)
         digest = hashlib.sha256(",".join(map(str, partner)).encode()).hexdigest()
         assert digest == (reversed_sha if reverse else sorted_sha)
@@ -266,12 +293,12 @@ class TestMaximizeFreeVertices:
         assert free_vertex_count(g, m) == 0
 
     def test_star_leaves_already_free(self):
-        star = UnderlyingGraph(4, [(0, 1), (0, 2), (0, 3)])
+        star = undirected(4, [(0, 1), (0, 2), (0, 3)])
         m = maximize_free_vertices(star, maximum_matching(star))
         assert free_vertex_count(star, m) == 2
 
     def test_rejects_non_maximum(self):
-        g = UnderlyingGraph(4, [(0, 1), (1, 2), (2, 3)])
+        g = undirected(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(MatchingError, match="not maximum"):
             maximize_free_vertices(g, [-1, 2, 1, -1])
 
@@ -308,11 +335,11 @@ class TestTightComponents:
         assert tight_components(g, m) == ((0, 1, 2), (3, 4, 5))
 
     def test_isolated_vertex(self):
-        g = UnderlyingGraph(1, [])
+        g = undirected(1, [])
         assert tight_components(g, [-1]) == ((0,),)
 
     def test_even_path_has_none(self):
-        g = UnderlyingGraph(4, [(0, 1), (1, 2), (2, 3)])
+        g = undirected(4, [(0, 1), (1, 2), (2, 3)])
         m = maximum_matching(g)
         assert len(tight_components(g, m)) == 0
 
@@ -327,7 +354,7 @@ class TestTightComponents:
 
     def test_pair_split_by_absorption_set_named(self):
         # partner array claims 1 is matched to the leftover vertex 0 itself
-        g = UnderlyingGraph(3, [(0, 1), (1, 2)])
+        g = undirected(3, [(0, 1), (1, 2)])
         grower = _Grower(g, [-1, 0, -1], 0)
         with pytest.raises(MatchingError, match=r"pair \(1,0\) split .* vertex 0"):
             grower.run()
@@ -348,7 +375,7 @@ class TestPartnerListValidation:
 
     def test_rejects_wrong_length(self, step):
         with pytest.raises(MatchingError, match="3 partners for 4 vertices"):
-            step(UnderlyingGraph(4, [(0, 1), (2, 3)]), [1, 0, -1])
+            step(undirected(4, [(0, 1), (2, 3)]), [1, 0, -1])
 
     def test_rejects_one_sided_pair(self, step):
         with pytest.raises(MatchingError, match="0 is matched to 1 but 1 to 2"):
@@ -356,34 +383,34 @@ class TestPartnerListValidation:
 
     def test_rejects_pair_that_is_not_an_edge(self, step):
         with pytest.raises(MatchingError, match=r"pair \(0,2\) is not an edge"):
-            step(UnderlyingGraph(4, [(0, 1), (2, 3)]), [2, -1, 0, -1])
+            step(undirected(4, [(0, 1), (2, 3)]), [2, -1, 0, -1])
 
     @pytest.mark.parametrize("bad", [4, -2, 10**9])
     def test_rejects_out_of_range_partner(self, step, bad):
         # -2 would otherwise index the list from its end
         with pytest.raises(MatchingError, match=rf"pair \(0,{bad}\) is not an edge"):
-            step(UnderlyingGraph(4, [(0, 1), (2, 3)]), [bad, -1, -1, -1])
+            step(undirected(4, [(0, 1), (2, 3)]), [bad, -1, -1, -1])
 
 
 class TestBruteForceTight:
     def test_small_cases(self):
-        assert brute_force_tight_check(UnderlyingGraph(1, []))
+        assert brute_force_tight_check(undirected(1, []))
         assert brute_force_tight_check(triangle_graph())
         assert brute_force_tight_check(k_graph(5))
-        assert not brute_force_tight_check(UnderlyingGraph(2, [(0, 1)]))
-        assert not brute_force_tight_check(UnderlyingGraph(3, [(0, 1), (1, 2)]))
+        assert not brute_force_tight_check(undirected(2, [(0, 1)]))
+        assert not brute_force_tight_check(undirected(3, [(0, 1), (1, 2)]))
 
     def test_bowtie_is_tight(self):
         assert brute_force_tight_check(bowtie())
 
     def test_cycles_are_not_tight(self):
-        c5 = UnderlyingGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+        c5 = undirected(5, [(i, (i + 1) % 5) for i in range(5)])
         assert not brute_force_tight_check(c5)
         assert not brute_force_tight_check(chorded_c5())
 
     def test_requires_connected(self):
         with pytest.raises(ValueError):
-            brute_force_tight_check(UnderlyingGraph(2, []))
+            brute_force_tight_check(undirected(2, []))
 
 
 def directed_triangles(count: int, antiparallel_on=()) -> Digraph:
@@ -477,11 +504,11 @@ class TestStarDecompose:
             assert star.apex in star.seed
             others = [v for v in star.vertices if v != star.apex]
             for leaf in star.leaves:
-                assert und.has_edge(back[leaf], back[star.apex])
+                assert back[star.apex] in und[back[leaf]]
                 for other in others:
                     if other != leaf:
-                        assert not und.has_edge(back[leaf], back[other])
-            assert 2 <= len(star) <= max(und.degree(x) for x in range(und.n)) + 1
+                        assert back[other] not in und[back[leaf]]
+            assert 2 <= len(star) <= max(map(len, und)) + 1
             high = [
                 v for v in others if d.degree(v) > dec.degree_cap
             ]
@@ -491,7 +518,7 @@ class TestStarDecompose:
         for u in dec.leftover:
             for v in dec.leftover:
                 if u < v:
-                    assert not und.has_edge(back[u], back[v])
+                    assert back[v] not in und[back[u]]
         assert len(dec.leftover) <= dec.tau + epsilon * d.n
         assert dec.tau_prime == len(dec.tight) - dec.sigma
         for comp in dec.tight:
@@ -549,7 +576,7 @@ def composed_decomposition(d, b, epsilon, prefer_antiparallel):
                 partner[a], partner[c], partner[spare] = c, a, -1
     cap = 2 * d.m / d.n / epsilon
     leftover, leaves = [], {}
-    for w in range(g.n):
+    for w in range(len(g)):
         if partner[w] != -1:
             continue
         frees = free_neighbor_edges(g, partner, w)
@@ -566,7 +593,7 @@ def composed_decomposition(d, b, epsilon, prefer_antiparallel):
         "tight": tuple(tuple(orig[v] for v in comp) for comp in tight),
         "stars": tuple(stars),
         "leftover": tuple(orig[w] for w in leftover),
-        "tau": g.odd_components(),
+        "tau": sum(len(comp) % 2 for comp in _components(g)),
         "sigma": sigma,
         "tau_prime": len(tight) - sigma,
     }
@@ -594,13 +621,13 @@ class TestOneFixpoint:
         calls = {"maximum_matching": 0, "run": 0, "free_neighbor_edges": 0}
         real_matching, real_run = maximum_matching, _Grower.run
 
-        def counted_free(graph, partner, w):
+        def counted_free(adj, partner, w):
             calls["free_neighbor_edges"] += 1
-            return free_neighbor_edges(graph, partner, w)
+            return free_neighbor_edges(adj, partner, w)
 
-        def counted_matching(graph):
+        def counted_matching(adj):
             calls["maximum_matching"] += 1
-            return real_matching(graph)
+            return real_matching(adj)
 
         def counted_run(self):
             calls["run"] += 1

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -15,6 +16,7 @@ import dicut.cli as cli_mod
 import dicut.pipeline as pipeline_mod
 from dicut.cli import main
 from dicut.core import Bipartition, read_edge_list, read_partition
+from dicut.decomposition import star_decompose
 from dicut.harness import (
     BenchTask,
     RunReport,
@@ -24,7 +26,7 @@ from dicut.harness import (
     verify_partition,
 )
 from dicut.generators import FAMILIES, GadgetSpec
-from dicut.pipeline import PipelineConfig, StructuralDiagnostic
+from dicut.pipeline import PipelineConfig, StructuralDiagnostic, split_large
 
 
 def _cli_env():
@@ -184,6 +186,45 @@ class TestCli:
         assert data["tau"] == 1
         assert data["tight_components"] == 0
         assert data["leftover"] == 0
+
+    # (d, k): sha256 of `decompose --json` at the default epsilon, and of
+    # repr(star_decompose(stripped, B, epsilon=0.05, prefer_antiparallel=p))
+    # for p = False, True, with B and stripped from split_large
+    STRUCTURAL_DECOMPOSITIONS = {
+        (2, 1600): (
+            "24ef52a0301bde70072f42343d4fde9003b321c858a0fa5f9a4ae22bcd892706",
+            "1cf0e4c5e22e22ac51392b9b50065c05aa28a2ee9bd3bf022304e172795136d3",
+            "85706340ddf6005c5c61f7cf0397b8c86cf34f22e0fbdd2e8915043f7cc94aba",
+        ),
+        (3, 800): (
+            "5636d826f3a0b0d0a332f07fef7e47584a72ee6989c5a0690eddbf4ebffbb050",
+            "e65020831bc1cf967554d40866aaa527774e36e3b6afbb8ca7412a5dd1e5ab2b",
+            "01b1a6fa56c297aa70391faca622be6b36e4ced2ee6e6bdfa4cdcd9961858b8b",
+        ),
+    }
+
+    @pytest.mark.parametrize("d, k", sorted(STRUCTURAL_DECOMPOSITIONS))
+    def test_structural_decompositions_pinned(self, d, k, tmp_path, capsys):
+        """The decompositions of both `structural` benchmark instances: the
+        whole graph, as `decompose` reads it, and the B set that the
+        bisection branch decomposes, which holds the tight components."""
+        whole, *on_b = self.STRUCTURAL_DECOMPOSITIONS[d, k]
+        graph_file = tmp_path / "g.el"
+        main(["gen", "lower_bound", "--d", str(d), "--k", str(k),
+              "-o", str(graph_file)])
+        capsys.readouterr()
+        assert main(["decompose", "-i", str(graph_file), "--json"]) == 0
+        out = capsys.readouterr().out
+        data = json.loads(out)
+        assert (data["stars"], data["leftover"], data["tau"]) == (
+            {2: 1603, 3: 1604}[d], 0, 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == whole
+        _, rest, stripped, _ = split_large(read_edge_list(str(graph_file)))
+        for prefer, pinned in zip((False, True), on_b):
+            dec = star_decompose(stripped, rest, epsilon=0.05,
+                                 prefer_antiparallel=prefer)
+            assert len(dec.tight) == k
+            assert hashlib.sha256(repr(dec).encode()).hexdigest() == pinned
 
     def test_invalid_input_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.el"
