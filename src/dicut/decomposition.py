@@ -165,106 +165,79 @@ def free_neighbor_edges(
     return out
 
 
-class _Grower:
-    """Grows the pair-absorption set of one non-free leftover vertex.
+def _grow(
+    adj: Sequence[Sequence[int]], partner: list[int], w: int
+) -> tuple[int, ...] | None:
+    """Grow the pair-absorption set of the non-free leftover vertex w.
 
     Every absorbed vertex stays reachable from w along an even alternating
-    path, so a leftover vertex or a neighborhood mismatch met during growth
-    certifies that the matching is improvable: either a larger matching
-    exists (error) or a same-size matching with one more free vertex, which
-    is applied to `partner`.  A fully absorbed component is then checked
-    against the tight-component definition directly.
+    path, kept as a chain of anchors back to w, so a leftover vertex or a
+    neighborhood mismatch met during growth certifies that the matching is
+    improvable: either a larger matching exists (error) or a same-size
+    matching with one more free vertex, which is applied to `partner`.
+    Returns None after such an exchange; otherwise the set ends as w's whole
+    connected component, which is checked against the tight-component
+    definition directly and returned sorted.
     """
-
-    def __init__(
-        self, adj: Sequence[Sequence[int]], partner: list[int], w: int
-    ) -> None:
-        self.adj = adj
-        self.partner = partner
-        self.w = w
-        self.in_t: set[int] = {w}
-        self.anchor: dict[int, int] = {}
-
-    def _even_path(self, x: int) -> list[int]:
-        segs = []
-        while x != self.w:
-            segs.append((self.partner[x], x))
-            x = self.anchor[x]
-        path = [self.w]
-        for y, z in reversed(segs):
-            path.append(y)
-            path.append(z)
-        return path
-
-    def _flip_to_expose(self, target: int) -> None:
-        path = self._even_path(target)
-        for i in range(0, len(path) - 1, 2):
-            a, b = path[i], path[i + 1]
-            self.partner[a] = b
-            self.partner[b] = a
-        self.partner[target] = -1
-
-    def _swap(self, v1: int, v2: int, anchor_of_v1: bool, target: int) -> None:
-        # Re-match so that the pair vertex not adjacent to `target` becomes
-        # exposed and free, while w gets matched inside the grown set.
-        self._flip_to_expose(target)
-        keep, drop = (v1, v2) if anchor_of_v1 else (v2, v1)
-        self.partner[keep] = target
-        self.partner[target] = keep
-        self.partner[drop] = -1
-
-    def run(self) -> bool:
-        """Returns True when the matching was improved; otherwise `in_t` ends
-        as w's whole connected component, which is then tight."""
-        adj, partner = self.adj, self.partner
-        while True:
-            boundary = sorted({x for t in self.in_t for x in adj[t]} - self.in_t)
-            if not boundary:
-                return self._finish_component()
-            for x in boundary:
-                if partner[x] == -1:
-                    raise MatchingError(
-                        f"leftover vertex {x} is reachable from leftover vertex "
-                        f"{self.w} by an alternating path; matching is not maximum"
-                    )
-            # the smallest boundary vertex is absorbed with its partner or
-            # triggers the exchange; growth then restarts from the new set
-            v1 = boundary[0]
-            v2 = partner[v1]
-            if v2 in self.in_t:
+    # the absorbed set: w maps to itself, every other absorbed vertex to the
+    # absorbed vertex adjacent to both ends of its pair when the pair joined
+    anchor = {w: w}
+    while True:
+        boundary = sorted({x for t in anchor for x in adj[t]} - anchor.keys())
+        if not boundary:
+            break
+        for x in boundary:
+            if partner[x] == -1:
                 raise MatchingError(
-                    f"matched pair ({v1},{v2}) split by the absorption set "
-                    f"of leftover vertex {self.w}"
+                    f"leftover vertex {x} is reachable from leftover vertex "
+                    f"{w} by an alternating path; matching is not maximum"
                 )
-            n1 = {t for t in adj[v1] if t in self.in_t}
-            n2 = {t for t in adj[v2] if t in self.in_t}
-            for w2 in adj[v2]:
-                if w2 not in self.in_t and partner[w2] == -1 and w2 != v1:
-                    raise MatchingError(
-                        f"leftover vertex {w2} adjacent to the partner of a "
-                        "boundary vertex; matching is not maximum"
-                    )
-            if n1 != n2:
-                target = min(n1 ^ n2)
-                self._swap(v1, v2, anchor_of_v1=target in n1, target=target)
-                return True
-            a = min(n1)
-            self.in_t.update((v1, v2))
-            self.anchor[v1] = a
-            self.anchor[v2] = a
-
-    def _finish_component(self) -> bool:
-        violation = _tight_violation(self.adj, sorted(self.in_t))
-        if violation is None:
-            return False
-        u, x, y, mates = violation
-        # perfect matching of T minus {u,x,y} plus the edge xy exposes u free
-        for v, p in mates.items():
-            self.partner[v] = p
-        self.partner[x] = y
-        self.partner[y] = x
-        self.partner[u] = -1
-        return True
+        # the smallest boundary vertex is absorbed with its partner or
+        # triggers the exchange; growth then restarts from the new set
+        v1 = boundary[0]
+        v2 = partner[v1]
+        if v2 in anchor:
+            raise MatchingError(
+                f"matched pair ({v1},{v2}) split by the absorption set "
+                f"of leftover vertex {w}"
+            )
+        n1 = {t for t in adj[v1] if t in anchor}
+        n2 = {t for t in adj[v2] if t in anchor}
+        for w2 in adj[v2]:
+            if w2 not in anchor and partner[w2] == -1 and w2 != v1:
+                raise MatchingError(
+                    f"leftover vertex {w2} adjacent to the partner of a "
+                    "boundary vertex; matching is not maximum"
+                )
+        if n1 != n2:
+            # match the pair vertex adjacent to `target` to it and expose the
+            # other, free; walking the anchor chain back from `target`, each
+            # pair shifts one place so that w gets matched inside the set
+            target = min(n1 ^ n2)
+            keep, drop = (v1, v2) if target in n1 else (v2, v1)
+            partner[keep], partner[drop] = target, -1
+            x, mate = target, keep
+            while x != w:
+                y, a = partner[x], anchor[x]
+                partner[x], partner[y] = mate, a
+                x, mate = a, y
+            partner[w] = mate
+            return None
+        a = min(n1)
+        anchor[v1] = a
+        anchor[v2] = a
+    component = tuple(sorted(anchor))
+    violation = _tight_violation(adj, component)
+    if violation is None:
+        return component
+    u, x, y, mates = violation
+    # perfect matching of T minus {u,x,y} plus the edge xy exposes u free
+    for v, p in mates.items():
+        partner[v] = p
+    partner[x] = y
+    partner[y] = x
+    partner[u] = -1
+    return None
 
 
 def _tight_violation(adj: Sequence[Sequence[int]], component: Sequence[int]):
@@ -304,9 +277,7 @@ def _settle(
     component, so w stays settled and its component stays as grown.
     """
     settled: dict[int, tuple[int, ...]] = {}
-    improved = True
-    while improved:
-        improved = False
+    while True:
         frees: dict[int, list[int]] = {}
         for w in range(len(adj)):
             if partner[w] != -1 or w in settled:
@@ -314,12 +285,12 @@ def _settle(
             frees[w] = free_neighbor_edges(adj, partner, w)
             if frees[w]:
                 continue
-            grower = _Grower(adj, partner, w)
-            improved = grower.run()
-            if improved:
+            component = _grow(adj, partner, w)
+            if component is None:
                 break
-            settled[w] = tuple(sorted(grower.in_t))
-    return tuple(settled[w] for w in sorted(settled)), frees
+            settled[w] = component
+        else:
+            return tuple(settled[w] for w in sorted(settled)), frees
 
 
 def _check_partner(adj: Sequence[Sequence[int]], partner: Sequence[int]) -> None:

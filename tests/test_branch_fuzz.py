@@ -171,3 +171,66 @@ def test_second_moment_targets_match_the_expectation_formula(monkeypatch, seed):
         assert record["targets"] == expectation_targets(digraph, a1, a2, p, eps), i
         kinds.add(record["kind"])
     assert kinds == {"second_moment", "second_moment_biased", "quarter"}
+
+
+# the share of each edge's weight counted forward, by the classes of its
+# tail and head: 1 in A1, 2 in A2, 0 in B; backward counts the mirror edge
+BISECTION_WEIGHT = {
+    (1, 2): 1, (1, 0): Fraction(1, 2), (0, 2): Fraction(1, 2), (0, 0): Fraction(1, 4)
+}
+
+
+def odd_components(vertices, edges) -> int:
+    """Odd connected components of the underlying graph on `vertices`."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        if u in root and v in root:
+            root[find(u)] = find(v)
+    return sum(size % 2 for size in Counter(find(v) for v in root).values())
+
+
+def bisection_targets(digraph, a1, a2, tau, eps) -> list[str]:
+    """The thresholds e12 and e21 must reach under the star bisection: an
+    edge from A1 to A2 counts fully, one with an end in B half, one inside B
+    a quarter, plus (n - tau)/8 - eps*n, recounted from the edge list."""
+    cls = [0] * digraph.n
+    for v in a1:
+        cls[v] = 1
+    for v in a2:
+        cls[v] = 2
+    forward = sum(BISECTION_WEIGHT.get((cls[u], cls[v]), 0) for u, v in digraph.edges)
+    backward = sum(BISECTION_WEIGHT.get((cls[v], cls[u]), 0) for u, v in digraph.edges)
+    gain = Fraction(digraph.n - tau, 8) - eps * digraph.n
+    return [str(forward + gain), str(backward + gain)]
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_star_bisection_targets_match_the_bisection_bound(monkeypatch, seed):
+    """Each star-bisection record's targets equal the bisection bound
+    recounted from the digraph the sampler saw.  For d=2 tau is the number of
+    odd components of B's underlying graph, walked here; for d=3 it is the
+    bisection_tau of the decomposition handed to the sampler."""
+    drawn = recorded(monkeypatch, "star_bisection")
+    reached = set()
+    for i, g, config in hub_runs(seed):
+        drawn.clear()
+        trace = run(g, config).branch_trace
+        [record] = [r for r in trace if r["step"] == "sampler"]
+        if record["kind"] != "star_bisection":
+            continue
+        [((digraph, a1, a2, decomposition, *_), _)] = drawn
+        if config.d == 2:
+            b = set(range(digraph.n)) - set(a1) - set(a2)
+            tau = odd_components(b, digraph.edges)
+        else:
+            tau = decomposition.bisection_tau
+        eps = Fraction(str(config.epsilon / 4))
+        assert record["targets"] == bisection_targets(digraph, a1, a2, tau, eps), i
+        reached.add(config.d)
+    assert reached == {2, 3}

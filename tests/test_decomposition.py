@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dicut.core import Digraph, _components
 from dicut.decomposition import (
     _augment,
-    _Grower,
+    _grow,
     _perfect_matching,
     MatchingError,
     free_neighbor_edges,
@@ -285,6 +285,28 @@ class TestPinnedMatchings:
         assert digest == (reversed_sha if reverse else sorted_sha)
 
 
+class TestPinnedExchanges:
+    """Which matching the free-vertex fixpoint settles on, and the tight
+    components it reports: an exchange that frees a different vertex, or
+    re-matches the even path to it differently, changes the hash."""
+
+    def test_corpus_pinned(self):
+        rng = random.Random(2023)
+        digest = hashlib.sha256()
+        rematched = 0
+        for _ in range(3000):
+            n = rng.randint(1, 40)
+            g = random_undirected(rng, n, rng.uniform(0.5, 3.0) / max(n - 1, 1))
+            partner = maximum_matching(g)
+            settled = maximize_free_vertices(g, partner)
+            rematched += settled != partner
+            digest.update(repr((partner, settled, tight_components(g, settled))).encode())
+        assert rematched >= 20
+        assert digest.hexdigest() == (
+            "dd166e7f7e060f7ec5f499eb4e22e06d10f30b8cb9ddaaa0acba128adda88c88"
+        )
+
+
 class TestMaximizeFreeVertices:
     def test_triangle_unchanged(self):
         g = triangle_graph()
@@ -355,9 +377,26 @@ class TestTightComponents:
     def test_pair_split_by_absorption_set_named(self):
         # partner array claims 1 is matched to the leftover vertex 0 itself
         g = undirected(3, [(0, 1), (1, 2)])
-        grower = _Grower(g, [-1, 0, -1], 0)
         with pytest.raises(MatchingError, match=r"pair \(1,0\) split .* vertex 0"):
-            grower.run()
+            _grow(g, [-1, 0, -1], 0)
+
+    @pytest.mark.parametrize(
+        "edges, partner, message",
+        [
+            ([(0, 1), (0, 2), (1, 2), (2, 3)], [-1, 2, 1, -1], "adjacent to the partner"),
+            (
+                [(0, 1), (0, 2), (1, 2), (1, 3)],
+                [-1, 2, 1, -1],
+                "reachable from leftover vertex 0",
+            ),
+            ([(0, 1)], [-1, -1], "not even maximal"),
+        ],
+        ids=["partner-of-boundary", "alternating-path", "not-maximal"],
+    )
+    def test_rejects_non_maximum_matching_named(self, edges, partner, message):
+        g = undirected(len(partner), edges)
+        with pytest.raises(MatchingError, match=message):
+            tight_components(g, partner)
 
     def test_all_reported_components_are_odd(self):
         rng = random.Random(23)
@@ -618,8 +657,7 @@ class TestOneFixpoint:
     def test_one_matching_and_one_grow_per_leftover_vertex(self, monkeypatch):
         g, _ = lower_bound_gadget(2, 50)
         _, rest, stripped, _ = split_large(g)
-        calls = {"maximum_matching": 0, "run": 0, "free_neighbor_edges": 0}
-        real_matching, real_run = maximum_matching, _Grower.run
+        calls = {"maximum_matching": 0, "grow": 0, "free_neighbor_edges": 0}
 
         def counted_free(adj, partner, w):
             calls["free_neighbor_edges"] += 1
@@ -627,21 +665,21 @@ class TestOneFixpoint:
 
         def counted_matching(adj):
             calls["maximum_matching"] += 1
-            return real_matching(adj)
+            return maximum_matching(adj)
 
-        def counted_run(self):
-            calls["run"] += 1
-            return real_run(self)
+        def counted_grow(adj, partner, w):
+            calls["grow"] += 1
+            return _grow(adj, partner, w)
 
         monkeypatch.setattr(decomposition_mod, "maximum_matching", counted_matching)
-        monkeypatch.setattr(_Grower, "run", counted_run)
+        monkeypatch.setattr(decomposition_mod, "_grow", counted_grow)
         monkeypatch.setattr(decomposition_mod, "free_neighbor_edges", counted_free)
         dec = star_decompose(stripped, rest, epsilon=0.0125)
         assert len(dec.tight) == 50  # one per Eulerian triangle copy
         leftover_vertices = len(dec.leftover) + sum(len(s.leaves) for s in dec.stars)
         assert calls == {
             "maximum_matching": 1,
-            "run": len(dec.tight),
+            "grow": len(dec.tight),
             "free_neighbor_edges": leftover_vertices,
         }
         assert leftover_vertices == 50

@@ -448,14 +448,18 @@ def test_chained_gadget_takes_bisection(d, k, partition_sha):
     assert hashlib.sha256(side.encode("ascii")).hexdigest() == partition_sha
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("d, k", [(2, 5), (2, 50), (3, 5), (3, 50)])
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3) for k in (5, 50, 1, 2, 200)])
 def test_run_reaches_the_gadget_cap(d, k, seed):
     # k d(d-1)/2 + d(d+1)/2 is the gadget's exact optimum (pinned against
-    # the oracle in test_oracle.py for n <= 23)
+    # the oracle in test_oracle.py for n <= 23); from k = 5 on the hub's
+    # surplus sends the run through the bisection branch
     g, _ = lower_bound_gadget(d, k)
     result = run(g, PipelineConfig(d=d, epsilon=0.05, seed=seed))
     assert result.stats.min_cut == k * d * (d - 1) // 2 + d * (d + 1) // 2
+    steps = {rec["step"]: rec for rec in result.branch_trace}
+    assert ("bisection" in steps) == (k >= 5)
+    assert steps["sampler"]["kind"] == ("star_bisection" if k >= 5 else "second_moment")
 
 
 class TestRunD3:
