@@ -16,6 +16,7 @@ from typing import Any
 from .core import (
     GraphInputError,
     StructuralDiagnostic,
+    _first_sink,
     parse_edge_list,
     parse_header,
     read_edge_list,
@@ -115,11 +116,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    from .pipeline import PipelineConfig, run
+    from .pipeline import PipelineConfig, _outdegree_error, run
 
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    digraph = parse_edge_list(text)
+    n, m, start = parse_header(text)
+    # with more vertices than edges some vertex has outdegree 0, and the body
+    # alone names the first, so a huge n builds nothing of its size
+    sink = _first_sink(text, n, m, start) if n > m else None
+    digraph = parse_edge_list(text) if sink is None else None
     config = PipelineConfig(
         d=args.d,
         epsilon=args.epsilon,
@@ -128,6 +133,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         enable_local_search=not args.no_local_search,
         test_constants=args.test_constants,
     )
+    if sink is not None:
+        raise _outdegree_error(0, sink, config.d)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     result = run(digraph, config)

@@ -422,6 +422,16 @@ def _read_pairs(text: str, start: int, m: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _first_sink(text: str, n: int, m: int, start: int) -> int:
+    """The smallest id with no out-edge in a body of m < n edges, after the
+    errors parse_edge_list would raise on it, in their order.  The m tails
+    miss some id of 0..m, so this costs O(m) and builds nothing of size n."""
+    pairs = _read_pairs(text, start, m)
+    _raise_first_bad(n, pairs)
+    tails = set(map(itemgetter(0), pairs))
+    return next(v for v in range(m + 1) if v not in tails)
+
+
 def format_edge_list(digraph: Digraph, comments: Sequence[str] = ()) -> str:
     out = [f"# {c}" for c in comments]
     out.append(f"{digraph.n} {digraph.m}")

@@ -30,13 +30,6 @@ class MatchingError(ValueError):
     """A matching handed to a decomposition routine violates its precondition."""
 
 
-class _OwnBase(dict):
-    """Blossom bases: a vertex that no contraction has reached is its own."""
-
-    def __missing__(self, v: int) -> int:
-        return v
-
-
 def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
     """Search an augmenting path from an exposed root, contracting blossoms.
 
@@ -45,28 +38,35 @@ def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
     vertices the tree reaches, so a search costs what it touches, not O(n).
     """
     parent: dict[int, int] = {}
-    base = _OwnBase()
+    # blossom bases as a forest: each base that a contraction absorbed points
+    # at the base of the blossom it joined; a vertex with no entry is a base
+    base: dict[int, int] = {}
     used = {root}
     queue = deque([root])
+
+    def find(v: int) -> int:
+        while v in base:
+            v = base[v]
+        return v
 
     def lca(a: int, b: int) -> int:
         seen = set()
         while True:
-            a = base[a]
+            a = find(a)
             seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
-            b = base[b]
+            b = find(b)
             if b in seen:
                 return b
             b = parent[match[b]]
 
     def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
-        while base[v] != b:
-            blossom.add(base[v])
-            blossom.add(base[match[v]])
+        while find(v) != b:
+            blossom.add(find(v))
+            blossom.add(find(match[v]))
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
@@ -74,20 +74,20 @@ def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
     while queue:
         v = queue.popleft()
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
+            if find(v) == find(to) or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and match[to] in parent):
-                # odd cycle: contract the blossom to its base; only tree
-                # vertices can sit in it, taken in id order as they are queued
+                # odd cycle: contract the blossom to its base; a vertex never
+                # queued is its own base, and those in it are queued in id order
                 cur = lca(v, to)
                 blossom: set[int] = set()
                 mark_path(v, cur, to, blossom)
                 mark_path(to, cur, v, blossom)
-                for i in sorted(i for i in used.union(parent) if base[i] in blossom):
-                    base[i] = cur
-                    if i not in used:
-                        used.add(i)
-                        queue.append(i)
+                blossom.discard(cur)  # an entry of its own would loop find
+                base.update(dict.fromkeys(blossom, cur))
+                for i in sorted(blossom - used):
+                    used.add(i)
+                    queue.append(i)
             elif to not in parent:
                 parent[to] = v
                 if match[to] == -1:

@@ -405,6 +405,12 @@ def _sampler_record(kind: str, outcome: SampleOutcome) -> dict[str, Any]:
     return rec
 
 
+def _outdegree_error(deg: int, v: int, d: int) -> GraphInputError:
+    """The error for a digraph whose vertex v, the first of the least
+    outdegree deg, is below the pipeline's d."""
+    return GraphInputError(f"minimum outdegree {deg} at vertex {v}; need at least {d}")
+
+
 def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
     """Partition a digraph of minimum outdegree config.d (2 or 3), targeting
     (1/6 - eps) m or (1/5 - eps) m."""
@@ -412,10 +418,7 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
         raise GraphInputError("empty graph")
     deg = digraph.min_out_degree()
     if deg < config.d:
-        v = digraph.argmin_out_degree()
-        raise GraphInputError(
-            f"minimum outdegree {deg} at vertex {v}; need at least {config.d}"
-        )
+        raise _outdegree_error(deg, digraph.argmin_out_degree(), config.d)
     trace: list[dict[str, Any]] = []
     m, n = digraph.m, digraph.n
     cutoff = config.dense_cutoff()

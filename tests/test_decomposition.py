@@ -1,5 +1,8 @@
+import functools
 import hashlib
 import random
+import time
+from collections import deque
 
 import pytest
 
@@ -19,7 +22,7 @@ from dicut.decomposition import (
     star_decompose,
     tight_components,
 )
-from dicut.generators import lower_bound_gadget
+from dicut.generators import lower_bound_gadget, random_min_outdeg
 from dicut.pipeline import split_large
 
 from .conftest import (
@@ -84,13 +87,15 @@ def graphs(draw, max_n=10):
 
 
 @st.composite
-def multi_component_graphs(draw, max_n=80):
+def multi_component_graphs(
+    draw, max_n=80, kinds=("isolated", "odd_cycle", "flower", "random")
+):
     """Disjoint blocks (isolated vertices, odd cycles, flowers, random
-    pieces), a few bridges that may merge them, and a random relabelling so
-    the components' vertex ids interleave."""
+    pieces, and with "nested" in `kinds` odd cycles of odd cycles), a few
+    bridges that may merge them, and a random relabelling so the
+    components' vertex ids interleave."""
     edges: list[tuple[int, int]] = []
     n = 0
-    kinds = ("isolated", "odd_cycle", "flower", "random")
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=14)):
         if kind == "isolated":
             size, local = 1, []
@@ -103,6 +108,16 @@ def multi_component_graphs(draw, max_n=80):
             size = cycle + draw(st.integers(min_value=1, max_value=4))
             local = [(i, (i + 1) % cycle) for i in range(cycle)]
             local += [(max(i - 1, 0), i) for i in range(cycle, size)]
+        elif kind == "nested":
+            # an odd cycle of odd cycles, the next one entered one place on,
+            # with a stem: a blossom whose vertices are blossoms themselves
+            outer, inner = draw(st.sampled_from(((3, 3), (3, 5), (5, 3), (5, 5))))
+            ring = outer * inner
+            size = ring + draw(st.integers(min_value=1, max_value=3))
+            local = [(c * inner + i, c * inner + (i + 1) % inner)
+                     for c in range(outer) for i in range(inner)]
+            local += [(c * inner, (c + 1) % outer * inner + 1) for c in range(outer)]
+            local += [(max(i - 1, 0), i) for i in range(ring, size)]
         else:
             size = draw(st.integers(min_value=2, max_value=10))
             pool = [(u, v) for u in range(size) for v in range(u + 1, size)]
@@ -227,6 +242,13 @@ def chained_b(d: int, k: int) -> Rows:
     return rows
 
 
+@functools.cache
+def random_min_outdeg_rows(n: int) -> Rows:
+    """The underlying graph of random_min_outdeg(n, 3, 1.0, 7), whole."""
+    rows, _, _ = random_min_outdeg(n, 3, 1.0, 7).induced_underlying(range(n))
+    return rows
+
+
 PINNED_MATCHINGS = {
     # name: (graph builder, sha256 of the partner list with neighbours in
     # sorted order, the same with each neighbour list reversed)
@@ -260,6 +282,11 @@ PINNED_MATCHINGS = {
         "751c893e330c000533e9fa3df2c6155bdbcc89e174fb5fc28df73c4465d08a2d",
         "e92913885ced82a8c838dfef4187e39127c51b799a956278037e5b413dcbd882",
     ),
+    "random-min-outdeg-n20000": (
+        lambda: random_min_outdeg_rows(20000),
+        "949239a1d9277f6e66b1925cb067a9958e6faf859059c507d40c360623305b71",
+        "2cdbabbfe24af1158be9b749f0c39c4e2c0a787f9fd4d8f9ea2135ac4f28221d",
+    ),
 }
 
 
@@ -283,6 +310,107 @@ class TestPinnedMatchings:
         assert matching_size(partner) > matching_size(greedy)
         digest = hashlib.sha256(",".join(map(str, partner)).encode()).hexdigest()
         assert digest == (reversed_sha if reverse else sorted_sha)
+
+
+def tree_scan_augment(adj, match, root):
+    """Reference for `_augment`: the same search, but each contraction
+    re-bases every tree vertex whose base lies in the blossom, found by a
+    scan of the whole tree, so one contraction costs the tree's size."""
+
+    class OwnBase(dict):
+        def __missing__(self, v):
+            return v
+
+    parent = {}
+    base = OwnBase()
+    used = {root}
+    queue = deque([root])
+
+    def lca(a, b):
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v, b, child, blossom):
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and match[to] in parent):
+                cur = lca(v, to)
+                blossom = set()
+                mark_path(v, cur, to, blossom)
+                mark_path(to, cur, v, blossom)
+                for i in sorted(i for i in used.union(parent) if base[i] in blossom):
+                    base[i] = cur
+                    if i not in used:
+                        used.add(i)
+                        queue.append(i)
+            elif to not in parent:
+                parent[to] = v
+                if match[to] == -1:
+                    u = to
+                    while u != -1:
+                        pv = parent[u]
+                        ppv = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = ppv
+                    return True
+                used.add(match[to])
+                queue.append(match[to])
+    return False
+
+
+class TestBlossomForest:
+    """The blossom bases kept as a forest: a contraction touches only the
+    blossom, and the matching is the one the tree scan finds."""
+
+    @given(
+        multi_component_graphs(
+            kinds=("isolated", "odd_cycle", "flower", "nested", "random")
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_tree_scan(self, g, reverse):
+        adj = [list(row)[::-1] if reverse else list(row) for row in g]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decomposition_mod, "_augment", tree_scan_augment)
+            expected = maximum_matching(adj)
+        assert maximum_matching(adj) == expected
+
+    def test_scales_with_one_component_walk(self):
+        """A contraction that scanned the whole tree made the search
+        quadratic on these rows: about 1,600 walks' worth, against 10."""
+        rows = random_min_outdeg_rows(20000)
+
+        def best_of_3(fn):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                fn(rows)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert best_of_3(maximum_matching) < 100 * best_of_3(_components)
 
 
 class TestPinnedExchanges:

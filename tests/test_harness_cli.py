@@ -437,6 +437,53 @@ class TestCli:
         assert main(["partition", "-i", str(graph_file), "--d", "2"]) == 1
         assert capsys.readouterr().err == "error: empty graph\n"
 
+    # a launcher that spawns `python -m dicut.cli ARGS` with its stdout and
+    # stderr sent to the files OUT and ERR, and prints the child's exit code
+    # and its peak RSS in KiB; a child spawned straight from the test process
+    # would carry the test process's own high-water mark in ru_maxrss
+    LAUNCHER = (
+        "import os, subprocess, sys\n"
+        "out, err, *args = sys.argv[1:]\n"
+        "with open(out, 'w') as o, open(err, 'w') as e:\n"
+        "    child = subprocess.Popen([sys.executable, '-m', 'dicut.cli', *args],"
+        " stdout=o, stderr=e)\n"
+        "    _, status, usage = os.wait4(child.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "m, body, flags, err",
+        [
+            (0, "", [], "minimum outdegree 0 at vertex 0; need at least 2"),
+            (2, "0 1\n1 0\n", [], "minimum outdegree 0 at vertex 2; need at least 2"),
+            (1, "", [], "header promises 1 edges, found 0"),
+            (1, "0 0\n", [], "edge #0 (0,0): loops are not allowed"),
+            (2, "0 1\n0 1\n", [], "edge #1 (0,1): duplicate directed edge"),
+            (1, "0 2000000\n", [],
+             "edge #0 (0,2000000): vertex id out of range [0,2000000)"),
+            (0, "", ["--max-attempts", "0"], "max_attempts must be at least 1"),
+        ],
+        ids=["empty", "sink-2", "missing-line", "loop", "duplicate", "range",
+             "max-attempts"],
+    )
+    def test_partition_with_more_vertices_than_edges_builds_nothing_of_n(
+        self, tmp_path, m, body, flags, err
+    ):
+        """With n > m some vertex has no out-edge, so `partition` names the
+        first from the body alone, after the parse's and the config's errors
+        in their usual order, and never builds n adjacency lists."""
+        graph_file = tmp_path / "g.el"
+        graph_file.write_text(f"2000000 {m}\n{body}")
+        out, errf = tmp_path / "out", tmp_path / "err"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.LAUNCHER, str(out), str(errf),
+             "partition", "-i", str(graph_file), "--d", "2", *flags],
+            capture_output=True, text=True, env=_cli_env(), check=True,
+        )
+        code, peak_kib = map(int, proc.stdout.split())
+        assert (code, out.read_text(), errf.read_text()) == (1, "", f"error: {err}\n")
+        assert peak_kib < 64 * 1024
+
     def test_bench_json(self, capsys):
         assert main(["bench", "--suite", "oracle-small", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
