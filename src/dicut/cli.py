@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--seed", type=int, default=0)
     part.add_argument("--max-attempts", type=int, default=200)
     part.add_argument("--no-local-search", action="store_true")
-    part.add_argument("--test-constants", action="store_true")
     part.add_argument("--strict", action="store_true",
                       help="exit 2 when the guarantee target is not met")
     part.add_argument("--json", action="store_true")
@@ -131,7 +130,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_attempts=args.max_attempts,
         enable_local_search=not args.no_local_search,
-        test_constants=args.test_constants,
     )
     if sink is not None:
         raise _outdegree_error(0, sink, config.d)

@@ -433,7 +433,7 @@ def _first_sink(text: str, n: int, m: int, start: int) -> int:
 
 
 def format_edge_list(digraph: Digraph, comments: Sequence[str] = ()) -> str:
-    out = [f"# {c}" for c in comments]
+    out = [f"# {ln}" for c in comments for ln in c.splitlines() or [""]]
     out.append(f"{digraph.n} {digraph.m}")
     # one join per vertex, "u v1\nu v2...", with each id converted once
     names = list(map(str, range(digraph.n)))

@@ -38,7 +38,6 @@ DENSE_EPSILON = {2: Fraction(1, 12), 3: Fraction(1, 20)}
 DENSE_THRESHOLD = {d: int(8 / eps**2) for d, eps in DENSE_EPSILON.items()}
 GAP_FRACTION = {2: Fraction(1, 3), 3: Fraction(1, 5)}
 ODD_BOUND_DIVISOR = {2: 3, 3: 5}
-TEST_CONSTANT_SCALE = 100
 RESTART_MAX_N = 32
 RESTART_COUNT = 8
 LARGE_DEGREE_EXPONENT = 0.75
@@ -53,8 +52,6 @@ class PipelineConfig:
     seed: int = 0
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     enable_local_search: bool = True
-    test_constants: bool = False
-    large_degree_exponent: float = LARGE_DEGREE_EXPONENT
 
     def __post_init__(self) -> None:
         if self.d not in (2, 3):
@@ -63,12 +60,6 @@ class PipelineConfig:
             raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-
-    def dense_cutoff(self) -> float:
-        base = DENSE_THRESHOLD[self.d]
-        # --test-constants exists solely so tests can reach the dense branch
-        # on feasible instances; results are watermarked non-conforming.
-        return base / TEST_CONSTANT_SCALE if self.test_constants else base
 
 
 @dataclass(frozen=True)
@@ -117,16 +108,16 @@ class SurplusProfile:
 
 
 def split_large(
-    digraph: Digraph, exponent: float = LARGE_DEGREE_EXPONENT
+    digraph: Digraph,
 ) -> tuple[tuple[int, ...], tuple[int, ...], Digraph, int]:
-    """Separate vertices of total degree >= n^exponent and strip the edges
-    running inside that set; returns (A, B, stripped digraph, removed count).
+    """Split off A, the vertices of total degree >= n^LARGE_DEGREE_EXPONENT,
+    and strip the edges inside A; returns (A, B, stripped digraph, removed).
 
     When no edge runs inside A the input itself (immutable) is returned as
     the stripped digraph, so the common case costs O(n + vol A), no copy.
     """
     n = digraph.n
-    threshold = n**exponent
+    threshold = n**LARGE_DEGREE_EXPONENT
     degrees = map(add, map(len, digraph._out), map(len, digraph._in))
     # partial(le, threshold)(deg) is threshold <= deg
     large = tuple(compress(range(n), map(partial(le, threshold), degrees)))
@@ -421,15 +412,11 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
         raise _outdegree_error(deg, digraph.argmin_out_degree(), config.d)
     trace: list[dict[str, Any]] = []
     m, n = digraph.m, digraph.n
-    cutoff = config.dense_cutoff()
+    cutoff = DENSE_THRESHOLD[config.d]
     dense = m >= cutoff * n
     trace.append(
         {"step": "density", "m": m, "n": n, "cutoff": cutoff, "dense": dense}
     )
-    if config.test_constants:
-        trace.append(
-            {"step": "watermark", "note": "test-constants mode: non-conforming"}
-        )
     if dense:
         outcome = quarter_partition(
             digraph, DENSE_EPSILON[config.d], config.seed, config.max_attempts
@@ -467,9 +454,7 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
 def _sparse_branches(
     digraph: Digraph, config: PipelineConfig, trace: list[dict[str, Any]]
 ) -> tuple[SampleOutcome, int]:
-    large, rest, stripped, removed = split_large(
-        digraph, config.large_degree_exponent
-    )
+    large, rest, stripped, removed = split_large(digraph)
     trace.append(
         {
             "step": "split_large",
@@ -610,7 +595,7 @@ def _bisection_branch(
                 "b": profile.b,
             },
         )
-    cap_c = config.dense_cutoff()
+    cap_c = DENSE_THRESHOLD[d]
     gamma = (exact_fraction(config.epsilon) / 4) ** 4 / (1024 * Fraction(cap_c) ** 3)
     gamma_n = gamma * stripped.n
     max_b_degree = max((stripped.degree(v) for v in rest), default=0)

@@ -10,9 +10,20 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
+import dicut.pipeline as pipeline
 from dicut.core import Digraph, GraphInputError
 from dicut.decomposition import free_neighbor_edges
 from dicut.generators import lower_bound_gadget
+
+# the published dense cutoffs, read before any test patches them
+PUBLISHED_DENSE_THRESHOLD = dict(pipeline.DENSE_THRESHOLD)
+
+
+def lower_dense_cutoff(monkeypatch) -> None:
+    """Divide the dense shortcut's cutoff by 100 for one test, so that
+    inputs of a feasible size take the shortcut."""
+    for d, cutoff in PUBLISHED_DENSE_THRESHOLD.items():
+        monkeypatch.setitem(pipeline.DENSE_THRESHOLD, d, cutoff / 100)
 
 
 def reference_digraph(n: int, pairs: Iterable[tuple[int, int]]):

@@ -21,6 +21,8 @@ from dicut.generators import complete_antiparallel, random_min_outdeg
 from dicut.oracle import exact_judicious
 from dicut.pipeline import PipelineConfig, StructuralDiagnostic, run
 
+from .conftest import lower_dense_cutoff
+
 TARGET = {2: Fraction(1, 6), 3: Fraction(1, 5)}
 EPSILON = 0.05
 EXPONENTS = (0.5, 0.6, 0.75)
@@ -48,17 +50,17 @@ def hub_draw(rng: random.Random, d: int) -> Digraph:
     return Digraph(n, sorted(pairs))
 
 
-def hub_runs(seed: int):
+def hub_runs(monkeypatch, seed: int):
     """(draw index, digraph, config) for one seed's 250 hub draws, each under
-    every large-degree exponent."""
+    every large-degree exponent, which is patched in before its run is
+    yielded and stays in force until the next one."""
     rng = random.Random(seed)
     for i in range(250):
         d = rng.choice((2, 3))
         g = hub_draw(rng, d)
         for exponent in EXPONENTS:
-            yield i, g, PipelineConfig(
-                d=d, epsilon=EPSILON, seed=i, large_degree_exponent=exponent
-            )
+            monkeypatch.setattr(pipeline, "LARGE_DEGREE_EXPONENT", exponent)
+            yield i, g, PipelineConfig(d=d, epsilon=EPSILON, seed=i)
 
 
 def structural_branch(trace) -> str | None:
@@ -70,11 +72,11 @@ def structural_branch(trace) -> str | None:
 
 
 @pytest.mark.parametrize("seed", [7, 8])
-def test_structural_branches_against_oracle(seed):
+def test_structural_branches_against_oracle(monkeypatch, seed):
     reached = Counter()
     optimum = {}
-    for i, g, config in hub_runs(seed):
-        d, exponent = config.d, config.large_degree_exponent
+    for i, g, config in hub_runs(monkeypatch, seed):
+        d, exponent = config.d, pipeline.LARGE_DEGREE_EXPONENT
         try:
             result = run(g, config)
         except (StructuralDiagnostic, MatchingError) as exc:
@@ -110,7 +112,7 @@ def test_polish_never_lowers_the_sampled_partition(monkeypatch, seed):
     """The polish ends at (min_cut, total) at least that of the sampled
     partition it starts from; both ends are recounted from scratch."""
     calls = recorded(monkeypatch, "_polish")
-    for i, g, config in hub_runs(seed):
+    for i, g, config in hub_runs(monkeypatch, seed):
         calls.clear()
         run(g, config)
         [((digraph, sampled, _), (polished, start))] = calls
@@ -133,8 +135,8 @@ def expectation_targets(digraph, a1, a2, p, eps) -> list[str]:
     return [str(forward - eps * digraph.m), str(backward - eps * digraph.m)]
 
 
-# the dense shortcut's tolerance per d, and inputs that take it once the
-# cutoff is lowered by test constants
+# the dense shortcut's tolerance per d, and inputs that take it once its
+# cutoff is lowered a hundredfold
 DENSE_EPSILON = {2: Fraction(1, 12), 3: Fraction(1, 20)}
 DENSE = ((random_min_outdeg(100, 2, extra=12, seed=3), 2),
          (complete_antiparallel(40), 2), (complete_antiparallel(40), 3))
@@ -148,11 +150,12 @@ def test_second_moment_targets_match_the_expectation_formula(monkeypatch, seed):
     drawn = recorded(monkeypatch, "second_moment_partition")
     dense = recorded(monkeypatch, "quarter_partition")
     dense_runs = [
-        (-1, g, PipelineConfig(d=d, epsilon=EPSILON, seed=seed, test_constants=True))
-        for g, d in DENSE
+        (-1, g, PipelineConfig(d=d, epsilon=EPSILON, seed=seed)) for g, d in DENSE
     ]
     kinds = set()
-    for i, g, config in chain(hub_runs(seed), dense_runs):
+    for i, g, config in chain(hub_runs(monkeypatch, seed), dense_runs):
+        if i == -1:
+            lower_dense_cutoff(monkeypatch)
         drawn.clear()
         dense.clear()
         trace = run(g, config).branch_trace
@@ -218,7 +221,7 @@ def test_star_bisection_targets_match_the_bisection_bound(monkeypatch, seed):
     bisection_tau of the decomposition handed to the sampler."""
     drawn = recorded(monkeypatch, "star_bisection")
     reached = set()
-    for i, g, config in hub_runs(seed):
+    for i, g, config in hub_runs(monkeypatch, seed):
         drawn.clear()
         trace = run(g, config).branch_trace
         [record] = [r for r in trace if r["step"] == "sampler"]

@@ -459,7 +459,9 @@ def reference_parse_edge_list(text):
 
 
 def reference_format_edge_list(digraph, comments=()):
-    out = [f"# {c}" for c in comments]
+    out = []
+    for c in comments:
+        out.extend(f"# {ln}" for ln in c.splitlines() or [""])
     out.append(f"{digraph.n} {digraph.m}")
     out.extend(f"{u} {v}" for u, v in digraph.edges)
     return "\n".join(out) + "\n"
@@ -682,3 +684,19 @@ def test_format_edge_list_matches_pair_writer(graph, comments):
 @settings(max_examples=100, deadline=None)
 def test_format_edge_list_matches_pair_writer_random(g, comments):
     assert format_edge_list(g, comments) == reference_format_edge_list(g, comments)
+
+
+# comment text rich in line breaks, and in what a header or an edge line is made of
+COMMENT_TEXT = st.lists(
+    st.one_of(
+        st.text(max_size=4), st.sampled_from(["\n", *LINE_BREAKS, " ", "#", "3"])
+    ),
+    max_size=6,
+).map("".join)
+
+
+@given(digraphs(max_n=6), st.lists(COMMENT_TEXT, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_formatted_comments_never_reach_the_parser(g, comments):
+    back = parse_edge_list(format_edge_list(g, comments))
+    assert (back.n, back.edges) == (g.n, g.edges)

@@ -1,6 +1,7 @@
 """Behavioural fingerprint of the pipeline: one small instance per branch
-(both samplers of each d, three huge vertices, the dense shortcut, and an
-input whose large set loses its edges to stripping).
+(both samplers of each d, three huge vertices, the dense shortcut with its
+cutoff lowered a hundredfold, and an input whose large set loses its edges
+to stripping).
 
 Each case pins the sha256 of the partition (one '1'/'2' character per
 vertex) and of the branch trace as sorted-key JSON.  A refactor that is
@@ -10,6 +11,7 @@ updates the table and says why.
 
 import hashlib
 import json
+from itertools import chain
 
 import pytest
 
@@ -20,6 +22,9 @@ from dicut.generators import (
     random_min_outdeg,
 )
 from dicut.pipeline import PipelineConfig, run
+
+from .conftest import lower_dense_cutoff
+from .test_branch_fuzz import hub_runs
 
 CASES = {
     "second_moment-d2": (
@@ -54,9 +59,9 @@ CASES = {
     ),
     "quarter": (
         lambda: random_min_outdeg(100, 2, extra=12, seed=3),
-        PipelineConfig(d=2, seed=3, test_constants=True),
+        PipelineConfig(d=2, seed=3),
         "6bfe6ee64ceedbc3d22b7bb18c6b8b739b459a3210c80fba4d4e4d368c599bbe",
-        "e1f331092cc5248e700a70a30b77e3c279cb4b70538ca7f8af984b45c2f1cb1a",
+        "2958ecfb77918a9952adf49e2dbe7965e8ccd92230fc727cc9296be7649f6ba9",
     ),
     "strips-k9": (
         lambda: eulerian_complete(9),
@@ -72,9 +77,57 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_partition_and_trace_fingerprint(name):
+def test_partition_and_trace_fingerprint(monkeypatch, name):
     build, config, partition_sha, trace_sha = CASES[name]
+    if name == "quarter":
+        lower_dense_cutoff(monkeypatch)
     result = run(build(), config)
     assert sha256("".join(map(str, result.partition.side))) == partition_sha
     assert sha256(json.dumps(list(result.branch_trace), sort_keys=True)) == trace_sha
 
+
+# the closed trace schema: each step kind with exactly its keys
+TRACE_KEYS = {
+    "density": {"m", "n", "cutoff", "dense"},
+    "split_large": {"large_count", "large", "removed"},
+    "gap": {"theta", "bound", "m_a_f", "m_a_b", "branch"},
+    "surplus_profile": {"huge", "delta_list", "g", "b", "theta"},
+    "bisection": {
+        "tau", "tight", "sigma", "tau_prime", "component_bound", "stars",
+        "leftover", "gamma", "gamma_condition",
+    },
+    "three_huge": {
+        "case", "p", "x", "y", "deltas", "expected_forward",
+        "expected_backward", "means_reach_fifth",
+    },
+    "sampler": {"kind", "accepted", "attempts", "targets", "e12", "e21"},
+    "local_search": {"min_cut_before", "min_cut_after"},
+}
+OPTIONAL_KEYS = {"sampler": {"warning"}}
+
+
+def fingerprint_runs(monkeypatch):
+    """(case name, digraph, config) for each fingerprint case, with the dense
+    cutoff lowered for the quarter case alone."""
+    for name in sorted(CASES):
+        build, config, _, _ = CASES[name]
+        monkeypatch.undo()  # the previous case's cutoff, if it was lowered
+        if name == "quarter":
+            lower_dense_cutoff(monkeypatch)
+        yield name, build(), config
+
+
+def test_trace_records_follow_the_closed_schema(monkeypatch):
+    """Every branch_trace record of the fingerprint cases and of one seed's
+    hub draws is one of the step kinds, with exactly that kind's keys."""
+    seen = set()
+    for label, g, config in chain(
+        fingerprint_runs(monkeypatch), hub_runs(monkeypatch, 7)
+    ):
+        for record in run(g, config).branch_trace:
+            step = record["step"]
+            assert step in TRACE_KEYS, (label, record)
+            keys = set(record) - {"step"} - OPTIONAL_KEYS.get(step, set())
+            assert keys == TRACE_KEYS[step], (label, record)
+            seen.add(step)
+    assert seen == set(TRACE_KEYS)

@@ -488,7 +488,7 @@ class TestCli:
         assert main(["bench", "--suite", "oracle-small", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data) == len(suite_tasks("oracle-small"))
-        assert all(r["schema_version"] == 1 for r in data)
+        assert all(r["schema_version"] == 2 for r in data)
 
 
 def _imported_modules(*argv):

@@ -36,6 +36,7 @@ from dicut.samplers import edge_profile
 from .conftest import (
     chained_lower_bound_gadget,
     from_edge_list,
+    lower_dense_cutoff,
     random_digraph,
     reference_digraph,
 )
@@ -75,13 +76,14 @@ class TestSplitLarge:
         assert large == (v0,)
         assert removed == 0 and stripped is g
 
-    def test_removed_matches_independent_count(self):
+    def test_removed_matches_independent_count(self, monkeypatch):
         rng = random.Random(17)
         stripping = 0
         for _ in range(30):
             g = random_digraph(rng, rng.randint(2, 30), rng.uniform(0.05, 0.6))
             exponent = rng.choice((0.5, 0.6, 0.75))
-            large, rest, stripped, removed = split_large(g, exponent)
+            monkeypatch.setattr(pipeline_mod, "LARGE_DEGREE_EXPONENT", exponent)
+            large, rest, stripped, removed = split_large(g)
             aset = set(large)
             inside = [(u, v) for u, v in g.edges if u in aset and v in aset]
             assert removed == len(inside)
@@ -407,13 +409,13 @@ class TestRunD2:
         with pytest.raises(ValueError, match="max_attempts must be at least 1"):
             PipelineConfig(d=2, max_attempts=0)
 
-    def test_dense_branch_with_test_constants(self):
+    def test_dense_branch_with_test_constants(self, monkeypatch):
         g = random_min_outdeg(100, 2, extra=12, seed=3)
         assert g.m >= 1152 / 100 * g.n
-        cfg = PipelineConfig(d=2, epsilon=0.05, seed=3, test_constants=True)
+        lower_dense_cutoff(monkeypatch)
+        cfg = PipelineConfig(d=2, epsilon=0.05, seed=3)
         result = run(g, cfg)
         assert result.branch_trace[0]["dense"] is True
-        assert any(rec["step"] == "watermark" for rec in result.branch_trace)
         assert result.meets_guarantee
 
     def test_dense_antiparallel_all_large(self):
@@ -653,8 +655,9 @@ class TestCutCounting:
     def test_dense_branch_reuses_sampler_stats(self, monkeypatch):
         g = random_min_outdeg(100, 2, extra=12, seed=3)
         calls = self._count(monkeypatch)
-        result = run(g, PipelineConfig(d=2, seed=3, test_constants=True))
-        sampled = result.branch_trace[2]
+        lower_dense_cutoff(monkeypatch)
+        result = run(g, PipelineConfig(d=2, seed=3))
+        sampled = result.branch_trace[1]
         assert sampled["kind"] == "quarter"
         polish = result.branch_trace[-1]
         assert polish["min_cut_before"] == min(sampled["e12"], sampled["e21"])
@@ -671,7 +674,7 @@ class TestCutCounting:
         (lambda: concluding_gadgets("k33_oriented", 403, patched=True),
          PipelineConfig(d=3, seed=1), "second_moment_biased"),
         (lambda: random_min_outdeg(100, 2, extra=12, seed=3),
-         PipelineConfig(d=2, seed=3, test_constants=True), "quarter"),
+         PipelineConfig(d=2, seed=3), "quarter"),
     ],
     ids=["second_moment", "bisection", "three_huge", "quarter"],
 )
@@ -688,6 +691,8 @@ def test_one_edge_classification_per_run(monkeypatch, build, config, kind):
     # any module that binds the name counts, so a second caller cannot hide
     for mod in (samplers_mod, pipeline_mod):
         monkeypatch.setattr(mod, "edge_profile", counting, raising=False)
+    if kind == "quarter":
+        lower_dense_cutoff(monkeypatch)
     result = run(g, config)
     assert [r["kind"] for r in result.branch_trace if r["step"] == "sampler"] == [kind]
     assert len(calls) == 1
