@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--d", type=int, choices=(2, 3), required=True)
     part.add_argument("--epsilon", type=float, default=0.05)
     part.add_argument("--seed", type=int, default=0)
-    part.add_argument("--max-attempts", type=int, default=200)
-    part.add_argument("--no-local-search", action="store_true")
     part.add_argument("--strict", action="store_true",
                       help="exit 2 when the guarantee target is not met")
     part.add_argument("--json", action="store_true")
@@ -128,8 +126,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         d=args.d,
         epsilon=args.epsilon,
         seed=args.seed,
-        max_attempts=args.max_attempts,
-        enable_local_search=not args.no_local_search,
     )
     if sink is not None:
         raise _outdegree_error(0, sink, config.d)

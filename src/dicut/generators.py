@@ -191,6 +191,8 @@ def random_min_outdeg(n: int, d: int, extra: float = 0.0, seed: int = 0) -> Digr
         raise ValueError(f"need d < n, got d={d}, n={n}")
     if d < 0 or extra < 0:
         raise ValueError("d and extra must be nonnegative")
+    if not extra <= n - 1:  # also rejects nan
+        raise ValueError(f"extra must be at most n - 1 = {n - 1}, got {extra}")
     rng = random.Random(seed)
     # j maps to the j-th id other than v
     rows = [

@@ -14,7 +14,7 @@ from .generators import GadgetSpec
 if TYPE_CHECKING:  # imported by the calls that run the pipeline
     from .pipeline import PartitionResult, PipelineConfig
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 @dataclass(frozen=True)
 class RunReport:

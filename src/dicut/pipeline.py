@@ -25,7 +25,6 @@ from .core import (
 )
 from .decomposition import star_decompose
 from .samplers import (
-    DEFAULT_MAX_ATTEMPTS,
     exact_fraction,
     SampleOutcome,
     quarter_partition,
@@ -50,16 +49,12 @@ class PipelineConfig:
     d: int
     epsilon: float = 0.05
     seed: int = 0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    enable_local_search: bool = True
 
     def __post_init__(self) -> None:
         if self.d not in (2, 3):
             raise ValueError(f"d must be 2 or 3, got {self.d}")
         if not 0 < self.epsilon < 0.25:
             raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -419,26 +414,21 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
     )
     if dense:
         outcome = quarter_partition(
-            digraph, DENSE_EPSILON[config.d], config.seed, config.max_attempts
+            digraph, DENSE_EPSILON[config.d], config.seed
         )
         trace.append(_sampler_record("quarter", outcome))
         removed = 0
     else:
         outcome, removed = _sparse_branches(digraph, config, trace)
-    partition = outcome.partition
-
-    if config.enable_local_search:
-        partition, sampled = _polish(digraph, partition, config.seed)
-        min_cut_before = sampled.min_cut
+    partition, sampled = _polish(digraph, outcome.partition, config.seed)
     stats = cut_stats(digraph, partition)
-    if config.enable_local_search:
-        trace.append(
-            {
-                "step": "local_search",
-                "min_cut_before": min_cut_before,
-                "min_cut_after": stats.min_cut,
-            }
-        )
+    trace.append(
+        {
+            "step": "local_search",
+            "min_cut_before": sampled.min_cut,
+            "min_cut_after": stats.min_cut,
+        }
+    )
     target = guarantee_target(config.d, m, config.epsilon)
     return PartitionResult(
         partition=partition,
@@ -480,7 +470,7 @@ def _sparse_branches(
     if small_gap:
         outcome = second_moment_partition(
             stripped, gp.a1, gp.a2, Fraction(1, 2), config.epsilon / 2,
-            config.seed, config.max_attempts,
+            config.seed,
         )
         trace.append(_sampler_record("second_moment", outcome))
         return outcome, removed
@@ -615,7 +605,7 @@ def _bisection_branch(
         }
     )
     outcome = star_bisection(
-        stripped, gp.a1, gp.a2, decomp, eps_bis, config.seed, config.max_attempts
+        stripped, gp.a1, gp.a2, decomp, eps_bis, config.seed
     )
     trace.append(_sampler_record("star_bisection", outcome))
     return outcome
@@ -642,7 +632,7 @@ def _three_huge_branch(
     p = Fraction(2, 5) if v1 in a1 else Fraction(3, 5)
     eps = config.epsilon / 2
     outcome = second_moment_partition(
-        stripped, a1, a2, p, eps, config.seed, config.max_attempts
+        stripped, a1, a2, p, eps, config.seed
     )
     # the sampler's thresholds sit eps*m below the expected cuts
     slack = exact_fraction(eps) * stripped.m

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 from .core import Bipartition, CutStats, Digraph, cut_stats
 from .decomposition import StarDecomposition
 
-DEFAULT_MAX_ATTEMPTS = 200
+MAX_ATTEMPTS = 200
 
 
 def exact_fraction(x: float | Fraction | int | str) -> Fraction:
@@ -100,7 +100,6 @@ def _accept_loop(
     digraph: Digraph,
     a1: set[int],
     a2: set[int],
-    max_attempts: int,
     seed: int,
     targets_of: Callable[[EdgeProfile], tuple[Fraction, Fraction]],
     draw: Callable[[list[int], random.Random], None],
@@ -109,13 +108,12 @@ def _accept_loop(
     """The retry-until-accept contract every sampler shares.
 
     Classifies the edges at (A1, A2) once, turns the counts into thresholds
-    with `targets_of`, then draws up to max_attempts partitions: A1 and A2
-    keep their sides and `draw(side, rng)` fills B.  Returns the first
-    attempt meeting both thresholds, else the attempt with the best min cut.
+    with `targets_of`, then draws up to MAX_ATTEMPTS partitions (one if B is
+    empty): A1 and A2 keep their sides and `draw(side, rng)` fills B.  Returns
+    the first attempt meeting both thresholds, else the one of best min cut.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
     targets = targets_of(edge_profile(digraph, a1, a2))
+    attempts = MAX_ATTEMPTS if len(a1) + len(a2) < digraph.n else 1
     fixed = [0] * digraph.n
     for v in a1:
         fixed[v] = 1
@@ -123,7 +121,7 @@ def _accept_loop(
         fixed[v] = 2
     rng = random.Random(seed)
     best = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, attempts + 1):
         side = fixed.copy()
         draw(side, rng)
         part = Bipartition(tuple(side))
@@ -144,7 +142,6 @@ def second_moment_partition(
     p: Fraction | float,
     epsilon: float | Fraction,
     seed: int,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> SampleOutcome:
     """Independent placement of B (side 1 with probability p) with acceptance
     thresholds one epsilon*m below each expected directional cut.
@@ -184,16 +181,13 @@ def second_moment_partition(
         for v in b_order:
             side[v] = 1 if rng.random() < p_float else 2
 
-    # with B empty every attempt is the same partition
-    attempts = max_attempts if b_order else min(max_attempts, 1)
-    return _accept_loop(digraph, s1, s2, attempts, seed, targets_of, draw, warning)
+    return _accept_loop(digraph, s1, s2, seed, targets_of, draw, warning)
 
 
 def quarter_partition(
     digraph: Digraph,
     epsilon: float | Fraction,
     seed: int,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> SampleOutcome:
     """Uniform random bipartition accepted when both directional cuts reach
     (1/4 - epsilon) m; valid regime is max degree <= eps^2 m/4.
@@ -202,7 +196,7 @@ def quarter_partition(
     2n <= eps^2 m/4.
     """
     return second_moment_partition(
-        digraph, (), (), Fraction(1, 2), epsilon, seed, max_attempts
+        digraph, (), (), Fraction(1, 2), epsilon, seed
     )
 
 
@@ -213,7 +207,6 @@ def star_bisection(
     decomposition: StarDecomposition,
     epsilon: float,
     seed: int,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> SampleOutcome:
     """Random bisection of B driven by a star decomposition: each apex lands
     on a uniform side, its leaves on the other, leftover vertices uniformly.
@@ -250,4 +243,4 @@ def star_bisection(
         for v in decomposition.leftover:
             side[v] = 1 if rng.random() < 0.5 else 2
 
-    return _accept_loop(digraph, s1, s2, max_attempts, seed, targets_of, draw)
+    return _accept_loop(digraph, s1, s2, seed, targets_of, draw)

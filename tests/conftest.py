@@ -11,7 +11,7 @@ import random
 from typing import Iterable, Sequence
 
 import dicut.pipeline as pipeline
-from dicut.core import Digraph, GraphInputError
+from dicut.core import Digraph, GraphInputError, cut_stats
 from dicut.decomposition import free_neighbor_edges
 from dicut.generators import lower_bound_gadget
 
@@ -24,6 +24,15 @@ def lower_dense_cutoff(monkeypatch) -> None:
     inputs of a feasible size take the shortcut."""
     for d, cutoff in PUBLISHED_DENSE_THRESHOLD.items():
         monkeypatch.setitem(pipeline.DENSE_THRESHOLD, d, cutoff / 100)
+
+
+def no_polish(monkeypatch) -> None:
+    """Turn run()'s local search off for one test: the polish returns the
+    sampled partition unchanged, with its cuts."""
+    monkeypatch.setattr(
+        pipeline, "_polish",
+        lambda digraph, partition, seed: (partition, cut_stats(digraph, partition)),
+    )
 
 
 def reference_digraph(n: int, pairs: Iterable[tuple[int, int]]):

@@ -591,6 +591,20 @@ def directed_triangles(count: int, antiparallel_on=()) -> Digraph:
 
 
 class TestStarDecompose:
+    def test_leaves_at_both_seed_ends_rejected(self, monkeypatch):
+        # B = {1, 2, 3, 4} is the path 1-2-3-4; the maximal matching {2, 3}
+        # is not maximum, and its two leaves attach at different ends
+        g = Digraph(5, [(1, 2), (2, 3), (3, 4)])
+        monkeypatch.setattr(
+            decomposition_mod, "maximum_matching", lambda adj: [-1, 2, 1, -1]
+        )
+        with pytest.raises(MatchingError) as err:
+            star_decompose(g, range(1, 5), epsilon=0.25)
+        assert str(err.value) == (
+            "two leaves of seed edge (2,3) attach at different endpoints 2 and 3 "
+            "(leaf 4); matching was not maximum"
+        )
+
     def test_two_plain_triangles(self):
         d = directed_triangles(2)
         dec = star_decompose(d, range(6), epsilon=0.25)

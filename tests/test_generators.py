@@ -286,6 +286,16 @@ class TestRandomMinOutdeg:
         with pytest.raises(ValueError, match="d and extra must be nonnegative"):
             random_min_outdeg(5, d, extra, seed=0)
 
+    @pytest.mark.parametrize("extra", [float("inf"), float("nan"), 1e300])
+    def test_extra_above_n_minus_one_rejected(self, extra):
+        with pytest.raises(ValueError) as err:
+            random_min_outdeg(10, 2, extra, seed=0)
+        assert str(err.value) == f"extra must be at most n - 1 = 9, got {extra}"
+
+    def test_extra_n_minus_one_accepted(self):
+        g = random_min_outdeg(10, 2, 9.0, seed=0)
+        assert g.min_out_degree() >= 2
+
     @pytest.mark.parametrize(
         "n, d, extra, seed",
         [(10, 2, 0.0, 0), (30, 3, 1.0, 5), (200, 2, 0.5, 11), (12, 11, 0.0, 3),

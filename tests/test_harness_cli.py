@@ -28,6 +28,8 @@ from dicut.harness import (
 from dicut.generators import FAMILIES, GadgetSpec
 from dicut.pipeline import PipelineConfig, StructuralDiagnostic, split_large
 
+from .conftest import no_polish
+
 
 def _cli_env():
     """The environment for a `python -m dicut.cli` child that imports this
@@ -154,16 +156,25 @@ class TestCli:
                 assert out.read_text().splitlines()[0] == f"# {spec.label()}"
                 assert read_edge_list(str(out)).edges == spec.build().edges
 
+    @pytest.mark.parametrize("extra", ["inf", "nan", "1e300"])
+    def test_gen_extra_above_n_minus_one_exit_one(self, tmp_path, capsys, extra):
+        out = tmp_path / "g.el"
+        argv = ["gen", "random_min_outdeg", "--n", "10", "--d", "2", "--extra"]
+        assert main([*argv, extra, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: extra must be at most n - 1 = 9, got {float(extra)}\n"
+        )
+        assert not out.exists()
+        assert main([*argv, "9", "-o", str(out)]) == 0
+
     def test_partition_json_echoes_the_whole_config(self, tmp_path, capsys):
         graph_file = tmp_path / "g.el"
         main(["gen", "lower_bound", "--d", "3", "--k", "2", "-o", str(graph_file)])
         capsys.readouterr()
         assert main(["partition", "-i", str(graph_file), "--d", "3",
-                     "--epsilon", "0.1", "--seed", "5", "--max-attempts", "7",
-                     "--no-local-search", "--json"]) == 0
+                     "--epsilon", "0.1", "--seed", "5", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        config = PipelineConfig(d=3, epsilon=0.1, seed=5, max_attempts=7,
-                                enable_local_search=False)
+        config = PipelineConfig(d=3, epsilon=0.1, seed=5)
         assert report["config"] == dataclasses.asdict(config)
 
     def test_oracle_command(self, tmp_path, capsys):
@@ -288,13 +299,13 @@ class TestCli:
     def test_guarantee_miss_exit_two(self, tmp_path):
         graph_file = tmp_path / "k5.el"
         main(["gen", "eulerian_complete", "--q", "5", "-o", str(graph_file)])
+        argv = ["partition", "-i", str(graph_file), "--d", "2", "--strict"]
         # without local search the only branch degenerates to the empty cut
-        code = main(["partition", "-i", str(graph_file), "--d", "2",
-                     "--no-local-search", "--max-attempts", "1", "--strict"])
-        assert code == 2
+        with pytest.MonkeyPatch.context() as mp:
+            no_polish(mp)
+            assert main(argv) == 2
         # local search rescues it
-        assert main(["partition", "-i", str(graph_file), "--d", "2",
-                     "--strict"]) == 0
+        assert main(argv) == 0
 
     def test_structural_diagnostic_exit_three(self, tmp_path, monkeypatch, capsys):
         graph_file = tmp_path / "g.el"
@@ -305,15 +316,6 @@ class TestCli:
 
         monkeypatch.setattr(pipeline_mod, "run", boom)
         assert main(["partition", "-i", str(graph_file), "--d", "2"]) == 3
-
-    def test_zero_max_attempts_exit_one(self, tmp_path, capsys):
-        graph_file = tmp_path / "g.el"
-        # k = 6 takes the structural branch, whose sampler never validated it
-        main(["gen", "lower_bound", "--d", "2", "--k", "6", "-o", str(graph_file)])
-        capsys.readouterr()
-        assert main(["partition", "-i", str(graph_file), "--d", "2",
-                     "--max-attempts", "0"]) == 1
-        assert capsys.readouterr().err == "error: max_attempts must be at least 1\n"
 
     @pytest.mark.parametrize(
         "gen_args, d",
@@ -461,10 +463,10 @@ class TestCli:
             (2, "0 1\n0 1\n", [], "edge #1 (0,1): duplicate directed edge"),
             (1, "0 2000000\n", [],
              "edge #0 (0,2000000): vertex id out of range [0,2000000)"),
-            (0, "", ["--max-attempts", "0"], "max_attempts must be at least 1"),
+            (0, "", ["--epsilon", "0.3"], "epsilon must lie in (0, 1/4), got 0.3"),
         ],
         ids=["empty", "sink-2", "missing-line", "loop", "duplicate", "range",
-             "max-attempts"],
+             "epsilon"],
     )
     def test_partition_with_more_vertices_than_edges_builds_nothing_of_n(
         self, tmp_path, m, body, flags, err
@@ -488,7 +490,7 @@ class TestCli:
         assert main(["bench", "--suite", "oracle-small", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data) == len(suite_tasks("oracle-small"))
-        assert all(r["schema_version"] == 2 for r in data)
+        assert all(r["schema_version"] == 3 for r in data)
 
 
 def _imported_modules(*argv):

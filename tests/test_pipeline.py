@@ -37,6 +37,7 @@ from .conftest import (
     chained_lower_bound_gadget,
     from_edge_list,
     lower_dense_cutoff,
+    no_polish,
     random_digraph,
     reference_digraph,
 )
@@ -319,10 +320,11 @@ def test_local_search_matches_rescanning_sweep(case):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_local_search_matches_rescanning_sweep_at_n2000(d):
+def test_local_search_matches_rescanning_sweep_at_n2000(monkeypatch, d):
     """From the sampler's partition and from random ones, over many passes."""
     g = random_min_outdeg(2000, d, 1.0, seed=d)
-    config = PipelineConfig(d=d, seed=1, enable_local_search=False)
+    config = PipelineConfig(d=d, seed=1)
+    no_polish(monkeypatch)
     rng = random.Random(d)
     starts = [run(g, config).partition]
     starts += [Bipartition(tuple(rng.choice((1, 2)) for _ in range(g.n)))
@@ -395,19 +397,14 @@ class TestRunD2:
         result = run(g, PipelineConfig(d=2, epsilon=0.05, seed=2))
         assert result.stats.min_cut == exact_judicious(g).optimum == 3
 
-    def test_without_local_search_reports_honestly(self):
+    def test_without_local_search_reports_honestly(self, monkeypatch):
         g = eulerian_complete(5)
-        cfg = PipelineConfig(d=2, epsilon=0.05, seed=1, enable_local_search=False,
-                             max_attempts=1)
-        result = run(g, cfg)
-        # everything is large here, so the one deterministic attempt gives
-        # the empty cut and the report must say the target was missed
+        no_polish(monkeypatch)
+        result = run(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
+        # everything is large here, so B is empty, the one attempt gives the
+        # empty cut and the report must say the target was missed
         assert result.stats.min_cut == 0
         assert not result.meets_guarantee
-
-    def test_rejects_zero_max_attempts(self):
-        with pytest.raises(ValueError, match="max_attempts must be at least 1"):
-            PipelineConfig(d=2, max_attempts=0)
 
     def test_dense_branch_with_test_constants(self, monkeypatch):
         g = random_min_outdeg(100, 2, extra=12, seed=3)
@@ -573,6 +570,77 @@ class TestStructuralDiagnostics:
         with pytest.raises(StructuralDiagnostic):
             run(g, PipelineConfig(d=2, epsilon=0.05, seed=1))
 
+    @staticmethod
+    def _honest(g):
+        """The stripped graph, the rest and the surplus profile run() computes."""
+        large, rest, stripped, _ = split_large(g)
+        theta = gap_partition(stripped, large).theta
+        return stripped, rest, surplus_profile(stripped, large, theta)
+
+    @staticmethod
+    def _fake_profile(monkeypatch, **changes):
+        real = pipeline_mod.surplus_profile
+        monkeypatch.setattr(
+            pipeline_mod, "surplus_profile",
+            lambda stripped, large, theta: replace(
+                real(stripped, large, theta), **changes
+            ),
+        )
+
+    def test_no_huge_vertex_rejected(self, monkeypatch):
+        g, _ = lower_bound_gadget(2, 30)
+        _, _, honest = self._honest(g)
+        self._fake_profile(monkeypatch, huge=())
+        with pytest.raises(StructuralDiagnostic, match="no huge vertex") as err:
+            run(g, PipelineConfig(d=2, seed=1))
+        assert err.value.payload == {
+            "theta": honest.theta, "delta_list": list(honest.delta_list)
+        }
+
+    def test_edge_count_below_buffer_rejected(self, monkeypatch):
+        g, _ = lower_bound_gadget(2, 30)
+        stripped, rest, _ = self._honest(g)
+        assert rest
+        # m buffer edges plus d out-edges per other vertex exceed m
+        self._fake_profile(monkeypatch, b=stripped.m)
+        with pytest.raises(StructuralDiagnostic, match="edge count below") as err:
+            run(g, PipelineConfig(d=2, seed=1))
+        assert err.value.payload == {
+            "m": stripped.m, "b": stripped.m, "rest": len(rest), "d": 2
+        }
+
+    def test_non_huge_surpluses_above_slack_rejected(self, monkeypatch):
+        g, _ = lower_bound_gadget(3, 30)
+        _, _, honest = self._honest(g)
+        too_many = honest.delta - honest.theta + 1
+        self._fake_profile(monkeypatch, g=too_many)
+        with pytest.raises(StructuralDiagnostic, match="non-huge surpluses") as err:
+            run(g, PipelineConfig(d=3, seed=1))
+        assert err.value.payload == {
+            "g": too_many, "delta": honest.delta, "theta": honest.theta
+        }
+
+    def test_component_count_above_bound_rejected(self, monkeypatch):
+        g, _ = lower_bound_gadget(2, 30)
+        stripped, _, honest = self._honest(g)
+        slack = honest.delta - honest.theta + honest.b
+        bound = Fraction(stripped.n + 2 * slack, 3)
+        observed = int(bound) + 1  # the least count above the bound
+        real = pipeline_mod.star_decompose
+        monkeypatch.setattr(
+            pipeline_mod, "star_decompose",
+            lambda *args, **kwargs: replace(real(*args, **kwargs), tau=observed),
+        )
+        with pytest.raises(StructuralDiagnostic, match="odd/tight") as err:
+            run(g, PipelineConfig(d=2, seed=1))
+        assert err.value.payload == {
+            "observed": observed,
+            "bound": str(bound),
+            "delta": honest.delta,
+            "theta": honest.theta,
+            "b": honest.b,
+        }
+
 
     def test_gap_identity_violation_rejected(self, monkeypatch):
         g, _ = lower_bound_gadget(2, 30)
@@ -647,7 +715,8 @@ class TestCutCounting:
         assert calls == [result.partition]
         # the sampler counted on the stripped copy; the polish's start, which
         # it counts itself, is the sampled partition's min cut on the input
-        unpolished = run(g, PipelineConfig(d=2, seed=1, enable_local_search=False))
+        no_polish(monkeypatch)
+        unpolished = run(g, PipelineConfig(d=2, seed=1))
         sampled = result.branch_trace[-2]
         before = result.branch_trace[-1]["min_cut_before"]
         assert before == unpolished.stats.min_cut > min(sampled["e12"], sampled["e21"])
@@ -708,9 +777,10 @@ def test_one_edge_classification_per_run(monkeypatch, build, config, kind):
     ],
     ids=["k9-strips", "gadget", "random"],
 )
-def test_min_cut_before_is_unpolished_result(g, strips, seed):
+def test_min_cut_before_is_unpolished_result(monkeypatch, g, strips, seed):
     polished = run(g, PipelineConfig(d=2, seed=seed))
-    plain = run(g, PipelineConfig(d=2, seed=seed, enable_local_search=False))
+    no_polish(monkeypatch)
+    plain = run(g, PipelineConfig(d=2, seed=seed))
     assert (polished.removed_a_edges > 0) == strips
     assert polished.branch_trace[-1]["step"] == "local_search"
     assert polished.branch_trace[-1]["min_cut_before"] == plain.stats.min_cut

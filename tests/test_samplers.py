@@ -154,9 +154,10 @@ class TestSecondMoment:
         assert out.accepted
         assert (out.stats.e12, out.stats.e21) == (1, 1)
 
-    def test_eulerian_k5_accepts(self):
+    def test_eulerian_k5_accepts(self, monkeypatch):
         g = eulerian_complete(5)
-        out = second_moment_partition(g, (), (), 0.5, 0.2, seed=3, max_attempts=64)
+        monkeypatch.setattr(samplers_mod, "MAX_ATTEMPTS", 64)
+        out = second_moment_partition(g, (), (), 0.5, 0.2, seed=3)
         assert out.accepted
         assert out.stats.e12 >= Fraction(10, 4) - Fraction(2, 10) * 10
 
@@ -173,11 +174,12 @@ class TestSecondMoment:
             assert out.stats.e12 >= out.targets[0]
             assert out.stats.e21 >= out.targets[1]
 
-    def test_degree_warning(self):
+    def test_degree_warning(self, monkeypatch):
         # one dominating vertex breaks the degree hypothesis
         pairs = [(0, v) for v in range(1, 12)] + [(v, 0) for v in range(1, 12)]
         g = Digraph(12, pairs)
-        out = second_moment_partition(g, (), (), 0.5, 0.05, seed=1, max_attempts=4)
+        monkeypatch.setattr(samplers_mod, "MAX_ATTEMPTS", 4)
+        out = second_moment_partition(g, (), (), 0.5, 0.05, seed=1)
         assert out.warning is not None
 
     def test_empty_graph_rejected(self):
@@ -202,8 +204,6 @@ class TestSecondMoment:
                 second_moment_partition(g, a1, a2, Fraction(3, 2), 0.1, seed=0)
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 second_moment_partition(g, a1, a2, 0.5, 0, seed=0)
-            with pytest.raises(ValueError, match="max_attempts"):
-                second_moment_partition(g, a1, a2, 0.5, 0.1, seed=0, max_attempts=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -222,7 +222,9 @@ class TestSecondMoment:
         assume(g.m > 0)
         eps = Fraction(math.isqrt(800 * 800 * 8 * n // g.m) + 1 + slack, 800)
         assert g.m >= 8 * n / eps**2
-        out = second_moment_partition(g, (), (), p, eps, seed=1, max_attempts=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samplers_mod, "MAX_ATTEMPTS", 2)
+            out = second_moment_partition(g, (), (), p, eps, seed=1)
         assert out.warning is None
 
 
@@ -233,10 +235,11 @@ class TestQuarterPartition:
         out = quarter_partition(g, 0.15, seed=2)
         assert out.stats.e12 >= 156 and out.stats.e21 >= 156
 
-    def test_warning_when_out_of_regime(self):
+    def test_warning_when_out_of_regime(self, monkeypatch):
         pairs = [(0, v) for v in range(1, 10)] + [(v, 0) for v in range(1, 10)]
         g = Digraph(10, pairs)
-        out = quarter_partition(g, 0.1, seed=1, max_attempts=4)
+        monkeypatch.setattr(samplers_mod, "MAX_ATTEMPTS", 4)
+        out = quarter_partition(g, 0.1, seed=1)
         assert out.warning is not None
 
     def test_determinism(self):
@@ -253,20 +256,22 @@ def antiparallel_triangles(count: int) -> Digraph:
 
 
 class TestStarBisection:
-    def test_perfect_matching_cut_is_constant(self):
+    def test_perfect_matching_cut_is_constant(self, monkeypatch):
         g = from_edge_list([(0, 1), (2, 3), (4, 5), (6, 7)])
         dec = star_decompose(g, range(8), epsilon=0.25)
-        out = star_bisection(g, (), (), dec, 0.05, seed=3, max_attempts=8)
+        monkeypatch.setattr(samplers_mod, "MAX_ATTEMPTS", 8)
+        out = star_bisection(g, (), (), dec, 0.05, seed=3)
         # every matched edge crosses: the two directional cuts always sum to 4
         assert out.stats.e12 + out.stats.e21 == 4
 
-    def test_tau_prime_shifts_thresholds(self):
+    def test_tau_prime_shifts_thresholds(self, monkeypatch):
         g = antiparallel_triangles(20)
         plain = star_decompose(g, range(g.n), epsilon=0.25)
         seeded = star_decompose(g, range(g.n), epsilon=0.25, prefer_antiparallel=True)
         assert plain.tau == 20 and seeded.tau_prime == 0
-        out_plain = star_bisection(g, (), (), plain, 0.05, seed=1, max_attempts=4)
-        out_seeded = star_bisection(g, (), (), seeded, 0.05, seed=1, max_attempts=4)
+        monkeypatch.setattr(samplers_mod, "MAX_ATTEMPTS", 4)
+        out_plain = star_bisection(g, (), (), plain, 0.05, seed=1)
+        out_seeded = star_bisection(g, (), (), seeded, 0.05, seed=1)
         diff = out_seeded.targets[0] - out_plain.targets[0]
         assert diff == Fraction(plain.tau - seeded.tau_prime, 8) == Fraction(20, 8)
 
@@ -287,15 +292,6 @@ class TestStarBisection:
         with pytest.raises(ValueError, match="cover"):
             star_bisection(g, (), (), dec, 0.05, seed=1)
 
-    def test_zero_attempts_rejected(self, monkeypatch):
-        g = antiparallel_triangles(2)
-        dec = star_decompose(g, range(g.n), epsilon=0.25)
-        calls = []
-        monkeypatch.setattr(samplers_mod, "edge_profile", lambda *a: calls.append(a))
-        with pytest.raises(ValueError, match="max_attempts must be at least 1"):
-            star_bisection(g, (), (), dec, 0.05, seed=1, max_attempts=0)
-        assert calls == []  # rejected before any edge is classified
-
     def test_determinism(self):
         g = antiparallel_triangles(5)
         dec = star_decompose(g, range(g.n), epsilon=0.25, prefer_antiparallel=True)
@@ -308,3 +304,24 @@ def test_exact_fraction_reads_decimal():
     assert exact_fraction(0.05) == Fraction(1, 20)
     assert exact_fraction(Fraction(1, 12)) == Fraction(1, 12)
     assert exact_fraction(2) == 2
+
+
+def test_empty_b_draws_once(monkeypatch):
+    """With A1 | A2 = V every attempt is the same partition, so each sampler
+    checks one, accepted or not."""
+    g = antiparallel_triangles(2)
+    a1, a2 = (0, 1, 2), (3, 4, 5)
+    dec = star_decompose(g, (), epsilon=0.25)
+    calls = []
+    real = samplers_mod.cut_stats
+
+    def counting(digraph, partition):
+        calls.append(partition)
+        return real(digraph, partition)
+
+    monkeypatch.setattr(samplers_mod, "cut_stats", counting)
+    moment = second_moment_partition(g, a1, a2, 0.5, 0.05, seed=1)
+    bisection = star_bisection(g, a1, a2, dec, 0.05, seed=1)
+    assert moment.accepted and not bisection.accepted
+    assert moment.attempts_used == bisection.attempts_used == 1
+    assert len(calls) == 2
