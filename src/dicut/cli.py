@@ -92,10 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(data: dict[str, Any] | list[Any], as_json: bool) -> None:
+    # strict JSON: a non-finite value raises ValueError before anything prints
     if as_json:
-        print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False))
     else:
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(json.dumps(data, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -218,11 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, jobs=args.jobs)
     if args.json:
-        print(
-            json.dumps(
-                [r.to_dict() for r in reports], sort_keys=True, separators=(",", ":")
-            )
-        )
+        _emit([r.to_dict() for r in reports], True)
     else:
         for r in reports:
             key = r.instance.get("key", "?")

@@ -124,7 +124,7 @@ def maximum_matching(adj: Sequence[Sequence[int]]) -> list[int]:
                     match[u] = v
                     break
     for comp in _components(adj):
-        if sum(1 for v in comp if match[v] == -1) < 2:
+        if list(map(match.__getitem__, comp)).count(-1) < 2:
             continue
         for v in comp:
             if match[v] == -1:
@@ -178,7 +178,23 @@ def _grow(
     Returns None after such an exchange; otherwise the set ends as w's whole
     connected component, which is checked against the tight-component
     definition directly and returned sorted.
+
+    An odd clique that is a whole component, with w's neighbours matched in
+    pairs inside it, is returned at once: growth would absorb it pair by pair
+    with no exchange, since every pair meets the set evenly, and no edge in
+    it has exactly one end adjacent to a vertex of it, so it is tight.
     """
+    row = adj[w]
+    clique = tuple(sorted((w, *row)))
+    if all(
+        v == w or (
+            tuple(adj[v]) == clique[:i] + clique[i + 1:]
+            and partner[v] in row
+            and partner[partner[v]] == v
+        )
+        for i, v in enumerate(clique)
+    ):
+        return clique
     # the absorbed set: w maps to itself, every other absorbed vertex to the
     # absorbed vertex adjacent to both ends of its pair when the pair joined
     anchor = {w: w}
@@ -249,9 +265,6 @@ def _tight_violation(adj: Sequence[Sequence[int]], component: Sequence[int]):
     exhausts the remaining half of the tight-component definition.
     """
     comp = set(component)
-    size = len(comp)
-    if all(len(adj[v]) == size - 1 for v in component):
-        return None  # odd cliques carry no half-adjacent edges
     for u in component:
         nu = set(adj[u])
         for x in sorted(nu):
@@ -393,7 +406,8 @@ class StarDecomposition:
     def covered(self) -> set[int]:
         out = set(self.leftover)
         for s in self.stars:
-            out.update(s.vertices)
+            out.update(s.seed)
+            out.update(s.leaves)
         return out
 
 
@@ -414,8 +428,8 @@ def star_decompose(
     prefer_antiparallel, each 3-vertex tight component whose triangle lifts
     to an antiparallel pair gets its seed edge re-seated onto such an edge.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < float("inf"):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
     degree_cap = mean_degree / epsilon
     adj, orig, antiparallel = digraph.induced_underlying(b_vertices)
@@ -467,16 +481,16 @@ def star_decompose(
         Star(
             apex=orig[attach_at.get(a, a)],
             seed=(orig[a], orig[b]),  # orig is increasing and a < b
-            leaves=tuple(orig[w] for w in leaves_of[a]),
+            leaves=tuple(map(orig.__getitem__, leaves_of[a])),
         )
         for a, b in seeds
     ]
 
     return StarDecomposition(
         stars=tuple(stars),
-        leftover=tuple(orig[w] for w in leftover),
+        leftover=tuple(map(orig.__getitem__, leftover)),
         tau=sum(len(comp) % 2 for comp in _components(adj)),
-        tight=tuple(tuple(orig[v] for v in comp) for comp in tight),
+        tight=tuple(tuple(map(orig.__getitem__, comp)) for comp in tight),
         sigma=sigma,
         tau_prime=len(tight) - sigma,
         degree_cap=degree_cap,

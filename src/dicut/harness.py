@@ -50,7 +50,10 @@ class RunReport:
 
     def to_json(self, include_timings: bool = True) -> str:
         return json.dumps(
-            self.to_dict(include_timings), sort_keys=True, separators=(",", ":")
+            self.to_dict(include_timings),
+            sort_keys=True,
+            separators=(",", ":"),
+            allow_nan=False,
         )
 
 

@@ -580,6 +580,130 @@ class TestBruteForceTight:
             brute_force_tight_check(undirected(2, []))
 
 
+def odd_clique_corpus(count: int, seed: int):
+    """Random graphs on at most 8 vertices, drawn three ways in turn: G(n, p);
+    an odd clique with each vertex pair toggled with probability 1/8; and a
+    K5 on 7 or 8 vertices that trades one inside edge (a, b) for an edge from
+    a and one from b to the outside, which keeps every degree in the clique,
+    with the outside vertices joined at random.  Each graph is relabelled at
+    random."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 3
+        n = rng.randint(7, 8) if kind == 2 else rng.randint(1, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if kind == 0:
+            p = rng.uniform(0.2, 0.9)
+            edges = {e for e in pairs if rng.random() < p}
+        elif kind == 1:
+            k = rng.choice([c for c in (1, 3, 5, 7) if c <= n])
+            edges = {(u, v) for u, v in pairs if v < k}
+            edges ^= {e for e in pairs if rng.random() < 1 / 8}
+        else:
+            edges = {(u, v) for u, v in pairs if v < 5} - {(0, 1)}
+            edges |= {(0, rng.randrange(5, n)), (1, rng.randrange(5, n))}
+            edges |= {(u, v) for u, v in pairs if u >= 5 and rng.random() < 0.5}
+        perm = rng.sample(range(n), n)
+        yield undirected(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def check_against_exhaustive(g: Rows) -> None:
+    """From the maximum matchings of the sorted and of the reversed rows,
+    maximize_free_vertices reaches the exhaustive free-vertex maximum and
+    tight_components reports exactly the connected components that the
+    definitional test finds tight."""
+    comps = _components(g)
+    subs = [induced_rows(g, comp)[0] for comp in comps]
+    tight = sorted(c for c, sub in zip(comps, subs) if brute_force_tight_check(sub))
+    most_free = sum(map(max_free_over_max_matchings, subs))
+    for rows in (g, tuple(row[::-1] for row in g)):
+        settled = maximize_free_vertices(g, maximum_matching(rows))
+        assert free_vertex_count(g, settled) == most_free, (g, rows)
+        assert sorted(tight_components(g, settled)) == tight, (g, rows)
+
+
+class TestOddCliqueShortcut:
+    """An odd clique that is a whole component is settled without growing;
+    every other component grows as before."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gadget_b_never_checks_tightness(self, d, monkeypatch):
+        g, _ = lower_bound_gadget(d, 50)
+        _, rest, stripped, _ = split_large(g)
+        calls = {"grow": 0, "tight_violation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(decomposition_mod, "_grow", counted("grow", _grow))
+        monkeypatch.setattr(
+            decomposition_mod, "_tight_violation",
+            counted("tight_violation", decomposition_mod._tight_violation),
+        )
+        dec = star_decompose(stripped, rest, epsilon=0.0125)
+        # one K_{2d-1} per copy, each a whole component of B
+        assert len(dec.tight) == 50
+        b = set(rest)
+        for comp in dec.tight:
+            assert len(comp) == 2 * d - 1
+            for v in comp:
+                row = {*stripped.out_neighbors(v), *stripped.in_neighbors(v)}
+                assert row & b == set(comp) - {v}
+        assert calls == {"grow": 50, "tight_violation": 0}
+
+    def test_disjoint_odd_cliques(self):
+        # K1, K3, K5, K7, K9 with their vertex ids interleaved
+        perm = random.Random(5).sample(range(25), 25)
+        edges, start = [], 0
+        for k in (1, 3, 5, 7, 9):
+            edges += [(perm[start + u], perm[start + v])
+                      for u in range(k) for v in range(u + 1, k)]
+            start += k
+        g = undirected(25, edges)
+        check_against_exhaustive(g)
+        assert len(tight_components(g, maximum_matching(g))) == 5
+
+    def test_k5_less_an_edge_still_grows(self):
+        # from the reversed rows' matching {04, 13}, leftover vertex 2 sees
+        # the other four, paired inside its neighbourhood; only their rows
+        # show the missing edge 34, and the graph is not tight
+        g = undirected(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
+                           if (u, v) != (3, 4)])
+        check_against_exhaustive(g)
+        assert tight_components(g, maximize_free_vertices(g, maximum_matching(g))) == ()
+
+    def test_random_graphs_agree_with_exhaustive(self):
+        for g in odd_clique_corpus(1500, 27):
+            check_against_exhaustive(g)
+
+    @pytest.mark.parametrize(
+        "partner, message",
+        [
+            # 0 is leftover, yet 1 names it as its mate
+            ([-1, 0, 3, 2, -1], "leftover vertex 4 is reachable from leftover "
+             "vertex 0 by an alternating path; matching is not maximum"),
+            # 1 and 2 are mates, and 3 names 1 as well
+            ([-1, 2, 1, 1, 3], "matched pair (3,1) split by the absorption set "
+             "of leftover vertex 0"),
+        ],
+        ids=["mate-is-leftover", "mate-named-twice"],
+    )
+    def test_k5_with_invalid_partner_list_still_grows(self, partner, message):
+        """Only a list that pairs w's neighbours inside the clique skips
+        growth, so growth names the fault in any other list."""
+        with pytest.raises(MatchingError) as caught:
+            _grow(k_graph(5), partner, 0)
+        assert str(caught.value) == message
+
+    def test_non_maximal_matching_on_a_clique_named(self):
+        with pytest.raises(MatchingError, match="vertices 0 and 1 are adjacent "
+                           "and both unmatched; matching is not even maximal"):
+            tight_components(k_graph(5), [-1, -1, 3, 2, -1])
+
+
 def directed_triangles(count: int, antiparallel_on=()) -> Digraph:
     pairs = []
     for t in range(count):
@@ -654,7 +778,7 @@ class TestStarDecompose:
     def test_requires_cap_or_epsilon(self):
         with pytest.raises(TypeError):
             star_decompose(directed_triangles(1), range(3))
-        for epsilon in (0, -1):
+        for epsilon in (0, -1, float("inf")):
             with pytest.raises(ValueError):
                 star_decompose(directed_triangles(1), range(3), epsilon=epsilon)
 

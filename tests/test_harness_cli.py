@@ -177,6 +177,18 @@ class TestCli:
         config = PipelineConfig(d=3, epsilon=0.1, seed=5)
         assert report["config"] == dataclasses.asdict(config)
 
+    def test_partition_accepts_a_tiny_epsilon(self, tmp_path, capsys):
+        # the bisection branch decomposes B with an infinite degree cap, but
+        # the report holds no cap, so its JSON stays strict
+        graph_file = tmp_path / "g.el"
+        main(["gen", "lower_bound", "--d", "2", "--k", "4", "-o", str(graph_file)])
+        capsys.readouterr()
+        assert main(["partition", "-i", str(graph_file), "--d", "2",
+                     "--epsilon", "1e-320", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["epsilon"] == 1e-320
+        assert [r["step"] for r in report["branch_trace"]].count("bisection") == 1
+
     def test_oracle_command(self, tmp_path, capsys):
         graph_file = tmp_path / "g.el"
         main(["gen", "eulerian_complete", "--q", "5", "-o", str(graph_file)])
@@ -354,19 +366,22 @@ class TestCli:
         assert proc.stderr == "error: exact_judicious is capped at n <= 24, got 25\n"
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("epsilon", ["0", "-1"])
+    # inf is rejected by star_decompose; at 1e-320 the degree cap overflows to
+    # inf, which strict JSON cannot hold
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "inf", "1e-320"])
     def test_decompose_nonpositive_epsilon_exit_one(self, tmp_path, epsilon):
         graph_file = tmp_path / "tri.el"
         graph_file.write_text("3 3\n0 1\n1 2\n2 0\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "dicut.cli", "decompose", "-i", str(graph_file),
-             "--epsilon", epsilon],
-            capture_output=True, text=True, env=_cli_env(),
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        for flags in ([], ["--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dicut.cli", "decompose", "-i",
+                 str(graph_file), "--epsilon", epsilon, *flags],
+                capture_output=True, text=True, env=_cli_env(),
+            )
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
+            assert proc.stdout == ""
 
     @pytest.mark.parametrize(
         "gen_args",
