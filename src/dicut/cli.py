@@ -191,6 +191,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         prefer_antiparallel=not args.no_antiparallel,
     )
+    if dec.degree_cap == float("inf"):
+        raise ValueError(
+            f"epsilon {args.epsilon} is too small: the degree cap "
+            "(mean degree / epsilon) overflows"
+        )
     payload = {
         "n": digraph.n,
         "m": digraph.m,

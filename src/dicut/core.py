@@ -7,7 +7,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -270,7 +270,7 @@ def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
 # stripped; blank lines and lines starting with '#' may appear anywhere.
 # ---------------------------------------------------------------------------
 
-_SLICE_CHARS = 1 << 20
+_SLICE_CHARS = 1 << 15  # sized so one slice's tokens fit in one arena
 _DIGITS = str.maketrans("", "", "0123456789")
 
 
@@ -327,7 +327,11 @@ def _find_header(text: str) -> tuple[str, int]:
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format straight into the adjacency.
 
-    The body is read in slices of about 1 MB, each cut just after a newline.
+    The body is read in slices of about 32K characters, each cut just after
+    a newline.  A canonical slice holds at most one token per two characters,
+    16K tokens of about 56 bytes each, so its token strings fit in the one
+    empty 1 MiB arena CPython's small-object allocator keeps, and the next
+    slice reuses that memory instead of faulting it in again from the OS.
     Each slice's tokens are looked up as ids and added to the out-lists, one
     tail's run of edges at a time where the tails do not decrease; no list
     beyond the ids the body can spell exists before the line count matches
@@ -461,7 +465,8 @@ def write_edge_list(digraph: Digraph, path: str, comments: Sequence[str] = ()) -
 def parse_partition(text: str, n: int) -> Bipartition:
     side = [0] * n
     filled = 0
-    for ln in text.splitlines():
+    # slice by slice, so that one slice's line strings exist at a time
+    for ln in chain.from_iterable(map(str.splitlines, _slices(text, 0))):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from .core import Bipartition, Digraph, cut_stats
+from .core import Bipartition, Digraph, _slices, cut_stats
 from .generators import GadgetSpec
 
 if TYPE_CHECKING:  # imported by the calls that run the pipeline
@@ -60,8 +60,11 @@ class RunReport:
 def file_instance_descriptor(path: str, text: str) -> dict[str, Any]:
     import hashlib  # loads OpenSSL; only `partition` children need it
 
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return {"path": path, "sha256": digest}
+    # piece by piece: no UTF-8 copy of the whole text
+    digest = hashlib.sha256()
+    for piece in _slices(text, 0):
+        digest.update(piece.encode("utf-8"))
+    return {"path": path, "sha256": digest.hexdigest()}
 
 
 def build_report(

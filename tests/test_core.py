@@ -29,6 +29,7 @@ from dicut.generators import (
     complete_antiparallel,
     eulerian_complete,
     lower_bound_gadget,
+    random_min_outdeg,
 )
 
 from .conftest import (
@@ -566,11 +567,98 @@ def test_parse_edge_list_matches_line_reader(text, slice_chars):
         "# only comments\n\n",
     ],
 )
-@pytest.mark.parametrize("slice_chars", [1, 4, 1 << 20])
+@pytest.mark.parametrize("slice_chars", [1, 4, core_mod._SLICE_CHARS, 1 << 20])
 def test_parse_edge_list_examples(text, slice_chars):
     with mock.patch.object(core_mod, "_SLICE_CHARS", slice_chars):
         got = parse_outcome(parse_edge_list, text)
     assert got == parse_outcome(reference_parse_edge_list, text)
+
+
+def reference_parse_partition(text, n):
+    """The line-by-line reader that the sliced parse_partition replaced."""
+    side = [0] * n
+    filled = 0
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        try:
+            v, s = map(int, ln.split())
+        except ValueError as exc:
+            raise GraphInputError(f"bad partition line {ln!r}") from exc
+        if not 0 <= v < n:
+            raise GraphInputError(f"partition line {ln!r}: vertex id out of range")
+        if s not in (1, 2):
+            raise GraphInputError(f"partition line {ln!r}: side must be 1 or 2")
+        if side[v] != 0:
+            raise GraphInputError(f"partition line {ln!r}: duplicate vertex")
+        side[v] = s
+        filled += 1
+    if filled != n:
+        raise GraphInputError(f"partition covers {filled} of {n} vertices")
+    return Bipartition(tuple(side))
+
+
+@st.composite
+def partition_texts(draw):
+    """(text, n): partition files, mostly valid, with comments, blanks, odd
+    tokens and every line break, so each message can come first."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    token = st.one_of(
+        st.integers(min_value=-1, max_value=n + 1).map(str),
+        st.sampled_from(["1", "2", "0", "3"] + ODD_TOKENS),
+    )
+    order = draw(st.permutations(range(n)))
+    lines = [f"{v} {draw(st.sampled_from('12'))}" for v in order]
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(st.one_of(
+            st.lists(token, min_size=1, max_size=3).map(" ".join),
+            st.sampled_from(["", "  ", "# c", "\t# 0 1"]),
+        ))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    pad = st.sampled_from([""] * 4 + BLANKS)
+    breaks = st.sampled_from(["\n"] * 4 + LINE_BREAKS)
+    text = "".join(draw(pad) + ln + draw(pad) + draw(breaks) for ln in lines)
+    return text, n
+
+
+@given(partition_texts(), st.integers(min_value=1, max_value=24))
+@settings(max_examples=400, deadline=None)
+def test_parse_partition_matches_line_reader(case, slice_chars):
+    text, n = case
+
+    def outcome(parse):
+        try:
+            return parse(text, n)
+        except GraphInputError as exc:
+            return str(exc)
+
+    with mock.patch.object(core_mod, "_SLICE_CHARS", slice_chars):
+        got = outcome(parse_partition)
+    assert got == outcome(reference_parse_partition)
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [
+        # few ids and long runs of one tail: the dense benchmark's shape
+        (lambda: complete_antiparallel(400), 32),
+        # 20,000 ids for 80,000 edges: the ids dict is most of the peak
+        (lambda: random_min_outdeg(20000, 3, 1.0, 7), 64),
+    ],
+    ids=["complete_antiparallel-400", "random_min_outdeg-20000"],
+)
+def test_parse_edge_list_transient_peak_per_edge(build, bound):
+    """What the parse allocates beyond the graph it returns stays a few
+    slices' worth of tokens, not one string per token of the body."""
+    text = format_edge_list(build())
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - retained) / g.m <= bound
 
 
 # the regular expression that core._canonical_tokens's translate test replaced

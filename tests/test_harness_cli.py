@@ -13,6 +13,7 @@ import pytest
 
 import dicut
 import dicut.cli as cli_mod
+import dicut.core as core_mod
 import dicut.pipeline as pipeline_mod
 from dicut.cli import main
 from dicut.core import Bipartition, read_edge_list, read_partition
@@ -20,6 +21,7 @@ from dicut.decomposition import star_decompose
 from dicut.harness import (
     BenchTask,
     RunReport,
+    file_instance_descriptor,
     run_bench_task,
     run_suite,
     suite_tasks,
@@ -60,6 +62,22 @@ class TestRunReport:
         g = task.spec.build()
         check = verify_partition(g, Bipartition(tuple(map(int, report.partition))))
         assert (check["e12"], check["e21"]) == (report.e12, report.e21)
+
+    @pytest.mark.parametrize("slice_chars", [1, 2, 3, 5, 8, 13, 1 << 15])
+    def test_instance_sha256_is_the_digest_of_the_whole_text(
+        self, monkeypatch, slice_chars
+    ):
+        # comment characters of 2, 3 and 4 UTF-8 bytes sit where a piece of
+        # slice_chars characters would end; "\r" and the missing final break
+        # are not cut at
+        text = "# é€😀\n3 2\n# ü€ab\r\n0 1\n#😀 😀\r1 2\n# é😀é"
+        monkeypatch.setattr(core_mod, "_SLICE_CHARS", slice_chars)
+        pieces = list(core_mod._slices(text, 0))
+        assert len(pieces) > 1 or slice_chars == 1 << 15
+        assert file_instance_descriptor("g.el", text) == {
+            "path": "g.el",
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        }
 
 
 class TestSuites:
@@ -366,8 +384,7 @@ class TestCli:
         assert proc.stderr == "error: exact_judicious is capped at n <= 24, got 25\n"
         assert proc.stdout == ""
 
-    # inf is rejected by star_decompose; at 1e-320 the degree cap overflows to
-    # inf, which strict JSON cannot hold
+    # inf is rejected by star_decompose; at 1e-320 the degree cap overflows
     @pytest.mark.parametrize("epsilon", ["0", "-1", "inf", "1e-320"])
     def test_decompose_nonpositive_epsilon_exit_one(self, tmp_path, epsilon):
         graph_file = tmp_path / "tri.el"
@@ -382,6 +399,19 @@ class TestCli:
             assert proc.stderr.startswith("error: ")
             assert proc.stderr.count("\n") == 1
             assert proc.stdout == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_decompose_overflowing_degree_cap_names_epsilon(self, tmp_path, capsys, flags):
+        graph_file = tmp_path / "k7.el"
+        main(["gen", "eulerian_complete", "--q", "7", "-o", str(graph_file)])
+        capsys.readouterr()
+        argv = ["decompose", "-i", str(graph_file), "--epsilon", "1e-320", *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: epsilon 1e-320 is too small: the degree cap "
+            "(mean degree / epsilon) overflows\n",
+        )
 
     @pytest.mark.parametrize(
         "gen_args",
