@@ -182,20 +182,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    from .decomposition import star_decompose
+    from .decomposition import degree_cap, star_decompose
 
     digraph = read_edge_list(args.input)
+    # star_decompose rejects an epsilon that is not positive and finite
+    if args.epsilon > 0 and degree_cap(digraph, args.epsilon) == float("inf"):
+        raise ValueError(
+            f"epsilon {args.epsilon} is too small: the degree cap "
+            "(mean degree / epsilon) overflows"
+        )
     dec = star_decompose(
         digraph,
         range(digraph.n),
         epsilon=args.epsilon,
         prefer_antiparallel=not args.no_antiparallel,
     )
-    if dec.degree_cap == float("inf"):
-        raise ValueError(
-            f"epsilon {args.epsilon} is too small: the degree cap "
-            "(mean degree / epsilon) overflows"
-        )
     payload = {
         "n": digraph.n,
         "m": digraph.m,

@@ -255,13 +255,20 @@ def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
     side 2's out-lists, each by one C-level gather.  A call costs O(n) plus
     the volume of side 2, with a small per-edge constant.  Nothing is cached
     between calls."""
+    return _cut_counts(digraph, partition)[0]
+
+
+def _cut_counts(digraph: Digraph, partition: Bipartition) -> tuple[CutStats, list[int]]:
+    """cut_stats, with the side-2 end count of each of side 2's out-lists in
+    vertex order, which a caller that sweeps the same partition can reuse."""
     _check_cover(digraph, partition)
     side = partition.side
     on_two = list(map((2).__eq__, side))
     rows = list(compress(digraph._out, on_two))
-    e22 = sum(_side2_ends(side, rows))
+    ends = _side2_ends(side, rows)
+    e22 = sum(ends)
     e12 = sum(map(len, compress(digraph._in, on_two))) - e22
-    return CutStats(e12, sum(map(len, rows)) - e22)
+    return CutStats(e12, sum(map(len, rows)) - e22), ends
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,12 @@ class StarDecomposition:
         return out
 
 
+def degree_cap(digraph: Digraph, epsilon: float) -> float:
+    """2*(m/n)/epsilon: a leftover vertex of larger degree joins no star."""
+    mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
+    return mean_degree / epsilon
+
+
 def star_decompose(
     digraph: Digraph,
     b_vertices: Iterable[int],
@@ -430,8 +436,7 @@ def star_decompose(
     """
     if not 0 < epsilon < float("inf"):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    mean_degree = 2 * digraph.m / digraph.n if digraph.n else 0.0
-    degree_cap = mean_degree / epsilon
+    cap = degree_cap(digraph, epsilon)
     adj, orig, antiparallel = digraph.induced_underlying(b_vertices)
 
     partner = maximum_matching(adj)
@@ -464,7 +469,7 @@ def star_decompose(
         if partner[w] != -1:
             continue
         frees = free_lists.get(w)
-        if not frees or digraph.degree(orig[w]) > degree_cap:
+        if not frees or digraph.degree(orig[w]) > cap:
             leftover.append(w)
             continue
         a, v = min((min(v, partner[v]), v) for v in frees)
@@ -493,6 +498,6 @@ def star_decompose(
         tight=tuple(tuple(map(orig.__getitem__, comp)) for comp in tight),
         sigma=sigma,
         tau_prime=len(tight) - sigma,
-        degree_cap=degree_cap,
+        degree_cap=cap,
         seeded_antiparallel=prefer_antiparallel,
     )

@@ -6,7 +6,8 @@ side assignment chosen to minimize the forward/backward gap.  A small gap is
 finished by independent rounding of the rest; a large gap forces a rigid
 surplus structure around a few huge vertices, finished either by a
 star-decomposition bisection or (three huge vertices) by biased rounding.
-Every run ends with an honest recomputation of the cut against its target.
+Every run ends with a local search that keeps the exact cuts of the partition
+it returns, and the run reports those against its target.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress, filterfalse
-from operator import add, le
+from operator import add, le, not_
 from typing import Any, Sequence
 
+# cut_stats is bound for the benchmark's spans, which wrap it in every module
 from .core import (
     Bipartition, CutStats, Digraph, GraphInputError, StructuralDiagnostic,
     _check_cover, _from_rows, _side2_ends, cut_stats,
@@ -240,10 +242,13 @@ def local_search(digraph: Digraph, partition: Bipartition) -> Bipartition:
 
 
 def _sweep(
-    digraph: Digraph, partition: Bipartition
+    digraph: Digraph, partition: Bipartition, side2_ends: list[int] | None = None
 ) -> tuple[CutStats, Bipartition, CutStats]:
     """local_search with the cuts it starts from and ends at: returns (cuts of
-    `partition`, result, cuts of the result).
+    `partition`, result, cuts of the result).  side2_ends, if given, is the
+    side-2 end count of each of side 2's out-lists in vertex order, as
+    core._cut_counts returns it for `partition`; then only side 1's out-lists
+    and the in-lists are gathered.
 
     two[v] counts the side-2 ends of v's edges, so a visit costs O(1) and a
     flip of v O(deg v) (Fiduccia-Mattheyses gains).  The first pass visits
@@ -257,11 +262,19 @@ def _sweep(
     _check_cover(digraph, partition)
     side = list(partition.side)
     out, in_ = digraph._out, digraph._in
-    out_two = _side2_ends(side, out)
+    on_two = list(map((2).__eq__, side))
+    if side2_ends is None:
+        out_two = _side2_ends(side, out)
+    else:
+        # each vertex takes the next count of its side's list
+        ends = (
+            iter(_side2_ends(side, compress(out, map(not_, on_two)))),
+            iter(side2_ends),
+        )
+        out_two = list(map(next, map(ends.__getitem__, on_two)))
     two = list(map(add, out_two, _side2_ends(side, in_)))
     indeg, outdeg = list(map(len, in_)), list(map(len, out))
     # side 2's in- and out-degrees count e12 and e21, each plus e22
-    on_two = list(map((2).__eq__, side))
     e22 = sum(compress(out_two, on_two))
     e12 = sum(compress(indeg, on_two)) - e22
     e21 = sum(compress(outdeg, on_two)) - e22
@@ -332,16 +345,20 @@ def _sweep(
 
 
 def _polish(
-    digraph: Digraph, partition: Bipartition, seed: int
-) -> tuple[Bipartition, CutStats]:
+    digraph: Digraph,
+    partition: Bipartition,
+    seed: int,
+    side2_ends: list[int] | None = None,
+) -> tuple[Bipartition, CutStats, CutStats]:
     """Local search from the sampled partition; tiny instances also restart
     from a few seeded random partitions, keeping the best result seen.
-    Returns the best partition and the cuts of `partition`.
+    Returns the best partition, its exact cuts and the cuts of `partition`;
+    side2_ends, if given, spares the first sweep gathers, as in _sweep.
 
     Sampler guarantees are asymptotic, so at very small n the hill climb does
     real work; restarts are deterministic per seed.
     """
-    sampled, best, best_stats = _sweep(digraph, partition)
+    sampled, best, best_stats = _sweep(digraph, partition, side2_ends)
     if digraph.n <= RESTART_MAX_N:
         best_key = best_stats.min_cut, best_stats.total
         rng = random.Random(seed)
@@ -352,8 +369,8 @@ def _polish(
             _, candidate, cand_stats = _sweep(digraph, start)
             cand_key = cand_stats.min_cut, cand_stats.total
             if cand_key > best_key:
-                best, best_key = candidate, cand_key
-    return best, sampled
+                best, best_stats, best_key = candidate, cand_stats, cand_key
+    return best, best_stats, sampled
 
 
 def guarantee_target(d: int, m: int, epsilon: float) -> Fraction:
@@ -365,7 +382,7 @@ def guarantee_target(d: int, m: int, epsilon: float) -> Fraction:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Final bipartition with its recomputed stats, target, and branch trace."""
+    """Final bipartition with its exact stats, target, and branch trace."""
 
     partition: Bipartition
     stats: CutStats
@@ -420,8 +437,9 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
         removed = 0
     else:
         outcome, removed = _sparse_branches(digraph, config, trace)
-    partition, sampled = _polish(digraph, outcome.partition, config.seed)
-    stats = cut_stats(digraph, partition)
+    # the sampler counted on the input itself unless split_large stripped it
+    ends = outcome.side2_ends if removed == 0 else None
+    partition, stats, sampled = _polish(digraph, outcome.partition, config.seed, ends)
     trace.append(
         {
             "step": "local_search",

@@ -12,13 +12,14 @@ in exact rational arithmetic, so acceptance at the boundary is unambiguous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import filterfalse
 from operator import add
 from typing import Callable, Iterable
 
-from .core import Bipartition, CutStats, Digraph, cut_stats
+# cut_stats is bound for the benchmark's spans, which wrap it in every module
+from .core import Bipartition, CutStats, Digraph, _cut_counts, cut_stats
 from .decomposition import StarDecomposition
 
 MAX_ATTEMPTS = 200
@@ -36,7 +37,11 @@ def exact_fraction(x: float | Fraction | int | str) -> Fraction:
 
 @dataclass(frozen=True)
 class SampleOutcome:
-    """Partition found by a sampler together with its acceptance record."""
+    """Partition found by a sampler together with its acceptance record.
+
+    side2_ends holds the side-2 end count of each of side 2's out-lists in
+    the sampled digraph, in vertex order, as the cut count read them; the
+    polish reuses them instead of gathering those lists again."""
 
     partition: Bipartition
     stats: CutStats
@@ -44,6 +49,7 @@ class SampleOutcome:
     attempts_used: int
     targets: tuple[Fraction, Fraction]
     warning: str | None = None
+    side2_ends: list[int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -125,9 +131,9 @@ def _accept_loop(
         side = fixed.copy()
         draw(side, rng)
         part = Bipartition(tuple(side))
-        stats = cut_stats(digraph, part)
+        stats, ends = _cut_counts(digraph, part)
         accepted = stats.e12 >= targets[0] and stats.e21 >= targets[1]
-        outcome = SampleOutcome(part, stats, accepted, attempt, targets, warning)
+        outcome = SampleOutcome(part, stats, accepted, attempt, targets, warning, ends)
         if accepted:
             return outcome
         if best is None or stats.min_cut > best.stats.min_cut:

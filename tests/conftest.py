@@ -28,11 +28,14 @@ def lower_dense_cutoff(monkeypatch) -> None:
 
 def no_polish(monkeypatch) -> None:
     """Turn run()'s local search off for one test: the polish returns the
-    sampled partition unchanged, with its cuts."""
-    monkeypatch.setattr(
-        pipeline, "_polish",
-        lambda digraph, partition, seed: (partition, cut_stats(digraph, partition)),
-    )
+    sampled partition unchanged, with its cuts recounted as both the result's
+    and the start's."""
+
+    def unpolished(digraph, partition, seed, side2_ends=None):
+        stats = cut_stats(digraph, partition)
+        return partition, stats, stats
+
+    monkeypatch.setattr(pipeline, "_polish", unpolished)
 
 
 def reference_digraph(n: int, pairs: Iterable[tuple[int, int]]):

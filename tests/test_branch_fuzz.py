@@ -110,14 +110,15 @@ def recorded(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("seed", [7, 8])
 def test_polish_never_lowers_the_sampled_partition(monkeypatch, seed):
     """The polish ends at (min_cut, total) at least that of the sampled
-    partition it starts from; both ends are recounted from scratch."""
+    partition it starts from; both ends, and the cuts it reports for each,
+    are recounted from scratch."""
     calls = recorded(monkeypatch, "_polish")
     for i, g, config in hub_runs(monkeypatch, seed):
         calls.clear()
         run(g, config)
-        [((digraph, sampled, _), (polished, start))] = calls
+        [((digraph, sampled, *_), (polished, end, start))] = calls
         before, after = cut_stats(g, sampled), cut_stats(g, polished)
-        assert digraph is g and start == before, i
+        assert digraph is g and start == before and end == after, i
         assert (after.min_cut, after.total) >= (before.min_cut, before.total), i
 
 

@@ -14,6 +14,7 @@ import pytest
 import dicut
 import dicut.cli as cli_mod
 import dicut.core as core_mod
+import dicut.decomposition as decomposition_mod
 import dicut.pipeline as pipeline_mod
 from dicut.cli import main
 from dicut.core import Bipartition, read_edge_list, read_partition
@@ -401,10 +402,18 @@ class TestCli:
             assert proc.stdout == ""
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_decompose_overflowing_degree_cap_names_epsilon(self, tmp_path, capsys, flags):
+    def test_decompose_overflowing_degree_cap_names_epsilon(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
         graph_file = tmp_path / "k7.el"
         main(["gen", "eulerian_complete", "--q", "7", "-o", str(graph_file)])
         capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("star_decompose ran on an overflowing degree cap")
+
+        # the cap is checked before any decomposition work
+        monkeypatch.setattr(decomposition_mod, "star_decompose", refuse)
         argv = ["decompose", "-i", str(graph_file), "--epsilon", "1e-320", *flags]
         assert main(argv) == 1
         assert capsys.readouterr() == (

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from dataclasses import astuple, replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicut.core as core_mod
 import dicut.pipeline as pipeline_mod
 import dicut.samplers as samplers_mod
 from dicut.core import Bipartition, CutStats, Digraph, GraphInputError, cut_stats
@@ -678,8 +680,9 @@ class TestStructuralDiagnostics:
 
 
 class TestCutCounting:
-    """run() calls cut_stats once, on the final partition; the polish counts
-    the sampled partition's cuts from its own gathers."""
+    """run() makes no cut_stats call: the sampler counts its attempts itself
+    and the polish reports the exact cuts it keeps for the partition it
+    returns; each test recounts the reported cuts independently."""
 
     def _count(self, monkeypatch):
         calls = []
@@ -689,7 +692,10 @@ class TestCutCounting:
             calls.append(partition)
             return real(digraph, partition)
 
-        monkeypatch.setattr(pipeline_mod, "cut_stats", counting)
+        # any module that binds the name counts, so no caller can hide
+        for mod in dicut_modules():
+            if "cut_stats" in vars(mod):
+                monkeypatch.setattr(mod, "cut_stats", counting)
         return calls
 
     def test_structural_branch(self, monkeypatch):
@@ -700,19 +706,16 @@ class TestCutCounting:
             "structural"
         ]
         assert result.removed_a_edges == 0
-        assert calls == [result.partition]
+        assert calls == []
+        assert result.stats == cut_stats(g, result.partition)
 
     def test_stripped_graph_recounts_sample(self, monkeypatch):
-        # a complete antiparallel K40 as the large set, and 200 vertices of
-        # outdegree 3 feeding it, so the gap split puts K40 on both sides
-        k, rest = 40, 200
-        rows = [[v for v in range(k) if v != u] for u in range(k)]
-        rows += [[j % k, (j + 1) % k, k + (j + 1) % rest] for j in range(rest)]
-        g = Digraph(k + rest, [(u, v) for u, row in enumerate(rows) for v in row])
+        g = stripped_hub_graph()
         calls = self._count(monkeypatch)
         result = run(g, PipelineConfig(d=2, seed=1))
-        assert result.removed_a_edges == k * (k - 1)
-        assert calls == [result.partition]
+        assert result.removed_a_edges == 40 * 39
+        assert calls == []
+        assert result.stats == cut_stats(g, result.partition)
         # the sampler counted on the stripped copy; the polish's start, which
         # it counts itself, is the sampled partition's min cut on the input
         no_polish(monkeypatch)
@@ -730,7 +733,134 @@ class TestCutCounting:
         assert sampled["kind"] == "quarter"
         polish = result.branch_trace[-1]
         assert polish["min_cut_before"] == min(sampled["e12"], sampled["e21"])
-        assert calls == [result.partition]
+        assert calls == []
+        assert result.stats == cut_stats(g, result.partition)
+
+
+def dicut_modules():
+    """Every loaded dicut module, so that a patch reaches each binding of a
+    name."""
+    return [
+        mod for name, mod in sorted(sys.modules.items())
+        if mod is not None and (name == "dicut" or name.startswith("dicut."))
+    ]
+
+
+def stripped_hub_graph() -> Digraph:
+    """A complete antiparallel K40 as the large set, and 200 vertices of
+    outdegree 3 feeding it, so the gap split puts K40 on both sides and
+    split_large strips its 40 * 39 edges."""
+    k, rest = 40, 200
+    rows = [[v for v in range(k) if v != u] for u in range(k)]
+    rows += [[j % k, (j + 1) % k, k + (j + 1) % rest] for j in range(rest)]
+    return Digraph(k + rest, [(u, v) for u, row in enumerate(rows) for v in row])
+
+
+class TestEdgeEndReads:
+    """When the sampler counted on the input, a run with one accepted attempt
+    reads each edge end once in each of two gathers: the attempt's count
+    reads side 2's out-lists, the polish side 1's and every in-list, and
+    nothing recounts the polished partition."""
+
+    def _count(self, monkeypatch) -> dict[str, int]:
+        reads = {"sampler": 0, "polish": 0, "after": 0}
+        phase = ["sampler"]
+        real_ends, real_polish = core_mod._side2_ends, pipeline_mod._polish
+
+        def counting(side, lists):
+            lists = list(lists)
+            reads[phase[0]] += sum(map(len, lists))
+            return real_ends(side, lists)
+
+        def polish(*args):
+            phase[0] = "polish"
+            try:
+                return real_polish(*args)
+            finally:
+                phase[0] = "after"
+
+        for mod in dicut_modules():
+            if "_side2_ends" in vars(mod):
+                monkeypatch.setattr(mod, "_side2_ends", counting)
+        monkeypatch.setattr(pipeline_mod, "_polish", polish)
+        return reads
+
+    @pytest.mark.parametrize(
+        "build, config, kind",
+        [
+            (lambda: random_min_outdeg(100, 2, extra=12, seed=3),
+             PipelineConfig(d=2, seed=3), "quarter"),
+            (lambda: random_min_outdeg(300, 2, 1.0, seed=5),
+             PipelineConfig(d=2, seed=1), "second_moment"),
+        ],
+        ids=["dense", "sparse"],
+    )
+    def test_one_accepted_attempt_reads_2m(self, monkeypatch, build, config, kind):
+        g = build()
+        if kind == "quarter":
+            lower_dense_cutoff(monkeypatch)
+        reads = self._count(monkeypatch)
+        result = run(g, config)
+        [sampled] = [r for r in result.branch_trace if r["step"] == "sampler"]
+        assert (sampled["kind"], sampled["accepted"], sampled["attempts"]) == (
+            kind, True, 1
+        )
+        assert result.removed_a_edges == 0 and g.n > pipeline_mod.RESTART_MAX_N
+        assert reads["after"] == 0
+        assert reads["sampler"] + reads["polish"] == 2 * g.m
+        assert result.stats == cut_stats(g, result.partition)
+
+    def test_stripped_graph_polish_gathers_every_list(self, monkeypatch):
+        g = stripped_hub_graph()
+        reads = self._count(monkeypatch)
+        result = run(g, PipelineConfig(d=2, seed=1))
+        assert result.removed_a_edges > 0
+        # every out-list and every in-list, as the sampler's counts were on
+        # the stripped copy
+        assert reads["polish"] == 2 * g.m and reads["after"] == 0
+        assert result.stats == cut_stats(g, result.partition)
+
+
+def _check_reported_stats(g: Digraph, d: int, seed: int, dense: bool):
+    with pytest.MonkeyPatch.context() as mp:
+        if dense:
+            lower_dense_cutoff(mp)
+        result = run(g, PipelineConfig(d=d, seed=seed))
+    assert result.stats == cut_stats(g, result.partition)
+    assert result.branch_trace[-1]["min_cut_after"] == result.stats.min_cut
+    return result
+
+
+@pytest.mark.parametrize(
+    "g, d, dense, check",
+    [
+        (complete_antiparallel(20), 2, True, lambda r: r.branch_trace[0]["dense"]),
+        (complete_antiparallel(40), 3, True, lambda r: r.branch_trace[0]["dense"]),
+        (complete_antiparallel(12), 2, False, lambda r: r.removed_a_edges > 0),
+        (random_min_outdeg(30, 3, 1.0, seed=4), 3, False,
+         lambda r: not r.branch_trace[0]["dense"]),
+    ],
+    ids=["dense-d2-restarts", "dense-d3", "stripped-restarts", "sparse-restarts"],
+)
+def test_reported_stats_are_exact_on_each_path(g, d, dense, check):
+    for seed in range(3):
+        assert check(_check_reported_stats(g, d, seed, dense))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(4, 40),
+    fill=st.sampled_from([0.0, 0.25, 1.0]),
+    seed=st.integers(0, 1 << 16),
+    dense=st.booleans(),
+)
+def test_reported_stats_are_exact(d, n, fill, seed, dense):
+    """The cuts a run reports, which the polish kept for its result, are the
+    from-scratch counts of the partition, on every path: the dense shortcut,
+    stripped runs, and the restarts at n <= 32."""
+    g = random_min_outdeg(n, d, fill * (n - 1), seed)
+    _check_reported_stats(g, d, seed, dense)
 
 
 @pytest.mark.parametrize(

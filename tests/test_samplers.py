@@ -313,13 +313,13 @@ def test_empty_b_draws_once(monkeypatch):
     a1, a2 = (0, 1, 2), (3, 4, 5)
     dec = star_decompose(g, (), epsilon=0.25)
     calls = []
-    real = samplers_mod.cut_stats
+    real = samplers_mod._cut_counts
 
     def counting(digraph, partition):
         calls.append(partition)
         return real(digraph, partition)
 
-    monkeypatch.setattr(samplers_mod, "cut_stats", counting)
+    monkeypatch.setattr(samplers_mod, "_cut_counts", counting)
     moment = second_moment_partition(g, a1, a2, 0.5, 0.05, seed=1)
     bisection = star_bisection(g, a1, a2, dec, 0.05, seed=1)
     assert moment.accepted and not bisection.accepted
