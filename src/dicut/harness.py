@@ -20,8 +20,8 @@ SCHEMA_VERSION = 3
 class RunReport:
     """One pipeline run in a stable schema; `to_json` writes it.
 
-    Timings are wall-clock diagnostics and are excluded from the canonical
-    form used for determinism comparisons.
+    `timings_ms` holds wall-clock diagnostics; every other field is
+    deterministic, so determinism checks compare the report without it.
     """
 
     instance: dict[str, Any]
@@ -37,20 +37,18 @@ class RunReport:
     meets_guarantee: bool
     removed_a_edges: int
     branch_trace: tuple[dict[str, Any], ...]
+    timings_ms: dict[str, float]
     oracle: dict[str, Any] | None = None
-    timings_ms: dict[str, float] | None = None
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self, include_timings: bool = True) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         out = asdict(self)
         out["branch_trace"] = list(out["branch_trace"])
-        if not include_timings:
-            del out["timings_ms"]
         return out
 
-    def to_json(self, include_timings: bool = True) -> str:
+    def to_json(self) -> str:
         return json.dumps(
-            self.to_dict(include_timings),
+            self.to_dict(),
             sort_keys=True,
             separators=(",", ":"),
             allow_nan=False,
@@ -72,7 +70,7 @@ def build_report(
     digraph: Digraph,
     config: PipelineConfig,
     result: PartitionResult,
-    timings_ms: dict[str, float] | None = None,
+    timings_ms: dict[str, float],
     with_oracle: bool = False,
 ) -> RunReport:
     oracle_info = None
@@ -88,8 +86,7 @@ def build_report(
                 result.stats.min_cut / best.optimum if best.optimum else None
             ),
         }
-        if timings_ms is not None:
-            timings_ms["oracle"] = round(oracle_ms, 3)
+        timings_ms["oracle"] = round(oracle_ms, 3)
     return RunReport(
         instance=instance,
         config=asdict(config),

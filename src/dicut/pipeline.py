@@ -23,7 +23,7 @@ from typing import Any, Sequence
 # cut_stats is bound for the benchmark's spans, which wrap it in every module
 from .core import (
     Bipartition, CutStats, Digraph, GraphInputError, StructuralDiagnostic,
-    _check_cover, _from_rows, _side2_ends, cut_stats,
+    _cut_counts, _from_rows, _side2_ends, cut_stats,
 )
 from .decomposition import star_decompose
 from .samplers import (
@@ -238,17 +238,16 @@ def local_search(digraph: Digraph, partition: Bipartition) -> Bipartition:
     The tie-breaking plateau moves cost nothing on the primary objective but
     let the search walk out of shallow local optima on small instances.
     """
-    return _sweep(digraph, partition)[1]
+    return _sweep(digraph, partition, *_cut_counts(digraph, partition))[0]
 
 
 def _sweep(
-    digraph: Digraph, partition: Bipartition, side2_ends: list[int] | None = None
-) -> tuple[CutStats, Bipartition, CutStats]:
-    """local_search with the cuts it starts from and ends at: returns (cuts of
-    `partition`, result, cuts of the result).  side2_ends, if given, is the
-    side-2 end count of each of side 2's out-lists in vertex order, as
-    core._cut_counts returns it for `partition`; then only side 1's out-lists
-    and the in-lists are gathered.
+    digraph: Digraph, partition: Bipartition, start: CutStats, side2_ends: list[int]
+) -> tuple[Bipartition, CutStats]:
+    """local_search from `partition`, whose cuts `start` and side-2 out-list
+    end counts `side2_ends` are as core._cut_counts returns them; returns the
+    result and its cuts.  Only side 1's out-lists and the in-lists are
+    gathered.
 
     two[v] counts the side-2 ends of v's edges, so a visit costs O(1) and a
     flip of v O(deg v) (Fiduccia-Mattheyses gains).  The first pass visits
@@ -259,26 +258,18 @@ def _sweep(
     needed while e21 < e12.  A visit recomputes v's flags and a flip raises
     both flags of every neighbour, so each skipped visit is one that fails.
     """
-    _check_cover(digraph, partition)
     side = list(partition.side)
     out, in_ = digraph._out, digraph._in
     on_two = list(map((2).__eq__, side))
-    if side2_ends is None:
-        out_two = _side2_ends(side, out)
-    else:
-        # each vertex takes the next count of its side's list
-        ends = (
-            iter(_side2_ends(side, compress(out, map(not_, on_two)))),
-            iter(side2_ends),
-        )
-        out_two = list(map(next, map(ends.__getitem__, on_two)))
+    # each vertex takes the next count of its side's list
+    ends = (
+        iter(_side2_ends(side, compress(out, map(not_, on_two)))),
+        iter(side2_ends),
+    )
+    out_two = map(next, map(ends.__getitem__, on_two))
     two = list(map(add, out_two, _side2_ends(side, in_)))
     indeg, outdeg = list(map(len, in_)), list(map(len, out))
-    # side 2's in- and out-degrees count e12 and e21, each plus e22
-    e22 = sum(compress(out_two, on_two))
-    e12 = sum(compress(indeg, on_two)) - e22
-    e21 = sum(compress(outdeg, on_two)) - e22
-    start = CutStats(e12, e21)
+    e12, e21 = start.e12, start.e21
     low, total = min(e12, e21), e12 + e21
     improved = False
     # list iterators read the live lists, so each visit sees earlier flips
@@ -341,36 +332,39 @@ def _sweep(
             else:
                 up12[v] = up21[v] = 0
             v = flags.find(1, v + 1)
-    return start, Bipartition(tuple(side)), CutStats(e12, e21)
+    return Bipartition(tuple(side)), CutStats(e12, e21)
 
 
 def _polish(
     digraph: Digraph,
     partition: Bipartition,
+    start: CutStats,
+    side2_ends: list[int],
     seed: int,
-    side2_ends: list[int] | None = None,
-) -> tuple[Bipartition, CutStats, CutStats]:
-    """Local search from the sampled partition; tiny instances also restart
-    from a few seeded random partitions, keeping the best result seen.
-    Returns the best partition, its exact cuts and the cuts of `partition`;
-    side2_ends, if given, spares the first sweep gathers, as in _sweep.
+) -> tuple[Bipartition, CutStats]:
+    """Local search from the sampled partition, with its counts as _sweep
+    takes them; tiny instances also restart from a few seeded random
+    partitions, keeping the best result seen.  Returns the best partition
+    and its exact cuts.
 
     Sampler guarantees are asymptotic, so at very small n the hill climb does
     real work; restarts are deterministic per seed.
     """
-    sampled, best, best_stats = _sweep(digraph, partition, side2_ends)
+    best, best_stats = _sweep(digraph, partition, start, side2_ends)
     if digraph.n <= RESTART_MAX_N:
         best_key = best_stats.min_cut, best_stats.total
         rng = random.Random(seed)
         for _ in range(RESTART_COUNT):
-            start = Bipartition(
+            restart = Bipartition(
                 tuple(1 if rng.random() < 0.5 else 2 for _ in range(digraph.n))
             )
-            _, candidate, cand_stats = _sweep(digraph, start)
+            candidate, cand_stats = _sweep(
+                digraph, restart, *_cut_counts(digraph, restart)
+            )
             cand_key = cand_stats.min_cut, cand_stats.total
             if cand_key > best_key:
                 best, best_stats, best_key = candidate, cand_stats, cand_key
-    return best, best_stats, sampled
+    return best, best_stats
 
 
 def guarantee_target(d: int, m: int, epsilon: float) -> Fraction:
@@ -438,12 +432,15 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
     else:
         outcome, removed = _sparse_branches(digraph, config, trace)
     # the sampler counted on the input itself unless split_large stripped it
-    ends = outcome.side2_ends if removed == 0 else None
-    partition, stats, sampled = _polish(digraph, outcome.partition, config.seed, ends)
+    if removed == 0:
+        start, ends = outcome.stats, outcome.side2_ends
+    else:
+        start, ends = _cut_counts(digraph, outcome.partition)
+    partition, stats = _polish(digraph, outcome.partition, start, ends, config.seed)
     trace.append(
         {
             "step": "local_search",
-            "min_cut_before": sampled.min_cut,
+            "min_cut_before": start.min_cut,
             "min_cut_after": stats.min_cut,
         }
     )

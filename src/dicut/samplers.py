@@ -40,16 +40,16 @@ class SampleOutcome:
     """Partition found by a sampler together with its acceptance record.
 
     side2_ends holds the side-2 end count of each of side 2's out-lists in
-    the sampled digraph, in vertex order, as the cut count read them; the
-    polish reuses them instead of gathering those lists again."""
+    the sampled digraph, in vertex order, as the cut count read them; run()
+    hands them to the polish when the sampled digraph is its input."""
 
     partition: Bipartition
     stats: CutStats
     accepted: bool
     attempts_used: int
     targets: tuple[Fraction, Fraction]
+    side2_ends: list[int] = field(compare=False, repr=False)
     warning: str | None = None
-    side2_ends: list[int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def _accept_loop(
         part = Bipartition(tuple(side))
         stats, ends = _cut_counts(digraph, part)
         accepted = stats.e12 >= targets[0] and stats.e21 >= targets[1]
-        outcome = SampleOutcome(part, stats, accepted, attempt, targets, warning, ends)
+        outcome = SampleOutcome(part, stats, accepted, attempt, targets, ends, warning)
         if accepted:
             return outcome
         if best is None or stats.min_cut > best.stats.min_cut:

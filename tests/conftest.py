@@ -28,14 +28,20 @@ def lower_dense_cutoff(monkeypatch) -> None:
 
 def no_polish(monkeypatch) -> None:
     """Turn run()'s local search off for one test: the polish returns the
-    sampled partition unchanged, with its cuts recounted as both the result's
-    and the start's."""
+    sampled partition unchanged, with its cuts recounted."""
 
-    def unpolished(digraph, partition, seed, side2_ends=None):
-        stats = cut_stats(digraph, partition)
-        return partition, stats, stats
+    def unpolished(digraph, partition, start, side2_ends, seed):
+        return partition, cut_stats(digraph, partition)
 
     monkeypatch.setattr(pipeline, "_polish", unpolished)
+
+
+def untimed(report) -> dict:
+    """A run report's dict without its wall-clock timings, the form that
+    determinism checks compare."""
+    data = report.to_dict()
+    del data["timings_ms"]
+    return data
 
 
 def reference_digraph(n: int, pairs: Iterable[tuple[int, int]]):

@@ -37,6 +37,7 @@ from .conftest import (
     random_digraph,
     random_undirected,
     underlying,
+    untimed,
 )
 from .exhaustive import (
     all_bipartitions,
@@ -296,11 +297,8 @@ def test_criterion_12_oracle_comparison():
 
 
 def test_criterion_13_determinism():
-    first = [r.to_json(include_timings=False) for r in run_suite("oracle-small")]
-    second = [r.to_json(include_timings=False) for r in run_suite("oracle-small")]
-    parallel = [
-        r.to_json(include_timings=False)
-        for r in run_suite("oracle-small", jobs=8)
-    ]
+    first = list(map(untimed, run_suite("oracle-small")))
+    second = list(map(untimed, run_suite("oracle-small")))
+    parallel = list(map(untimed, run_suite("oracle-small", jobs=8)))
     assert first == second == parallel
     _report(13, "determinism across runs and job counts")

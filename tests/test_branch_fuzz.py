@@ -116,7 +116,7 @@ def test_polish_never_lowers_the_sampled_partition(monkeypatch, seed):
     for i, g, config in hub_runs(monkeypatch, seed):
         calls.clear()
         run(g, config)
-        [((digraph, sampled, *_), (polished, end, start))] = calls
+        [((digraph, sampled, start, _, _), (polished, end))] = calls
         before, after = cut_stats(g, sampled), cut_stats(g, polished)
         assert digraph is g and start == before and end == after, i
         assert (after.min_cut, after.total) >= (before.min_cut, before.total), i

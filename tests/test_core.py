@@ -161,9 +161,8 @@ class TestGatherEdgeCases:
     def test_local_search_matches_per_edge_recount(self):
         g = hub_digraph()
         for part in hub_partitions(g.n):
-            start = cut_stats(g, part)
-            swept, result, stats = pipeline._sweep(g, part)
-            assert swept == start
+            start, ends = core_mod._cut_counts(g, part)
+            result, stats = pipeline._sweep(g, part, start, ends)
             assert (stats.e12, stats.e21) == recount(g, result.side)
             assert pipeline.local_search(g, part) == result
             assert result == _rescanning_sweep(g, part, start)

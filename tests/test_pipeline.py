@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import dicut.core as core_mod
 import dicut.pipeline as pipeline_mod
 import dicut.samplers as samplers_mod
-from dicut.core import Bipartition, CutStats, Digraph, GraphInputError, cut_stats
+from dicut.core import (
+    Bipartition, CutStats, Digraph, GraphInputError, _cut_counts, cut_stats,
+)
 from dicut.generators import (
     complete_antiparallel,
     concluding_gadgets,
@@ -316,8 +318,7 @@ def test_local_search_matches_rescanning_sweep(case):
     g, part = case
     expected = _rescanning_sweep(g, part, cut_stats(g, part))
     assert local_search(g, part) == expected
-    start, result, stats = pipeline_mod._sweep(g, part)
-    assert start == cut_stats(g, part)
+    result, stats = pipeline_mod._sweep(g, part, *_cut_counts(g, part))
     assert result == expected and stats == cut_stats(g, result)
 
 
@@ -335,8 +336,7 @@ def test_local_search_matches_rescanning_sweep_at_n2000(monkeypatch, d):
         flips: list = []
         expected = _rescanning_sweep(g, part, cut_stats(g, part), flips)
         assert flips[-1][0] >= 2  # a flip in the third pass or later
-        start, result, stats = pipeline_mod._sweep(g, part)
-        assert start == cut_stats(g, part)
+        result, stats = pipeline_mod._sweep(g, part, *_cut_counts(g, part))
         assert result == expected and stats == cut_stats(g, result)
 
 
@@ -350,7 +350,9 @@ def test_local_search_follows_the_lower_cut_across_sides():
     assert flips == [
         (0, 0, 0, 2), (0, 2, 1, 1), (1, 0, 2, 1), (1, 1, 3, 1), (1, 3, 2, 2)
     ]
-    assert pipeline_mod._sweep(g, part) == (CutStats(0, 1), expected, CutStats(2, 2))
+    start, ends = _cut_counts(g, part)
+    assert start == CutStats(0, 1)
+    assert pipeline_mod._sweep(g, part, start, ends) == (expected, CutStats(2, 2))
 
 
 class TestGuaranteeTarget:
@@ -717,7 +719,7 @@ class TestCutCounting:
         assert calls == []
         assert result.stats == cut_stats(g, result.partition)
         # the sampler counted on the stripped copy; the polish's start, which
-        # it counts itself, is the sampled partition's min cut on the input
+        # run() recounts, is the sampled partition's min cut on the input
         no_polish(monkeypatch)
         unpolished = run(g, PipelineConfig(d=2, seed=1))
         sampled = result.branch_trace[-2]
@@ -760,17 +762,23 @@ class TestEdgeEndReads:
     """When the sampler counted on the input, a run with one accepted attempt
     reads each edge end once in each of two gathers: the attempt's count
     reads side 2's out-lists, the polish side 1's and every in-list, and
-    nothing recounts the polished partition."""
+    nothing recounts the polished partition.  On a stripped copy run()
+    recounts the sampled partition on the input before the polish."""
 
     def _count(self, monkeypatch) -> dict[str, int]:
-        reads = {"sampler": 0, "polish": 0, "after": 0}
+        reads = {"sampler": 0, "recount": 0, "polish": 0, "after": 0}
         phase = ["sampler"]
         real_ends, real_polish = core_mod._side2_ends, pipeline_mod._polish
+        real_counts = pipeline_mod._cut_counts
 
         def counting(side, lists):
             lists = list(lists)
             reads[phase[0]] += sum(map(len, lists))
             return real_ends(side, lists)
+
+        def recount(*args):
+            phase[0] = "recount"
+            return real_counts(*args)
 
         def polish(*args):
             phase[0] = "polish"
@@ -782,6 +790,7 @@ class TestEdgeEndReads:
         for mod in dicut_modules():
             if "_side2_ends" in vars(mod):
                 monkeypatch.setattr(mod, "_side2_ends", counting)
+        monkeypatch.setattr(pipeline_mod, "_cut_counts", recount)
         monkeypatch.setattr(pipeline_mod, "_polish", polish)
         return reads
 
@@ -806,19 +815,57 @@ class TestEdgeEndReads:
             kind, True, 1
         )
         assert result.removed_a_edges == 0 and g.n > pipeline_mod.RESTART_MAX_N
-        assert reads["after"] == 0
+        assert reads["recount"] == reads["after"] == 0
         assert reads["sampler"] + reads["polish"] == 2 * g.m
         assert result.stats == cut_stats(g, result.partition)
 
-    def test_stripped_graph_polish_gathers_every_list(self, monkeypatch):
+    def test_stripped_graph_recount_and_polish_gather_every_list(self, monkeypatch):
         g = stripped_hub_graph()
         reads = self._count(monkeypatch)
         result = run(g, PipelineConfig(d=2, seed=1))
-        assert result.removed_a_edges > 0
+        assert result.removed_a_edges > 0 and g.n > pipeline_mod.RESTART_MAX_N
         # every out-list and every in-list, as the sampler's counts were on
-        # the stripped copy
-        assert reads["polish"] == 2 * g.m and reads["after"] == 0
+        # the stripped copy: run() reads side 2's out-lists, the polish the rest
+        assert reads["recount"] > 0 and reads["after"] == 0
+        assert reads["recount"] + reads["polish"] == 2 * g.m
         assert result.stats == cut_stats(g, result.partition)
+
+
+@pytest.mark.parametrize(
+    "build, d, dense, strips, sweeps",
+    [
+        (lambda: random_min_outdeg(100, 2, extra=12, seed=3), 2, True, False, 1),
+        (lambda: random_min_outdeg(300, 2, 1.0, seed=5), 2, False, False, 1),
+        (stripped_hub_graph, 2, False, True, 1),
+        (lambda: random_min_outdeg(30, 3, 1.0, seed=4), 3, False, False,
+         1 + pipeline_mod.RESTART_COUNT),
+        (lambda: complete_antiparallel(12), 2, False, True,
+         1 + pipeline_mod.RESTART_COUNT),
+    ],
+    ids=["dense", "sparse", "stripped", "sparse-restarts", "stripped-restarts"],
+)
+def test_every_sweep_starts_from_the_counts_of_its_partition(
+    monkeypatch, build, d, dense, strips, sweeps
+):
+    """Each _sweep in a run is handed the cuts and side-2 out-list end counts
+    of the partition it starts from, as recounted on the input itself."""
+    g = build()
+    if dense:
+        lower_dense_cutoff(monkeypatch)
+    calls, real = [], pipeline_mod._sweep
+
+    def sweep(digraph, partition, start, side2_ends):
+        calls.append((digraph, partition, start, side2_ends))
+        return real(digraph, partition, start, side2_ends)
+
+    monkeypatch.setattr(pipeline_mod, "_sweep", sweep)
+    result = run(g, PipelineConfig(d=d, seed=1))
+    assert result.branch_trace[0]["dense"] is dense
+    assert (result.removed_a_edges > 0) is strips
+    assert len(calls) == sweeps
+    for digraph, partition, start, side2_ends in calls:
+        assert digraph is g
+        assert (start, side2_ends) == _cut_counts(g, partition)
 
 
 def _check_reported_stats(g: Digraph, d: int, seed: int, dense: bool):
