@@ -53,9 +53,9 @@ def _raise_first_bad(n: int, pairs: Sequence[tuple[int, int]]) -> None:
 def _checked_ids(vertices: Iterable[int], n: int) -> list[int]:
     """Sorted distinct ids; raise for the smallest one outside [0, n)."""
     keep = sorted(set(vertices))
-    for v in keep:
-        if not (0 <= v < n):
-            raise GraphInputError(f"unknown vertex id {v} (n={n})")
+    if keep and (keep[0] < 0 or keep[-1] >= n):
+        bad = keep[0] if keep[0] < 0 else keep[bisect_left(keep, n)]
+        raise GraphInputError(f"unknown vertex id {bad} (n={n})")
     return keep
 
 

@@ -105,14 +105,17 @@ def _augment(adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
     return False
 
 
-def maximum_matching(adj: Sequence[Sequence[int]]) -> list[int]:
+def maximum_matching(
+    adj: Sequence[Sequence[int]], components: Iterable[Sequence[int]]
+) -> list[int]:
     """Maximum-cardinality matching (not merely maximal) of a general graph,
     as a partner list: a greedy matching, then an augmenting-path search from
     each exposed vertex in increasing order.  The rows need not be sorted;
     their order picks which maximum matching comes out.
 
-    An augmenting path never leaves its root's component, so components
-    with fewer than two exposed vertices are skipped.
+    `components` are adj's connected components, as core._components walks
+    them.  An augmenting path never leaves its root's component, so
+    components with fewer than two exposed vertices are skipped.
     """
     n = len(adj)
     match = [-1] * n
@@ -123,7 +126,7 @@ def maximum_matching(adj: Sequence[Sequence[int]]) -> list[int]:
                     match[v] = u
                     match[u] = v
                     break
-    for comp in _components(adj):
+    for comp in components:
         if list(map(match.__getitem__, comp)).count(-1) < 2:
             continue
         for v in comp:
@@ -141,7 +144,7 @@ def _perfect_matching(
     index = {v: i for i, v in enumerate(keep)}
     # the relabelling keeps id order, so each filtered row stays sorted
     rows = [tuple(j for j in map(index.get, adj[u]) if j is not None) for u in keep]
-    partner = maximum_matching(rows)
+    partner = maximum_matching(rows, _components(rows))
     if -1 in partner:
         return None
     return {v: keep[p] for v, p in zip(keep, partner)}
@@ -177,24 +180,10 @@ def _grow(
     matching with one more free vertex, which is applied to `partner`.
     Returns None after such an exchange; otherwise the set ends as w's whole
     connected component, which is checked against the tight-component
-    definition directly and returned sorted.
-
-    An odd clique that is a whole component, with w's neighbours matched in
-    pairs inside it, is returned at once: growth would absorb it pair by pair
-    with no exchange, since every pair meets the set evenly, and no edge in
-    it has exactly one end adjacent to a vertex of it, so it is tight.
+    definition directly and returned sorted.  `_settle` has already settled
+    the odd cliques it can, so growth meets only the other components and
+    the partner lists that fail its clique test.
     """
-    row = adj[w]
-    clique = tuple(sorted((w, *row)))
-    if all(
-        v == w or (
-            tuple(adj[v]) == clique[:i] + clique[i + 1:]
-            and partner[v] in row
-            and partner[partner[v]] == v
-        )
-        for i, v in enumerate(clique)
-    ):
-        return clique
     # the absorbed set: w maps to itself, every other absorbed vertex to the
     # absorbed vertex adjacent to both ends of its pair when the pair joined
     anchor = {w: w}
@@ -278,11 +267,18 @@ def _tight_violation(adj: Sequence[Sequence[int]], component: Sequence[int]):
 
 
 def _settle(
-    adj: Sequence[Sequence[int]], partner: list[int]
+    adj: Sequence[Sequence[int]], partner: list[int], components: list[tuple[int, ...]]
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[int]]]:
     """Run the free-vertex fixpoint in place on `partner`; return the tight
     component of every non-free leftover vertex, in leftover-vertex order,
     and the free-neighbour lists that its last pass computed, by vertex.
+
+    `components` are adj's connected components, as core._components walks
+    them.  An odd one of k vertices whose rows all have length k - 1 is a
+    clique; if only its vertex w is exposed and each other one's mate lies
+    in it and names it back, it settles at once as w's tight component, as
+    growth would absorb it pair by pair with no exchange and find it tight.
+    Any other partner list goes to the per-vertex fixpoint, which names its fault.
 
     Each exchange keeps the cardinality and frees one more vertex, so the
     loop ends.  A settled component is a whole connected component whose only
@@ -290,6 +286,16 @@ def _settle(
     component, so w stays settled and its component stays as grown.
     """
     settled: dict[int, tuple[int, ...]] = {}
+    for comp in components:
+        k = len(comp)
+        mates = [partner[v] for v in comp] if k % 2 else ()
+        if mates.count(-1) != 1:
+            continue
+        for v, p in zip(comp, mates):
+            if len(adj[v]) != k - 1 or p != -1 and (p not in comp or partner[p] != v):
+                break
+        else:
+            settled[comp[mates.index(-1)]] = comp
     while True:
         frees: dict[int, list[int]] = {}
         for w in range(len(adj)):
@@ -331,10 +337,11 @@ def maximize_free_vertices(
     a new partner list.
     """
     _check_partner(adj, partner)
-    if partner.count(-1) != maximum_matching(adj).count(-1):
+    components = _components(adj)
+    if partner.count(-1) != maximum_matching(adj, components).count(-1):
         raise MatchingError("matching is not maximum")
     out = list(partner)
-    _settle(adj, out)
+    _settle(adj, out, components)
     return out
 
 
@@ -349,13 +356,13 @@ def tight_components(
     """
     _check_partner(adj, partner)
     settled = list(partner)
-    components, _ = _settle(adj, settled)
+    tight, _ = _settle(adj, settled, _components(adj))
     if settled != list(partner):
         raise MatchingError(
             "an exchange at equal cardinality frees a vertex; matching does "
             "not maximize free vertices"
         )
-    return components
+    return tight
 
 
 @dataclass(frozen=True)
@@ -439,8 +446,9 @@ def star_decompose(
     cap = degree_cap(digraph, epsilon)
     adj, orig, antiparallel = digraph.induced_underlying(b_vertices)
 
-    partner = maximum_matching(adj)
-    tight, free_lists = _settle(adj, partner)
+    components = _components(adj)
+    partner = maximum_matching(adj, components)
+    tight, free_lists = _settle(adj, partner, components)
 
     sigma = 0
     if prefer_antiparallel:
@@ -494,7 +502,7 @@ def star_decompose(
     return StarDecomposition(
         stars=tuple(stars),
         leftover=tuple(map(orig.__getitem__, leftover)),
-        tau=sum(len(comp) % 2 for comp in _components(adj)),
+        tau=sum(len(comp) % 2 for comp in components),
         tight=tuple(tuple(map(orig.__getitem__, comp)) for comp in tight),
         sigma=sigma,
         tau_prime=len(tight) - sigma,

@@ -603,7 +603,8 @@ def _bisection_branch(
     cap_c = DENSE_THRESHOLD[d]
     gamma = (exact_fraction(config.epsilon) / 4) ** 4 / (1024 * Fraction(cap_c) ** 3)
     gamma_n = gamma * stripped.n
-    max_b_degree = max((stripped.degree(v) for v in rest), default=0)
+    out, in_ = stripped._out, stripped._in
+    max_b_degree = max([len(out[v]) + len(in_[v]) for v in rest], default=0)
     trace.append(
         {
             "step": "bisection",

@@ -93,13 +93,13 @@ def test_criterion_05_matching_oracle_equivalence():
     rng = random.Random(501)
     for _ in range(500):
         g = random_undirected(rng, rng.randint(1, 12), rng.uniform(0.05, 0.8))
-        assert matching_size(maximum_matching(g)) == exact_max_matching(g)
+        assert matching_size(maximum_matching(g, _components(g))) == exact_max_matching(g)
 
     rng = random.Random(502)
     checked_ground_truth = 0
     for _ in range(500):
         g = random_undirected(rng, rng.randint(1, 18), rng.uniform(0.05, 0.6))
-        m = maximize_free_vertices(g, maximum_matching(g))
+        m = maximize_free_vertices(g, maximum_matching(g, _components(g)))
         report = tight_components(g, m)
         non_free = m.count(-1) - free_vertex_count(g, m)
         assert non_free == len(report)  # the free/tight bijection

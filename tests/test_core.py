@@ -371,7 +371,9 @@ class TestUnderlying:
         assert rows == ((1,), (0,))  # old (2,0) and (0,2) relabeled, collapsed
         assert antiparallel == {(0, 1)}
 
-    @pytest.mark.parametrize("ids, bad", [([-1, 0], -1), ([5], 5), ([0, 3, 4], 3)])
+    @pytest.mark.parametrize(
+        "ids, bad", [([-1, 0], -1), ([5], 5), ([0, 3, 4], 3), ([7, -2, 0, 5], -2)]
+    )
     def test_induced_rejects_unknown_ids(self, ids, bad):
         digraph = three_cycle()
         message = re.escape(f"unknown vertex id {bad} (n=3)")

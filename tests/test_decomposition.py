@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import sys
 import time
 from collections import deque
 
@@ -40,6 +41,7 @@ from .conftest import (
     underlying,
     undirected,
 )
+from .test_branch_fuzz import odd_components
 from .exhaustive import (
     MAX_PM_N,
     brute_force_tight_check,
@@ -51,6 +53,15 @@ from .exhaustive import (
 
 def k_graph(n: int) -> Rows:
     return undirected(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def disjoint_union(*parts: Rows) -> Rows:
+    """The parts side by side, each part's ids shifted past the ones before."""
+    rows: list[tuple[int, ...]] = []
+    for part in parts:
+        start = len(rows)
+        rows += (tuple(start + u for u in row) for row in part)
+    return tuple(rows)
 
 
 def two_triangles() -> Rows:
@@ -164,7 +175,7 @@ class TestMaximumMatching:
         adj = [list(row) for row in g]
         if reverse:  # neighbour order steers the search; keep it arbitrary
             adj = [a[::-1] for a in adj]
-        assert maximum_matching(adj) == whole_graph_partner(adj)
+        assert maximum_matching(adj, _components(adj)) == whole_graph_partner(adj)
 
     def test_size_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -176,40 +187,43 @@ class TestMaximumMatching:
                 ref.add_nodes_from(range(n))
                 ref.add_edges_from(edges_of(g))
                 expected = len(nx.max_weight_matching(ref, maxcardinality=True))
-                assert matching_size(maximum_matching(g)) == expected, (n, avg_degree)
+                partner = maximum_matching(g, _components(g))
+                assert matching_size(partner) == expected, (n, avg_degree)
 
     def test_path_four(self):
         p4 = undirected(4, [(0, 1), (1, 2), (2, 3)])
-        m = maximum_matching(p4)
+        m = maximum_matching(p4, _components(p4))
         assert matching_size(m) == 2 and -1 not in m
 
     def test_triangle(self):
-        m = maximum_matching(triangle_graph())
+        g = triangle_graph()
+        m = maximum_matching(g, _components(g))
         assert matching_size(m) == 1 and m.count(-1) == 1
 
     @given(graphs())
     @settings(max_examples=80, deadline=None)
     def test_matches_exhaustive_maximum(self, g):
-        assert matching_size(maximum_matching(g)) == exact_max_matching(g)
+        assert matching_size(maximum_matching(g, _components(g))) == exact_max_matching(g)
 
     def test_matches_exhaustive_maximum_seeded(self):
         rng = random.Random(9)
         for _ in range(80):
             g = random_undirected(rng, rng.randint(1, 12), rng.uniform(0.1, 0.7))
-            assert matching_size(maximum_matching(g)) == exact_max_matching(g)
+            partner = maximum_matching(g, _components(g))
+            assert matching_size(partner) == exact_max_matching(g)
 
     def test_blossom_heavy_cases(self):
         # odd cycles force blossom contraction
         for n in (5, 7, 9, 11):
             cyc = undirected(n, [(i, (i + 1) % n) for i in range(n)])
-            assert matching_size(maximum_matching(cyc)) == n // 2
+            assert matching_size(maximum_matching(cyc, _components(cyc))) == n // 2
 
     def test_petersen_graph(self):
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]
         g = undirected(10, outer + inner + spokes)
-        assert matching_size(maximum_matching(g)) == 5
+        assert matching_size(maximum_matching(g, _components(g))) == 5
 
 
 class TestPerfectMatching:
@@ -306,7 +320,7 @@ class TestPinnedMatchings:
         assert any(
             sum(greedy[v] == -1 for v in comp) >= 2 for comp in _components(adj)
         )
-        partner = maximum_matching(adj)
+        partner = maximum_matching(adj, _components(adj))
         assert matching_size(partner) > matching_size(greedy)
         digest = hashlib.sha256(",".join(map(str, partner)).encode()).hexdigest()
         assert digest == (reversed_sha if reverse else sorted_sha)
@@ -394,8 +408,8 @@ class TestBlossomForest:
         adj = [list(row)[::-1] if reverse else list(row) for row in g]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decomposition_mod, "_augment", tree_scan_augment)
-            expected = maximum_matching(adj)
-        assert maximum_matching(adj) == expected
+            expected = maximum_matching(adj, _components(adj))
+        assert maximum_matching(adj, _components(adj)) == expected
 
     def test_scales_with_one_component_walk(self):
         """A contraction that scanned the whole tree made the search
@@ -410,7 +424,10 @@ class TestBlossomForest:
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        assert best_of_3(maximum_matching) < 100 * best_of_3(_components)
+        def matching(rows):
+            return maximum_matching(rows, _components(rows))
+
+        assert best_of_3(matching) < 100 * best_of_3(_components)
 
 
 class TestPinnedExchanges:
@@ -425,7 +442,7 @@ class TestPinnedExchanges:
         for _ in range(3000):
             n = rng.randint(1, 40)
             g = random_undirected(rng, n, rng.uniform(0.5, 3.0) / max(n - 1, 1))
-            partner = maximum_matching(g)
+            partner = maximum_matching(g, _components(g))
             settled = maximize_free_vertices(g, partner)
             rematched += settled != partner
             digest.update(repr((partner, settled, tight_components(g, settled))).encode())
@@ -438,13 +455,13 @@ class TestPinnedExchanges:
 class TestMaximizeFreeVertices:
     def test_triangle_unchanged(self):
         g = triangle_graph()
-        m = maximize_free_vertices(g, maximum_matching(g))
+        m = maximize_free_vertices(g, maximum_matching(g, _components(g)))
         assert matching_size(m) == 1
         assert free_vertex_count(g, m) == 0
 
     def test_star_leaves_already_free(self):
         star = undirected(4, [(0, 1), (0, 2), (0, 3)])
-        m = maximize_free_vertices(star, maximum_matching(star))
+        m = maximize_free_vertices(star, maximum_matching(star, _components(star)))
         assert free_vertex_count(star, m) == 2
 
     def test_rejects_non_maximum(self):
@@ -474,14 +491,15 @@ class TestMaximizeFreeVertices:
         rng = random.Random(17)
         for _ in range(60):
             g = random_undirected(rng, rng.randint(1, 10), rng.uniform(0.15, 0.7))
-            got = free_vertex_count(g, maximize_free_vertices(g, maximum_matching(g)))
+            partner = maximum_matching(g, _components(g))
+            got = free_vertex_count(g, maximize_free_vertices(g, partner))
             assert got == max_free_over_max_matchings(g)
 
 
 class TestTightComponents:
     def test_two_triangles(self):
         g = two_triangles()
-        m = maximize_free_vertices(g, maximum_matching(g))
+        m = maximize_free_vertices(g, maximum_matching(g, _components(g)))
         assert tight_components(g, m) == ((0, 1, 2), (3, 4, 5))
 
     def test_isolated_vertex(self):
@@ -490,7 +508,7 @@ class TestTightComponents:
 
     def test_even_path_has_none(self):
         g = undirected(4, [(0, 1), (1, 2), (2, 3)])
-        m = maximum_matching(g)
+        m = maximum_matching(g, _components(g))
         assert len(tight_components(g, m)) == 0
 
     def test_rejects_improvable_matching(self):
@@ -530,7 +548,7 @@ class TestTightComponents:
         rng = random.Random(23)
         for _ in range(40):
             g = random_undirected(rng, rng.randint(1, 14), rng.uniform(0.1, 0.5))
-            m = maximize_free_vertices(g, maximum_matching(g))
+            m = maximize_free_vertices(g, maximum_matching(g, _components(g)))
             for comp in tight_components(g, m):
                 assert len(comp) % 2 == 1
 
@@ -617,14 +635,16 @@ def check_against_exhaustive(g: Rows) -> None:
     tight = sorted(c for c, sub in zip(comps, subs) if brute_force_tight_check(sub))
     most_free = sum(map(max_free_over_max_matchings, subs))
     for rows in (g, tuple(row[::-1] for row in g)):
-        settled = maximize_free_vertices(g, maximum_matching(rows))
+        settled = maximize_free_vertices(g, maximum_matching(rows, _components(rows)))
         assert free_vertex_count(g, settled) == most_free, (g, rows)
         assert sorted(tight_components(g, settled)) == tight, (g, rows)
 
 
 class TestOddCliqueShortcut:
-    """An odd clique that is a whole component is settled without growing;
-    every other component grows as before."""
+    """An odd clique that is a whole component, with one exposed vertex and
+    the rest paired inside it, is settled from the component walk, with no
+    free-neighbour list and no growth; every other component grows as
+    before."""
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_gadget_b_never_checks_tightness(self, d, monkeypatch):
@@ -652,7 +672,7 @@ class TestOddCliqueShortcut:
             for v in comp:
                 row = {*stripped.out_neighbors(v), *stripped.in_neighbors(v)}
                 assert row & b == set(comp) - {v}
-        assert calls == {"grow": 50, "tight_violation": 0}
+        assert calls == {"grow": 0, "tight_violation": 0}
 
     def test_disjoint_odd_cliques(self):
         # K1, K3, K5, K7, K9 with their vertex ids interleaved
@@ -664,7 +684,7 @@ class TestOddCliqueShortcut:
             start += k
         g = undirected(25, edges)
         check_against_exhaustive(g)
-        assert len(tight_components(g, maximum_matching(g))) == 5
+        assert len(tight_components(g, maximum_matching(g, _components(g)))) == 5
 
     def test_k5_less_an_edge_still_grows(self):
         # from the reversed rows' matching {04, 13}, leftover vertex 2 sees
@@ -673,11 +693,40 @@ class TestOddCliqueShortcut:
         g = undirected(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
                            if (u, v) != (3, 4)])
         check_against_exhaustive(g)
-        assert tight_components(g, maximize_free_vertices(g, maximum_matching(g))) == ()
+        partner = maximize_free_vertices(g, maximum_matching(g, _components(g)))
+        assert tight_components(g, partner) == ()
 
     def test_random_graphs_agree_with_exhaustive(self):
         for g in odd_clique_corpus(1500, 27):
             check_against_exhaustive(g)
+
+    @pytest.mark.parametrize("clique", [1, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "grown",
+        [
+            fan_with_chord,
+            lambda: undirected(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
+                                   if (u, v) != (3, 4)]),
+        ],
+        ids=["fan-with-chord", "k5-less-an-edge"],
+    )
+    def test_exchange_before_an_odd_clique(self, grown, clique, monkeypatch):
+        """A grown component whose exchange restarts the fixpoint comes first
+        in id order; the odd clique after it is settled from the walk, before
+        and after the restart, and never grown."""
+        part = grown()
+        g = disjoint_union(part, k_graph(clique))
+        grows = []
+
+        def counted(adj, partner, w):
+            component = _grow(adj, partner, w)
+            grows.append((w, component))
+            return component
+
+        monkeypatch.setattr(decomposition_mod, "_grow", counted)
+        check_against_exhaustive(g)
+        assert any(component is None for _, component in grows)
+        assert all(w < len(part) for w, _ in grows)
 
     @pytest.mark.parametrize(
         "partner, message",
@@ -720,7 +769,8 @@ class TestStarDecompose:
         # is not maximum, and its two leaves attach at different ends
         g = Digraph(5, [(1, 2), (2, 3), (3, 4)])
         monkeypatch.setattr(
-            decomposition_mod, "maximum_matching", lambda adj: [-1, 2, 1, -1]
+            decomposition_mod, "maximum_matching",
+            lambda adj, components: [-1, 2, 1, -1],
         )
         with pytest.raises(MatchingError) as err:
             star_decompose(g, range(1, 5), epsilon=0.25)
@@ -868,7 +918,7 @@ def composed_decomposition(d, b, epsilon, prefer_antiparallel):
     sub, orig = induced(d, b)
     g = underlying(sub)
     ap = frozenset((u, v) for u, v in sub.edges if u < v and sub.has_edge(v, u))
-    partner = maximize_free_vertices(g, maximum_matching(g))
+    partner = maximize_free_vertices(g, maximum_matching(g, _components(g)))
     tight = tight_components(g, partner)
     sigma = 0
     for comp in tight:
@@ -929,9 +979,9 @@ class TestOneFixpoint:
             calls["free_neighbor_edges"] += 1
             return free_neighbor_edges(adj, partner, w)
 
-        def counted_matching(adj):
+        def counted_matching(adj, components):
             calls["maximum_matching"] += 1
-            return maximum_matching(adj)
+            return maximum_matching(adj, components)
 
         def counted_grow(adj, partner, w):
             calls["grow"] += 1
@@ -943,9 +993,51 @@ class TestOneFixpoint:
         dec = star_decompose(stripped, rest, epsilon=0.0125)
         assert len(dec.tight) == 50  # one per Eulerian triangle copy
         leftover_vertices = len(dec.leftover) + sum(len(s.leaves) for s in dec.stars)
-        assert calls == {
-            "maximum_matching": 1,
-            "grow": len(dec.tight),
-            "free_neighbor_edges": leftover_vertices,
-        }
+        # each leftover vertex sits in a triangle that the component walk
+        # settles, so none is grown or needs a free-neighbour list
+        assert calls == {"maximum_matching": 1, "grow": 0, "free_neighbor_edges": 0}
         assert leftover_vertices == 50
+
+
+class TestOneComponentWalk:
+    """star_decompose walks B's rows once, and the matching, the free-vertex
+    fixpoint and tau all read that walk."""
+
+    @pytest.mark.parametrize("d, k", [(2, 50), (3, 30)])
+    def test_one_walk_per_decomposition(self, d, k, monkeypatch):
+        g, _ = lower_bound_gadget(d, k)
+        _, rest, stripped, _ = split_large(g)
+        walked = []
+
+        def counted(adj):
+            walked.append(len(adj))
+            return _components(adj)
+
+        modules = [
+            module for name, module in sorted(sys.modules.items())
+            if name.split(".")[0] == "dicut"
+            and getattr(module, "_components", None) is _components
+        ]
+        assert decomposition_mod in modules
+        for module in modules:
+            monkeypatch.setattr(module, "_components", counted)
+        dec = star_decompose(stripped, rest, epsilon=0.0125)
+        assert walked == [len(rest)]
+        assert dec.tau == odd_components(rest, stripped.edges) == k
+
+    @given(digraphs_with_subsets(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_tau_counts_the_walk_the_matching_reads(self, drawn, prefer):
+        d, b = drawn
+        handed = []
+
+        def recording(adj, components):
+            handed.append(components)
+            return maximum_matching(adj, components)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decomposition_mod, "maximum_matching", recording)
+            dec = star_decompose(d, b, epsilon=0.5, prefer_antiparallel=prefer)
+        # handed[0] is B's walk; a tightness check may match smaller rows later
+        odd = sum(len(comp) % 2 for comp in handed[0])
+        assert dec.tau == odd == odd_components(b, d.edges)
