@@ -8,6 +8,17 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+CONCLUDING_FAMILIES = ("k33_oriented", "k33_plus_3regular", "k55_mixed")
+# generator family -> the GadgetSpec params its builder reads; held here, not
+# in dicut.generators, so that `dicut gen`'s choices load no generator
+FAMILIES: dict[str, tuple[str, ...]] = {
+    "d1_star_triangle": ("n",),
+    "eulerian_complete": ("q",),
+    "lower_bound": ("d", "k"),
+    **{family: ("n", "patched") for family in CONCLUDING_FAMILIES},
+    "random_min_outdeg": ("n", "d", "extra", "seed"),
+}
+
 _EXPORTS = {
     "core": ("Bipartition", "CutStats", "Digraph", "GraphInputError",
              "StructuralDiagnostic", "cut_stats", "read_edge_list",

@@ -13,6 +13,7 @@ import sys
 import time
 from typing import Any
 
+from . import FAMILIES
 from .core import (
     GraphInputError,
     StructuralDiagnostic,
@@ -24,7 +25,6 @@ from .core import (
     write_edge_list,
     write_partition,
 )
-from .generators import FAMILIES, GadgetSpec, lower_bound_gadget
 from .harness import (  # loads no pipeline; each handler imports what it runs
     SUITES,
     build_report,
@@ -100,6 +100,8 @@ def _emit(data: dict[str, Any] | list[Any], as_json: bool) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import GadgetSpec, lower_bound_gadget
+
     params = {name: getattr(args, name) for name in FAMILIES[args.family]}
     spec = GadgetSpec(args.family, params)
     comments = [spec.label()]

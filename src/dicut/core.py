@@ -230,16 +230,6 @@ class CutStats:
         return self.e12 + self.e21
 
 
-def _side2_ends(side: Sequence[int], lists: Iterable[tuple[int, ...]]) -> list[int]:
-    """For each id tuple in `lists`, how many of its ids are on side 2; each
-    tuple is read by one C-level gather, `itemgetter(*ids)(side)`."""
-    # itemgetter returns a bare label for one id and raises for none
-    return [
-        itemgetter(*a)(side).count(2) if len(a) > 1 else (side[a[0]] == 2 if a else 0)
-        for a in lists
-    ]
-
-
 def _check_cover(digraph: Digraph, partition: Bipartition) -> None:
     if len(partition) != digraph.n:
         raise ValueError(
@@ -251,24 +241,31 @@ def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
     """Exact directional counts, from scratch, reading only side 2's rows.
 
     With e22 the edges inside side 2, the in-degrees summed over side 2 are
-    e12 + e22 and the out-degrees e21 + e22; e22 counts the side-2 ends of
-    side 2's out-lists, each by one C-level gather.  A call costs O(n) plus
-    the volume of side 2, with a small per-edge constant.  Nothing is cached
-    between calls."""
+    e12 + e22 and the out-degrees e21 + e22; e22 is half the side-2 ends
+    that side 2's rows scatter onto side 2's own vertices.  A call costs
+    O(n) plus the volume of side 2.  Nothing is cached between calls."""
     return _cut_counts(digraph, partition)[0]
 
 
 def _cut_counts(digraph: Digraph, partition: Bipartition) -> tuple[CutStats, list[int]]:
-    """cut_stats, with the side-2 end count of each of side 2's out-lists in
-    vertex order, which a caller that sweeps the same partition can reuse."""
+    """cut_stats, with two[v], the side-2 ends of v's out- and in-lists, for
+    every vertex v: one scatter over side 2's out- and in-rows, which a
+    caller that sweeps the same partition can reuse."""
     _check_cover(digraph, partition)
-    side = partition.side
-    on_two = list(map((2).__eq__, side))
-    rows = list(compress(digraph._out, on_two))
-    ends = _side2_ends(side, rows)
-    e22 = sum(ends)
-    e12 = sum(map(len, compress(digraph._in, on_two))) - e22
-    return CutStats(e12, sum(map(len, rows)) - e22), ends
+    on_two = list(map((2).__eq__, partition.side))
+    two = [0] * digraph.n
+    vol_out = vol_in = 0
+    for row in compress(digraph._out, on_two):
+        vol_out += len(row)
+        for t in row:
+            two[t] += 1
+    for row in compress(digraph._in, on_two):
+        vol_in += len(row)
+        for t in row:
+            two[t] += 1
+    # each edge inside side 2 is counted at both of its ends
+    e22 = sum(compress(two, on_two)) // 2
+    return CutStats(vol_in - e22, vol_out - e22), two
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
+from . import CONCLUDING_FAMILIES, FAMILIES
 from .core import Digraph, GraphInputError, _from_rows
 
-CONCLUDING_FAMILIES = ("k33_oriented", "k33_plus_3regular", "k55_mixed")
-
-OPTIONAL_PARAMS = ("patched", "extra", "seed")  # these keep the builder's default
-# family -> the GadgetSpec params its builder reads; the others are required
-FAMILIES: dict[str, tuple[str, ...]] = {
-    "d1_star_triangle": ("n",),
-    "eulerian_complete": ("q",),
-    "lower_bound": ("d", "k"),
-    **{family: ("n", "patched") for family in CONCLUDING_FAMILIES},
-    "random_min_outdeg": ("n", "d", "extra", "seed"),
-}
+# these keep the builder's default; FAMILIES' other params are required
+OPTIONAL_PARAMS = ("patched", "extra", "seed")
 
 
 def _self_check(ok: bool, family: str, prop: str) -> None:

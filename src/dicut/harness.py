@@ -9,9 +9,9 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from .core import Bipartition, Digraph, _slices, cut_stats
-from .generators import GadgetSpec
 
-if TYPE_CHECKING:  # imported by the calls that run the pipeline
+if TYPE_CHECKING:  # imported by the calls that build suites or run the pipeline
+    from .generators import GadgetSpec
     from .pipeline import PartitionResult, PipelineConfig
 
 SCHEMA_VERSION = 3
@@ -120,6 +120,8 @@ class BenchTask:
 def _random_task(
     key: str, n: int, d: int, extra: float, seed: int, with_oracle: bool = False
 ) -> BenchTask:
+    from .generators import GadgetSpec
+
     spec = GadgetSpec(
         "random_min_outdeg", {"n": n, "d": d, "extra": extra, "seed": seed}
     )
@@ -127,6 +129,8 @@ def _random_task(
 
 
 def _gadget_tasks() -> list[BenchTask]:
+    from .generators import GadgetSpec
+
     tasks: list[BenchTask] = []
     for d in (2, 3):
         for k in (0, 1, 5, 50):
@@ -157,6 +161,8 @@ def _random_tasks(d: int) -> list[BenchTask]:
 
 
 def _oracle_small_tasks() -> list[BenchTask]:
+    from .generators import GadgetSpec
+
     tasks = [
         BenchTask(key, GadgetSpec(family, params), d, with_oracle=True)
         for key, family, params, d in (

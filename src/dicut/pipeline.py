@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress, filterfalse
-from operator import add, le, not_
+from operator import add, le
 from typing import Any, Sequence
 
 # cut_stats is bound for the benchmark's spans, which wrap it in every module
 from .core import (
     Bipartition, CutStats, Digraph, GraphInputError, StructuralDiagnostic,
-    _cut_counts, _from_rows, _side2_ends, cut_stats,
+    _cut_counts, _from_rows, cut_stats,
 )
 from .decomposition import star_decompose
 from .samplers import (
@@ -242,12 +242,12 @@ def local_search(digraph: Digraph, partition: Bipartition) -> Bipartition:
 
 
 def _sweep(
-    digraph: Digraph, partition: Bipartition, start: CutStats, side2_ends: list[int]
+    digraph: Digraph, partition: Bipartition, start: CutStats, two: list[int]
 ) -> tuple[Bipartition, CutStats]:
-    """local_search from `partition`, whose cuts `start` and side-2 out-list
-    end counts `side2_ends` are as core._cut_counts returns them; returns the
-    result and its cuts.  Only side 1's out-lists and the in-lists are
-    gathered.
+    """local_search from `partition`, whose cuts `start` and per-vertex
+    side-2 end counts `two` are as core._cut_counts returns them; returns
+    the result and its cuts.  No row is read before the first pass, and
+    `two` is copied, not changed.
 
     two[v] counts the side-2 ends of v's edges, so a visit costs O(1) and a
     flip of v O(deg v) (Fiduccia-Mattheyses gains).  The first pass visits
@@ -260,14 +260,7 @@ def _sweep(
     """
     side = list(partition.side)
     out, in_ = digraph._out, digraph._in
-    on_two = list(map((2).__eq__, side))
-    # each vertex takes the next count of its side's list
-    ends = (
-        iter(_side2_ends(side, compress(out, map(not_, on_two)))),
-        iter(side2_ends),
-    )
-    out_two = map(next, map(ends.__getitem__, on_two))
-    two = list(map(add, out_two, _side2_ends(side, in_)))
+    two = two.copy()
     indeg, outdeg = list(map(len, in_)), list(map(len, out))
     e12, e21 = start.e12, start.e21
     low, total = min(e12, e21), e12 + e21
@@ -339,7 +332,7 @@ def _polish(
     digraph: Digraph,
     partition: Bipartition,
     start: CutStats,
-    side2_ends: list[int],
+    two: list[int],
     seed: int,
 ) -> tuple[Bipartition, CutStats]:
     """Local search from the sampled partition, with its counts as _sweep
@@ -350,7 +343,7 @@ def _polish(
     Sampler guarantees are asymptotic, so at very small n the hill climb does
     real work; restarts are deterministic per seed.
     """
-    best, best_stats = _sweep(digraph, partition, start, side2_ends)
+    best, best_stats = _sweep(digraph, partition, start, two)
     if digraph.n <= RESTART_MAX_N:
         best_key = best_stats.min_cut, best_stats.total
         rng = random.Random(seed)
@@ -433,10 +426,10 @@ def run(digraph: Digraph, config: PipelineConfig) -> PartitionResult:
         outcome, removed = _sparse_branches(digraph, config, trace)
     # the sampler counted on the input itself unless split_large stripped it
     if removed == 0:
-        start, ends = outcome.stats, outcome.side2_ends
+        start, two = outcome.stats, outcome.two
     else:
-        start, ends = _cut_counts(digraph, outcome.partition)
-    partition, stats = _polish(digraph, outcome.partition, start, ends, config.seed)
+        start, two = _cut_counts(digraph, outcome.partition)
+    partition, stats = _polish(digraph, outcome.partition, start, two, config.seed)
     trace.append(
         {
             "step": "local_search",

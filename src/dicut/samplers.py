@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import filterfalse
-from operator import add
 from typing import Callable, Iterable
 
 # cut_stats is bound for the benchmark's spans, which wrap it in every module
@@ -39,16 +38,16 @@ def exact_fraction(x: float | Fraction | int | str) -> Fraction:
 class SampleOutcome:
     """Partition found by a sampler together with its acceptance record.
 
-    side2_ends holds the side-2 end count of each of side 2's out-lists in
-    the sampled digraph, in vertex order, as the cut count read them; run()
-    hands them to the polish when the sampled digraph is its input."""
+    two holds, for every vertex of the sampled digraph, the side-2 ends of
+    its out- and in-lists, as the cut count scattered them; run() hands them
+    to the polish when the sampled digraph is its input."""
 
     partition: Bipartition
     stats: CutStats
     accepted: bool
     attempts_used: int
     targets: tuple[Fraction, Fraction]
-    side2_ends: list[int] = field(compare=False, repr=False)
+    two: list[int] = field(compare=False, repr=False)
     warning: str | None = None
 
 
@@ -131,9 +130,9 @@ def _accept_loop(
         side = fixed.copy()
         draw(side, rng)
         part = Bipartition(tuple(side))
-        stats, ends = _cut_counts(digraph, part)
+        stats, two = _cut_counts(digraph, part)
         accepted = stats.e12 >= targets[0] and stats.e21 >= targets[1]
-        outcome = SampleOutcome(part, stats, accepted, attempt, targets, ends, warning)
+        outcome = SampleOutcome(part, stats, accepted, attempt, targets, two, warning)
         if accepted:
             return outcome
         if best is None or stats.min_cut > best.stats.min_cut:
@@ -173,9 +172,8 @@ def second_moment_partition(
     b_order = list(filterfalse((s1 | s2).__contains__, range(digraph.n)))
     warning = None
     if b_order:
-        out_len = map(len, map(digraph._out.__getitem__, b_order))
-        in_len = map(len, map(digraph._in.__getitem__, b_order))
-        max_deg = max(map(add, out_len, in_len))
+        out, in_ = digraph._out, digraph._in
+        max_deg = max([len(out[v]) + len(in_[v]) for v in b_order])
         if Fraction(max_deg) > eps * eps * m / 4:
             warning = (
                 f"degree hypothesis fails: max B-degree {max_deg} exceeds "

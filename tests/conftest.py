@@ -30,7 +30,7 @@ def no_polish(monkeypatch) -> None:
     """Turn run()'s local search off for one test: the polish returns the
     sampled partition unchanged, with its cuts recounted."""
 
-    def unpolished(digraph, partition, start, side2_ends, seed):
+    def unpolished(digraph, partition, start, two, seed):
         return partition, cut_stats(digraph, partition)
 
     monkeypatch.setattr(pipeline, "_polish", unpolished)

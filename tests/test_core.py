@@ -143,8 +143,8 @@ def hub_partitions(n: int) -> list[Bipartition]:
 
 
 class TestGatherEdgeCases:
-    """cut_stats and the polish count side-2 ends with itemgetter gathers,
-    which need their own case for lists of length 0 and 1."""
+    """cut_stats and the polish count side-2 ends over lists of every length,
+    from empty ones to the hub's 1000 and more."""
 
     def test_hub_digraph_has_every_list_length(self):
         g = hub_digraph()
@@ -193,6 +193,37 @@ def digraphs(draw, max_n=8):
     pool = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool))) if pool else []
     return Digraph(n, chosen)
+
+
+@st.composite
+def digraph_with_sides(draw):
+    """A digraph of digraphs() with side labels, all on side 1, all on side
+    2 or mixed."""
+    g = draw(digraphs())
+    mixed = st.lists(st.sampled_from((1, 2)), min_size=g.n, max_size=g.n)
+    side = draw(st.one_of(st.just([1] * g.n), st.just([2] * g.n), mixed))
+    return g, Bipartition(tuple(side))
+
+
+@given(digraph_with_sides())
+@example((Digraph(1, []), Bipartition((2,))))
+@example((Digraph(3, [(0, 1), (1, 0)]), Bipartition((2, 2, 1))))
+@settings(max_examples=200, deadline=None)
+def test_cut_counts_scatter_matches_edge_by_edge_count(case):
+    """Every two[v] and both cuts of the scatter, against a count over
+    `edges`; the sweep started from them reports its result's exact cuts."""
+    g, part = case
+    side = part.side
+    stats, two = core_mod._cut_counts(g, part)
+    expected = [0] * g.n
+    for u, v in g.edges:
+        expected[u] += side[v] == 2
+        expected[v] += side[u] == 2
+    assert two == expected
+    assert (stats.e12, stats.e21) == recount(g, side)
+    result, swept = pipeline._sweep(g, part, stats, two)
+    assert two == expected  # the sweep updates a copy
+    assert swept == cut_stats(g, result)
 
 
 @given(digraphs(), st.randoms(use_true_random=False))

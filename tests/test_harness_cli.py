@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib
@@ -573,10 +574,90 @@ class TestImportGraph:
         assert not loaded & {"dicut.pipeline", "dicut.samplers",
                              "dicut.decomposition", "multiprocessing"}
 
+    @pytest.mark.parametrize("command", ["partition", "oracle", "verify"])
+    def test_child_loads_no_generators(self, graph_file, tmp_path, command):
+        part_file = tmp_path / "p.txt"
+        part_file.write_text("".join(f"{v} {1 + v % 2}\n" for v in range(12)))
+        args = {"partition": ["--d", "2"], "oracle": [],
+                "verify": ["-p", str(part_file)]}[command]
+        loaded = _imported_modules("-m", "dicut.cli", command, "-i", graph_file,
+                                   *args)
+        assert "dicut.core" in loaded and "dicut.generators" not in loaded
+
     def test_package_import_loads_no_submodule(self):
         loaded = _imported_modules("-c", "import dicut")
         assert "dicut" in loaded
         assert not {name for name in loaded if name.startswith("dicut.")}
+
+
+FAMILY_CHOICES = (
+    "{d1_star_triangle,eulerian_complete,lower_bound,k33_oriented,"
+    "k33_plus_3regular,k55_mixed,random_min_outdeg}"
+)
+GEN_USAGE = f"""\
+usage: dicut gen [-h] [--d D] [--k K] [--n N] [--q Q] [--extra EXTRA]
+                 [--seed SEED] [--patched] -o OUT
+                 {FAMILY_CHOICES}
+"""
+
+
+def test_help_and_usage_error_text():
+    """`dicut --help`, `dicut gen --help` and the usage error for an unknown
+    family, byte for byte at 80 columns."""
+
+    def child(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "dicut.cli", *argv], capture_output=True,
+            text=True, env=dict(_cli_env(), COLUMNS="80"),
+        )
+
+    # how this Python's argparse lists an option with a short and a long name
+    tiny = argparse.ArgumentParser(add_help=False)
+    tiny.add_argument("-o", "--out")
+    out_line = tiny.format_help().splitlines()[-1]
+    top = child("--help")
+    assert (top.returncode, top.stderr) == (0, "")
+    assert top.stdout == """\
+usage: dicut [-h] {gen,partition,oracle,decompose,verify,bench} ...
+
+Bipartition directed graphs to maximize the smaller directional cut.
+
+positional arguments:
+  {gen,partition,oracle,decompose,verify,bench}
+    gen                 generate an instance as an edge list
+    partition           run the partition pipeline
+    oracle              exhaustive optimum on a small instance
+    decompose           star/leftover decomposition report
+    verify              recompute the cuts of a partition file
+    bench               run a built-in suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+    gen = child("gen", "--help")
+    assert (gen.returncode, gen.stderr) == (0, "")
+    assert gen.stdout == GEN_USAGE + f"""
+positional arguments:
+  {FAMILY_CHOICES}
+
+options:
+  -h, --help            show this help message and exit
+  --d D
+  --k K
+  --n N
+  --q Q
+  --extra EXTRA
+  --seed SEED
+  --patched             raise deficient outdegrees of the bipartite families
+{out_line}
+"""
+    bad = child("gen", "nope", "-o", "x.el")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == GEN_USAGE + (
+        "dicut gen: error: argument family: invalid choice: 'nope' (choose from "
+        "'d1_star_triangle', 'eulerian_complete', 'lower_bound', 'k33_oriented', "
+        "'k33_plus_3regular', 'k55_mixed', 'random_min_outdeg')\n"
+    )
 
 
 class TestLazyPackage:

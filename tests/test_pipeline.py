@@ -759,26 +759,21 @@ def stripped_hub_graph() -> Digraph:
 
 
 class TestEdgeEndReads:
-    """When the sampler counted on the input, a run with one accepted attempt
-    reads each edge end once in each of two gathers: the attempt's count
-    reads side 2's out-lists, the polish side 1's and every in-list, and
-    nothing recounts the polished partition.  On a stripped copy run()
-    recounts the sampled partition on the input before the polish."""
+    """Each partition's edge ends are counted once per run.  When the sampler
+    counted on the input, a run with one accepted attempt calls
+    core._cut_counts once, for that attempt: the polish sweeps from the
+    attempt's counts, counts nothing of its own, and nothing recounts the
+    polished partition.  On a stripped copy run() counts the sampled
+    partition once more, on the input, before the polish."""
 
-    def _count(self, monkeypatch) -> dict[str, int]:
-        reads = {"sampler": 0, "recount": 0, "polish": 0, "after": 0}
+    def _count(self, monkeypatch) -> dict[str, list]:
+        counted = {"sampler": [], "recount": [], "polish": [], "after": []}
         phase = ["sampler"]
-        real_ends, real_polish = core_mod._side2_ends, pipeline_mod._polish
-        real_counts = pipeline_mod._cut_counts
+        real_counts, real_polish = core_mod._cut_counts, pipeline_mod._polish
 
-        def counting(side, lists):
-            lists = list(lists)
-            reads[phase[0]] += sum(map(len, lists))
-            return real_ends(side, lists)
-
-        def recount(*args):
-            phase[0] = "recount"
-            return real_counts(*args)
+        def counting(digraph, partition):
+            counted[phase[0]].append(digraph)
+            return real_counts(digraph, partition)
 
         def polish(*args):
             phase[0] = "polish"
@@ -787,12 +782,18 @@ class TestEdgeEndReads:
             finally:
                 phase[0] = "after"
 
+        def recount(digraph, partition):
+            # the pipeline's own counts before the polish are run()'s recount
+            if phase[0] == "sampler":
+                phase[0] = "recount"
+            return counting(digraph, partition)
+
         for mod in dicut_modules():
-            if "_side2_ends" in vars(mod):
-                monkeypatch.setattr(mod, "_side2_ends", counting)
+            if "_cut_counts" in vars(mod):
+                monkeypatch.setattr(mod, "_cut_counts", counting)
         monkeypatch.setattr(pipeline_mod, "_cut_counts", recount)
         monkeypatch.setattr(pipeline_mod, "_polish", polish)
-        return reads
+        return counted
 
     @pytest.mark.parametrize(
         "build, config, kind",
@@ -804,30 +805,31 @@ class TestEdgeEndReads:
         ],
         ids=["dense", "sparse"],
     )
-    def test_one_accepted_attempt_reads_2m(self, monkeypatch, build, config, kind):
+    def test_one_accepted_attempt_is_counted_once(
+        self, monkeypatch, build, config, kind
+    ):
         g = build()
         if kind == "quarter":
             lower_dense_cutoff(monkeypatch)
-        reads = self._count(monkeypatch)
+        counted = self._count(monkeypatch)
         result = run(g, config)
         [sampled] = [r for r in result.branch_trace if r["step"] == "sampler"]
         assert (sampled["kind"], sampled["accepted"], sampled["attempts"]) == (
             kind, True, 1
         )
         assert result.removed_a_edges == 0 and g.n > pipeline_mod.RESTART_MAX_N
-        assert reads["recount"] == reads["after"] == 0
-        assert reads["sampler"] + reads["polish"] == 2 * g.m
+        assert counted == {"sampler": [g], "recount": [], "polish": [], "after": []}
         assert result.stats == cut_stats(g, result.partition)
 
-    def test_stripped_graph_recount_and_polish_gather_every_list(self, monkeypatch):
+    def test_stripped_graph_is_counted_once_more_on_the_input(self, monkeypatch):
         g = stripped_hub_graph()
-        reads = self._count(monkeypatch)
+        counted = self._count(monkeypatch)
         result = run(g, PipelineConfig(d=2, seed=1))
         assert result.removed_a_edges > 0 and g.n > pipeline_mod.RESTART_MAX_N
-        # every out-list and every in-list, as the sampler's counts were on
-        # the stripped copy: run() reads side 2's out-lists, the polish the rest
-        assert reads["recount"] > 0 and reads["after"] == 0
-        assert reads["recount"] + reads["polish"] == 2 * g.m
+        # every attempt was counted on the stripped copy, not on the input
+        assert counted["sampler"] and g not in counted["sampler"]
+        assert counted["recount"] == [g]
+        assert counted["polish"] == counted["after"] == []
         assert result.stats == cut_stats(g, result.partition)
 
 
