@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Any
 
 from . import FAMILIES
@@ -27,6 +26,7 @@ from .core import (
 )
 from .harness import (  # loads no pipeline; each handler imports what it runs
     SUITES,
+    _timed,
     build_report,
     file_instance_descriptor,
     run_suite,
@@ -133,9 +133,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     if sink is not None:
         raise _outdegree_error(0, sink, config.d)
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    result = run(digraph, config)
-    timings["partition"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    result = _timed(timings, "partition", run, digraph, config)
     report = build_report(
         file_instance_descriptor(args.input, text), digraph, config, result, timings
     )

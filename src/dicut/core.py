@@ -241,10 +241,17 @@ def cut_stats(digraph: Digraph, partition: Bipartition) -> CutStats:
     """Exact directional counts, from scratch, reading only side 2's rows.
 
     With e22 the edges inside side 2, the in-degrees summed over side 2 are
-    e12 + e22 and the out-degrees e21 + e22; e22 is half the side-2 ends
-    that side 2's rows scatter onto side 2's own vertices.  A call costs
-    O(n) plus the volume of side 2.  Nothing is cached between calls."""
-    return _cut_counts(digraph, partition)[0]
+    e12 + e22 and the out-degrees e21 + e22; e22 is the side-2 heads of side
+    2's out-rows, one set intersection per row.  A call costs O(n) plus the
+    volume of side 2.  Nothing is cached between calls."""
+    _check_cover(digraph, partition)
+    on_two = list(map((2).__eq__, partition.side))
+    side2 = set(compress(range(digraph.n), on_two))
+    rows = list(compress(digraph._out, on_two))
+    vol_out = sum(map(len, rows))
+    vol_in = sum(map(len, compress(digraph._in, on_two)))
+    e22 = sum(map(len, map(side2.intersection, rows)))
+    return CutStats(vol_in - e22, vol_out - e22)
 
 
 def _cut_counts(digraph: Digraph, partition: Bipartition) -> tuple[CutStats, list[int]]:

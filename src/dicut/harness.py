@@ -5,13 +5,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from .core import Bipartition, Digraph, _slices, cut_stats
 
-if TYPE_CHECKING:  # imported by the calls that build suites or run the pipeline
-    from .generators import GadgetSpec
+if TYPE_CHECKING:  # imported by the calls that run the pipeline
     from .pipeline import PartitionResult, PipelineConfig
 
 SCHEMA_VERSION = 3
@@ -71,22 +69,9 @@ def build_report(
     config: PipelineConfig,
     result: PartitionResult,
     timings_ms: dict[str, float],
-    with_oracle: bool = False,
+    oracle: int | None = None,
 ) -> RunReport:
-    oracle_info = None
-    if with_oracle:
-        from .oracle import MAX_ORACLE_N, exact_judicious
-    if with_oracle and digraph.n <= MAX_ORACLE_N:
-        t0 = time.perf_counter()
-        best = exact_judicious(digraph)
-        oracle_ms = (time.perf_counter() - t0) * 1000.0
-        oracle_info = {
-            "optimum": best.optimum,
-            "ratio_vs_oracle": (
-                result.stats.min_cut / best.optimum if best.optimum else None
-            ),
-        }
-        timings_ms["oracle"] = round(oracle_ms, 3)
+    """Format one run; `oracle` is the exhaustive optimum where it was found."""
     return RunReport(
         instance=instance,
         config=asdict(config),
@@ -101,92 +86,52 @@ def build_report(
         meets_guarantee=result.meets_guarantee,
         removed_a_edges=result.removed_a_edges,
         branch_trace=result.branch_trace,
-        oracle=oracle_info,
+        oracle=None if oracle is None else {
+            "optimum": oracle,
+            "ratio_vs_oracle": result.stats.min_cut / oracle if oracle else None,
+        },
         timings_ms=timings_ms,
     )
 
 
 @dataclass(frozen=True)
 class BenchTask:
-    """One suite entry: a generator spec plus the pipeline's d and seed."""
+    """One suite entry: a generator family and its params, the pipeline's d
+    and seed, and whether to check the run against the exhaustive oracle."""
 
     key: str
-    spec: GadgetSpec
+    family: str
+    params: dict[str, Any]
     d: int
     seed: int = 1
     with_oracle: bool = False
 
 
-def _random_task(
-    key: str, n: int, d: int, extra: float, seed: int, with_oracle: bool = False
-) -> BenchTask:
-    from .generators import GadgetSpec
-
-    spec = GadgetSpec(
-        "random_min_outdeg", {"n": n, "d": d, "extra": extra, "seed": seed}
-    )
-    return BenchTask(key, spec, d, seed, with_oracle)
-
-
-def _gadget_tasks() -> list[BenchTask]:
-    from .generators import GadgetSpec
-
-    tasks: list[BenchTask] = []
-    for d in (2, 3):
-        for k in (0, 1, 5, 50):
-            spec = GadgetSpec("lower_bound", {"d": d, "k": k})
-            tasks.append(BenchTask(f"lower_bound-d{d}-k{k}", spec, d))
-    for q in (5, 7, 9):
-        spec = GadgetSpec("eulerian_complete", {"q": q})
-        tasks.append(BenchTask(f"eulerian-q{q}-d2", spec, 2))
-        if q >= 7:
-            tasks.append(BenchTask(f"eulerian-q{q}-d3", spec, 3))
-    for family, n in (
-        ("k33_oriented", 1003),
-        ("k33_plus_3regular", 1003),
-        ("k55_mixed", 1005),
-    ):
-        spec = GadgetSpec(family, {"n": n, "patched": True})
-        tasks.append(BenchTask(f"{family}-n{n}", spec, 3))
-    return tasks
-
-
-def _random_tasks(d: int) -> list[BenchTask]:
-    return [
-        _random_task(f"random-d{d}-n{n}-x{int(extra)}-s{seed}", n, d, extra, seed)
-        for n in (100, 500, 2000)
-        for extra in (0.0, 1.0)
-        for seed in (1, 2)
-    ]
-
-
-def _oracle_small_tasks() -> list[BenchTask]:
-    from .generators import GadgetSpec
-
-    tasks = [
-        BenchTask(key, GadgetSpec(family, params), d, with_oracle=True)
-        for key, family, params, d in (
-            ("lower_bound-d2-k0-oracle", "lower_bound", {"d": 2, "k": 0}, 2),
-            ("lower_bound-d2-k1-oracle", "lower_bound", {"d": 2, "k": 1}, 2),
-            ("lower_bound-d3-k0-oracle", "lower_bound", {"d": 3, "k": 0}, 3),
-            ("eulerian-q5-oracle", "eulerian_complete", {"q": 5}, 2),
-            ("eulerian-q7-oracle", "eulerian_complete", {"q": 7}, 3),
-        )
-    ]
-    tasks.extend(
-        _random_task(f"random-oracle-d{d}-n{n}-s{seed}", n, d, 0.5, seed, True)
-        for d in (2, 3)
-        for n in (10, 12, 14, 16)
-        for seed in (1, 2)
-    )
-    return tasks
-
-
-SUITE_TASKS: dict[str, Callable[[], list[BenchTask]]] = {
-    "gadgets": _gadget_tasks,
-    "random-d2": partial(_random_tasks, 2),
-    "random-d3": partial(_random_tasks, 3),
-    "oracle-small": _oracle_small_tasks,
+SUITE_TASKS: dict[str, tuple[BenchTask, ...]] = {
+    "gadgets": (
+        *(BenchTask(f"lower_bound-d{d}-k{k}", "lower_bound", {"d": d, "k": k}, d)
+          for d in (2, 3) for k in (0, 1, 5, 50)),
+        *(BenchTask(f"eulerian-q{q}-d{d}", "eulerian_complete", {"q": q}, d)
+          for q, d in ((5, 2), (7, 2), (7, 3), (9, 2), (9, 3))),
+        *(BenchTask(f"{family}-n{n}", family, {"n": n, "patched": True}, 3)
+          for family, n in (("k33_oriented", 1003), ("k33_plus_3regular", 1003),
+                            ("k55_mixed", 1005))),
+    ),
+    **{f"random-d{d}": tuple(
+        BenchTask(f"random-d{d}-n{n}-x{int(extra)}-s{seed}", "random_min_outdeg",
+                  {"n": n, "d": d, "extra": extra, "seed": seed}, d, seed)
+        for n in (100, 500, 2000) for extra in (0.0, 1.0) for seed in (1, 2)
+    ) for d in (2, 3)},
+    "oracle-small": (
+        *(BenchTask(f"lower_bound-d{d}-k{k}-oracle", "lower_bound", {"d": d, "k": k},
+                    d, with_oracle=True) for d, k in ((2, 0), (2, 1), (3, 0))),
+        *(BenchTask(f"eulerian-q{q}-oracle", "eulerian_complete", {"q": q}, d,
+                    with_oracle=True) for q, d in ((5, 2), (7, 3))),
+        *(BenchTask(f"random-oracle-d{d}-n{n}-s{seed}", "random_min_outdeg",
+                    {"n": n, "d": d, "extra": 0.5, "seed": seed}, d, seed,
+                    with_oracle=True)
+          for d in (2, 3) for n in (10, 12, 14, 16) for seed in (1, 2)),
+    ),
 }
 SUITES = tuple(SUITE_TASKS)
 
@@ -194,24 +139,37 @@ SUITES = tuple(SUITE_TASKS)
 def suite_tasks(name: str) -> list[BenchTask]:
     if name not in SUITE_TASKS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return sorted(SUITE_TASKS[name](), key=lambda t: t.key)
+    return sorted(SUITE_TASKS[name], key=lambda t: t.key)
+
+
+def _timed(
+    timings_ms: dict[str, float], name: str, fn: Callable[..., Any], *args: Any
+) -> Any:
+    t0 = time.perf_counter()
+    out = fn(*args)
+    timings_ms[name] = round((time.perf_counter() - t0) * 1000.0, 3)
+    return out
 
 
 def run_bench_task(task: BenchTask) -> RunReport:
+    """Build the task's graph, partition it and, where the task asks and
+    n <= MAX_ORACLE_N, find the exhaustive optimum; each step is timed."""
+    from .generators import GadgetSpec
     from .pipeline import PipelineConfig, run
 
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    digraph = task.spec.build()
-    timings["build"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    digraph = _timed(timings, "build", GadgetSpec(task.family, task.params).build)
     config = PipelineConfig(d=task.d, seed=task.seed)
-    t0 = time.perf_counter()
-    result = run(digraph, config)
-    timings["partition"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    instance = {"family": task.spec.family, "params": task.spec.params, "key": task.key}
-    return build_report(
-        instance, digraph, config, result, timings, with_oracle=task.with_oracle
-    )
+    result = _timed(timings, "partition", run, digraph, config)
+    optimum = None
+    if task.with_oracle:
+        from .oracle import MAX_ORACLE_N, exact_judicious
+
+        if digraph.n <= MAX_ORACLE_N:
+            optimum = _timed(timings, "oracle", exact_judicious, digraph).optimum
+    # a copy: the report must not share the suite table's params
+    instance = {"family": task.family, "params": dict(task.params), "key": task.key}
+    return build_report(instance, digraph, config, result, timings, optimum)
 
 
 def run_suite(name: str, jobs: int = 1) -> list[RunReport]:

@@ -226,6 +226,19 @@ def test_cut_counts_scatter_matches_edge_by_edge_count(case):
     assert swept == cut_stats(g, result)
 
 
+@given(digraph_with_sides())
+@example((Digraph(0, []), Bipartition(())))
+@example((Digraph(2, [(0, 1), (1, 0)]), Bipartition((1, 1))))
+@example((Digraph(2, [(0, 1), (1, 0)]), Bipartition((2, 2))))
+@example((Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)]), Bipartition((2, 2, 1))))
+@settings(max_examples=200, deadline=None)
+def test_cut_stats_intersection_matches_the_scatter(case):
+    """cut_stats' per-row intersections give the cuts of _cut_counts' scatter
+    on empty graphs, one-sided partitions and antiparallel pairs."""
+    g, part = case
+    assert cut_stats(g, part) == core_mod._cut_counts(g, part)[0]
+
+
 @given(digraphs(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_edge_conservation(g, rng):

@@ -18,7 +18,7 @@ import dicut.core as core_mod
 import dicut.decomposition as decomposition_mod
 import dicut.pipeline as pipeline_mod
 from dicut.cli import main
-from dicut.core import Bipartition, read_edge_list, read_partition
+from dicut.core import Bipartition, read_edge_list, read_partition, write_edge_list
 from dicut.decomposition import star_decompose
 from dicut.harness import (
     BenchTask,
@@ -29,7 +29,7 @@ from dicut.harness import (
     suite_tasks,
     verify_partition,
 )
-from dicut.generators import FAMILIES, GadgetSpec
+from dicut.generators import FAMILIES, GadgetSpec, complete_antiparallel
 from dicut.pipeline import PipelineConfig, StructuralDiagnostic, split_large
 
 from .conftest import no_polish, untimed
@@ -45,8 +45,7 @@ def _cli_env():
 
 class TestRunReport:
     def test_round_trip(self):
-        task = BenchTask("demo", GadgetSpec("lower_bound", {"d": 2, "k": 2}), 2,
-                         with_oracle=True)
+        task = BenchTask("demo", "lower_bound", {"d": 2, "k": 2}, 2, with_oracle=True)
         report = run_bench_task(task)
         data = json.loads(report.to_json())
         again = RunReport(**dict(data, branch_trace=tuple(data["branch_trace"])))
@@ -54,9 +53,9 @@ class TestRunReport:
         assert again.to_json() == report.to_json()
 
     def test_verify_agrees_with_report(self):
-        task = BenchTask("demo", GadgetSpec("lower_bound", {"d": 3, "k": 3}), 3)
+        task = BenchTask("demo", "lower_bound", {"d": 3, "k": 3}, 3)
         report = run_bench_task(task)
-        g = task.spec.build()
+        g = GadgetSpec(task.family, task.params).build()
         check = verify_partition(g, Bipartition(tuple(map(int, report.partition))))
         assert (check["e12"], check["e21"]) == (report.e12, report.e21)
 
@@ -220,6 +219,30 @@ class TestCli:
         assert data["tau"] == 1
         assert data["tight_components"] == 0
         assert data["leftover"] == 0
+
+    @pytest.mark.parametrize("flags, sigma, tau_prime",
+                             [([], 1, 0), (["--no-antiparallel"], 0, 1)])
+    def test_decompose_antiparallel_preference(
+        self, tmp_path, capsys, flags, sigma, tau_prime
+    ):
+        """On the antiparallel triangle the default star takes an antiparallel
+        pair (sigma 1); without the preference its star edge is one-way."""
+        graph_file = tmp_path / "g.el"
+        g = complete_antiparallel(3)
+        write_edge_list(g, str(graph_file))
+        assert main(["decompose", "-i", str(graph_file), *flags, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["sigma"], data["tau_prime"]) == (sigma, tau_prime)
+        dec = star_decompose(g, range(g.n), epsilon=0.1,
+                             prefer_antiparallel=not flags)
+        assert data == {
+            "n": 3, "m": 6, "stars": len(dec.stars),
+            "star_sizes": sorted(map(len, dec.stars)),
+            "star_edges": dec.star_edge_count(), "leftover": len(dec.leftover),
+            "tau": dec.tau, "tight_components": len(dec.tight),
+            "sigma": dec.sigma, "tau_prime": dec.tau_prime,
+            "degree_cap": dec.degree_cap, "epsilon": 0.1,
+        }
 
     # (d, k): sha256 of `decompose --json` at the default epsilon, and of
     # repr(star_decompose(stripped, B, epsilon=0.05, prefer_antiparallel=p))
@@ -583,6 +606,8 @@ class TestImportGraph:
         loaded = _imported_modules("-m", "dicut.cli", command, "-i", graph_file,
                                    *args)
         assert "dicut.core" in loaded and "dicut.generators" not in loaded
+        # only run_bench_task imports the oracle for a command besides `oracle`
+        assert ("dicut.oracle" in loaded) == (command == "oracle")
 
     def test_package_import_loads_no_submodule(self):
         loaded = _imported_modules("-c", "import dicut")
