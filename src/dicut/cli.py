@@ -135,7 +135,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     result = _timed(timings, "partition", run, digraph, config)
     report = build_report(
-        file_instance_descriptor(args.input, text), digraph, config, result, timings
+        file_instance_descriptor(args.input), digraph, config, result, timings
     )
     if args.out:
         write_partition(result.partition, args.out)
@@ -174,7 +174,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "n": digraph.n,
         "m": digraph.m,
         "optimum": result.optimum,
-        "witness": "".join(str(s) for s in result.witness.side),
+        "witness": result.witness.side_string(),
         "evaluated": result.evaluated,
     }
     _emit(payload, args.json)

@@ -200,6 +200,9 @@ def _from_rows(out: list[list[int]]) -> Digraph | None:
     return graph if _build_adjacency(graph, out) else None
 
 
+_SIDE_CHARS = bytes.maketrans(b"\x01\x02", b"12")  # side label -> its digit
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Two-coloring of vertices; side labels are 1 and 2."""
@@ -212,6 +215,10 @@ class Bipartition:
 
     def __len__(self) -> int:
         return len(self.side)
+
+    def side_string(self) -> str:
+        """One character per vertex, '1' or '2', made in one C-level pass."""
+        return bytes(self.side).translate(_SIDE_CHARS).decode("ascii")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from .core import Bipartition, Digraph, _slices, cut_stats
+from .core import Bipartition, Digraph, cut_stats
 
 if TYPE_CHECKING:  # imported by the calls that run the pipeline
     from .pipeline import PartitionResult, PipelineConfig
@@ -53,13 +53,19 @@ class RunReport:
         )
 
 
-def file_instance_descriptor(path: str, text: str) -> dict[str, Any]:
+_HASH_CHUNK = 1 << 20  # bytes per read while a file is hashed
+
+
+def file_instance_descriptor(path: str) -> dict[str, Any]:
+    """The path and the sha256 of the file's bytes, read in binary chunks:
+    the digest of what is on disk, not of the text read with universal
+    newlines, so a CRLF file and its LF twin differ."""
     import hashlib  # loads OpenSSL; only `partition` children need it
 
-    # piece by piece: no UTF-8 copy of the whole text
     digest = hashlib.sha256()
-    for piece in _slices(text, 0):
-        digest.update(piece.encode("utf-8"))
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
     return {"path": path, "sha256": digest.hexdigest()}
 
 
@@ -77,7 +83,7 @@ def build_report(
         config=asdict(config),
         n=digraph.n,
         m=digraph.m,
-        partition="".join(str(s) for s in result.partition.side),
+        partition=result.partition.side_string(),
         e12=result.stats.e12,
         e21=result.stats.e21,
         min_cut=result.stats.min_cut,
@@ -174,9 +180,12 @@ def run_bench_task(task: BenchTask) -> RunReport:
 
 def run_suite(name: str, jobs: int = 1) -> list[RunReport]:
     """Run a named suite; reports come back in task-key order regardless of
-    scheduling, so fixed seeds give identical output for any job count."""
+    scheduling, so fixed seeds give identical output for any job count;
+    jobs below 1 raise ValueError."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = suite_tasks(name)
-    if jobs <= 1:
+    if jobs == 1:
         return [run_bench_task(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 

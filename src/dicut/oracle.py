@@ -68,11 +68,15 @@ def exact_judicious(digraph: Digraph) -> OracleResult:
     side-2 indicator lane vector per inner vertex.  Then the 2^(n-1-L)
     outer configurations are walked in Gray-code order.  Moving an outer
     vertex u to side 2 adds to e12 u's in-degree less the number of u's
-    out- and in-neighbors on side 2: a precomputed lane vector for the
-    inner neighbors, less a multiple of the all-ones lanes for the outer
-    ones.  Moving u back subtracts the same.  The lanes are decoded only
-    when one of them reaches bar.  Each step costs four big-int operations
-    on 2^L * w bits: O(2^L / 8) words with 8-bit lanes, O(2^L / 4) with
+    out- and in-neighbors on side 2: a lane vector for the inner neighbors,
+    less t times the all-ones lanes for t outer neighbor ends.  So each
+    outer vertex gets one precomputed row of lane vectors, entry t for t
+    from 0 to its outer out- plus in-degree, and moving u back subtracts
+    the entry it added.  At n = 24 the table holds at most 13 rows of 25
+    lane vectors, about 650 KiB with 16-bit lanes.  The lanes are decoded
+    only when one of them reaches bar.  Each step costs three big-int
+    operations on 2^L * w bits (the update, the excess subtract and the
+    top-bit test): O(2^L / 8) words with 8-bit lanes, O(2^L / 4) with
     16-bit ones.
 
     Ties prefer the numerically smallest side-2 bitmask: within one outer
@@ -119,25 +123,19 @@ def exact_judicious(digraph: Digraph) -> OracleResult:
             if out_mask[v] >> w & 1:
                 e12 -= on_side2[v] & on_side2[w]
     outer = list(range(inner + 1, n))
-    # lane s: what moving outer vertex u to side 2 adds to e12, less u's
-    # outer neighbors on side 2: u's in-degree less its inner out- and
-    # in-neighbors on side 2
-    steps = [
-        indeg[u] * ones
-        - sum(
+    # row j, entry t: lanes of what moving outer vertex u = outer[j] to side
+    # 2 adds to e12 when t of u's outer out- and in-neighbor ends are on side
+    # 2: u's in-degree less its inner out- and in-neighbors on side 2, less t
+    table = []
+    for u in outer:
+        step = indeg[u] * ones - sum(
             ((out_mask[u] >> v & 1) + (in_mask[u] >> v & 1)) * on_side2[v]
             for v in range(1, inner + 1)
         )
-        for u in outer
-    ]
+        ends = ((out_mask[u] >> inner + 1).bit_count()
+                + (in_mask[u] >> inner + 1).bit_count())
+        table.append([step - t * ones for t in range(ends + 1)])
     del on_side2  # freed before the excess cache fills
-    # t * ones for each count t of outer neighbors a vertex can have
-    most = max(
-        ((out_mask[u] >> inner + 1).bit_count() + (in_mask[u] >> inner + 1).bit_count()
-         for u in outer),
-        default=0,
-    )
-    scaled = [t * ones for t in range(most + 1)]
 
     side2 = 0  # outer vertices on side 2, bit v <=> vertex v
     lift = 0  # outer vertices' surplus summed over side 2
@@ -148,10 +146,10 @@ def exact_judicious(digraph: Digraph) -> OracleResult:
             u = outer[j]
             t = (out_mask[u] & side2).bit_count() + (in_mask[u] & side2).bit_count()
             if side2 >> u & 1:
-                e12 -= steps[j] - scaled[t]
+                e12 -= table[j][t]
                 lift -= surplus[u]
             else:
-                e12 += steps[j] - scaled[t]
+                e12 += table[j][t]
                 lift += surplus[u]
             side2 ^= 1 << u
         over = excess.get(lift)

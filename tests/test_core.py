@@ -239,6 +239,18 @@ def test_cut_stats_intersection_matches_the_scatter(case):
     assert cut_stats(g, part) == core_mod._cut_counts(g, part)[0]
 
 
+@given(st.lists(st.sampled_from((1, 2)), max_size=300))
+@example([])
+@example([1] * 300)
+@example([2] * 300)
+@example([2, 1, 1, 2])
+@settings(max_examples=200, deadline=None)
+def test_side_string_matches_the_join(side):
+    """Bipartition.side_string's one translate pass gives the characters a
+    per-vertex join gives, on all-1 and all-2 sides too."""
+    assert Bipartition(tuple(side)).side_string() == "".join(map(str, side))
+
+
 @given(digraphs(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_edge_conservation(g, rng):

@@ -14,8 +14,8 @@ import pytest
 
 import dicut
 import dicut.cli as cli_mod
-import dicut.core as core_mod
 import dicut.decomposition as decomposition_mod
+import dicut.harness as harness_mod
 import dicut.pipeline as pipeline_mod
 from dicut.cli import main
 from dicut.core import Bipartition, read_edge_list, read_partition, write_edge_list
@@ -59,21 +59,26 @@ class TestRunReport:
         check = verify_partition(g, Bipartition(tuple(map(int, report.partition))))
         assert (check["e12"], check["e21"]) == (report.e12, report.e21)
 
-    @pytest.mark.parametrize("slice_chars", [1, 2, 3, 5, 8, 13, 1 << 15])
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 8, 13, 1 << 15])
     def test_instance_sha256_is_the_digest_of_the_whole_text(
-        self, monkeypatch, slice_chars
+        self, monkeypatch, tmp_path, chunk_bytes
     ):
-        # comment characters of 2, 3 and 4 UTF-8 bytes sit where a piece of
-        # slice_chars characters would end; "\r" and the missing final break
-        # are not cut at
-        text = "# é€😀\n3 2\n# ü€ab\r\n0 1\n#😀 😀\r1 2\n# é😀é"
-        monkeypatch.setattr(core_mod, "_SLICE_CHARS", slice_chars)
-        pieces = list(core_mod._slices(text, 0))
-        assert len(pieces) > 1 or slice_chars == 1 << 15
-        assert file_instance_descriptor("g.el", text) == {
-            "path": "g.el",
-            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        # comment characters of 2, 3 and 4 UTF-8 bytes, a CRLF and a lone CR
+        # sit where a read of chunk_bytes bytes may end.  The digest is that
+        # of the bytes on disk, not of the text read with universal newlines,
+        # so it differs from the digest of the file's LF twin
+        data = "# é€😀\n3 2\n# ü€ab\r\n0 1\n#😀 😀\r1 2\n# é😀é".encode()
+        path, twin = tmp_path / "g.el", tmp_path / "lf.el"
+        path.write_bytes(data)
+        twin.write_bytes(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        monkeypatch.setattr(harness_mod, "_HASH_CHUNK", chunk_bytes)
+        assert file_instance_descriptor(str(path)) == {
+            "path": str(path),
+            "sha256": hashlib.sha256(data).hexdigest(),
         }
+        assert file_instance_descriptor(str(twin))["sha256"] == (
+            hashlib.sha256(twin.read_bytes()).hexdigest()
+        ) != hashlib.sha256(data).hexdigest()
 
 
 class TestSuites:
@@ -119,6 +124,11 @@ class TestSuites:
         assert recorded == [len(suite_tasks("oracle-small"))]
         serial = run_suite("oracle-small", jobs=1)
         assert list(map(untimed, wide)) == list(map(untimed, serial))
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raise(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_suite("oracle-small", jobs=jobs)
 
     def test_oracle_suite_never_beats_oracle(self):
         for report in run_suite("oracle-small"):
@@ -554,6 +564,31 @@ class TestCli:
         code, peak_kib = map(int, proc.stdout.split())
         assert (code, out.read_text(), errf.read_text()) == (1, "", f"error: {err}\n")
         assert peak_kib < 64 * 1024
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bench_jobs_below_one_exit_one(self, capsys, jobs):
+        assert main(["bench", "--suite", "oracle-small", "--jobs", jobs]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: jobs must be at least 1, got {jobs}\n"
+        )
+
+    def test_partition_sha256_of_a_crlf_file(self, tmp_path, capsys):
+        # the CRLF copy parses to the same graph and report, but its digest
+        # is that of its own bytes, not of its LF twin's
+        lf, crlf = tmp_path / "lf.el", tmp_path / "crlf.el"
+        main(["gen", "random_min_outdeg", "--n", "30", "--d", "2", "-o", str(lf)])
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        reports = []
+        for path in (lf, crlf):
+            assert main(["partition", "-i", str(path), "--d", "2", "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        digests = [r["instance"]["sha256"] for r in reports]
+        assert digests == [hashlib.sha256(p.read_bytes()).hexdigest() for p in (lf, crlf)]
+        assert digests[0] != digests[1]
+        for r in reports:
+            del r["instance"], r["timings_ms"]
+        assert reports[0] == reports[1]
 
     def test_bench_json(self, capsys):
         assert main(["bench", "--suite", "oracle-small", "--json"]) == 0

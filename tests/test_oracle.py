@@ -164,6 +164,17 @@ class TestExactJudicious:
         assert "".join(map(str, result.witness.side)) == witness
         assert result.evaluated == 1 << (g.n - 1)
 
+    def test_step_table_last_entry(self):
+        # with a 3-vertex inner block, outer[0] (vertex 4) flips at every
+        # other step and has 9 outer out- and 9 outer in-neighbors; with all
+        # of them on side 2 the walk reads entry 18, the last of its row.
+        # Every 7/7 split gives 7 * 7 edges each way.
+        g = complete_antiparallel(14)
+        with mock.patch.object(oracle_mod, "_INNER_BITS", 3):
+            result = exact_judicious(g)
+        assert result.optimum == 49
+        assert _fields(result) == reference_exact_judicious(g)
+
     @pytest.mark.parametrize(
         "n, d, seed, optimum, witness",
         [
