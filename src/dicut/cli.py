@@ -118,20 +118,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     from .pipeline import PipelineConfig, _outdegree_error, run
 
+    config = PipelineConfig(d=args.d, epsilon=args.epsilon, seed=args.seed)
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     n, m, start = parse_header(text)
     # with more vertices than edges some vertex has outdegree 0, and the body
     # alone names the first, so a huge n builds nothing of its size
-    sink = _first_sink(text, n, m, start) if n > m else None
-    digraph = parse_edge_list(text) if sink is None else None
-    config = PipelineConfig(
-        d=args.d,
-        epsilon=args.epsilon,
-        seed=args.seed,
-    )
-    if sink is not None:
-        raise _outdegree_error(0, sink, config.d)
+    if n > m:
+        raise _outdegree_error(0, _first_sink(text, n, m, start), config.d)
+    digraph = parse_edge_list(text)
     timings: dict[str, float] = {}
     result = _timed(timings, "partition", run, digraph, config)
     report = build_report(

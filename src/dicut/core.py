@@ -140,14 +140,12 @@ class Digraph:
         """Smallest-id vertex realizing the minimum outdegree."""
         return min(range(self.n), key=lambda v: (len(self._out[v]), v))
 
-    def induced_underlying(self, vertices: Iterable[int]) -> tuple[
-        tuple[tuple[int, ...], ...], tuple[int, ...], frozenset[tuple[int, int]]
-    ]:
+    def induced_underlying(
+        self, vertices: Iterable[int]
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The underlying simple graph of the subgraph induced by `vertices`,
-        relabelled 0..k-1 in id order, as (rows, orig_ids, antiparallel): the
-        sorted neighbour row of each new id, the original id of each new id,
-        and the antiparallel pairs (i, j), i < j, from one pass over the
-        out-lists."""
+        relabelled 0..k-1 in id order, as (rows, orig_ids): the sorted
+        neighbour row of each new id and the original id of each new id."""
         keep = _checked_ids(vertices, self.n)
         index = {v: i for i, v in enumerate(keep)}
         adj: list[list[int]] = [[] for _ in keep]
@@ -157,13 +155,7 @@ class Digraph:
                 if j is not None:
                     adj[i].append(j)
                     adj[j].append(i)
-        rows = [tuple(sorted(set(a))) for a in adj]
-        antiparallel: set[tuple[int, int]] = set()
-        for i, (a, row) in enumerate(zip(adj, rows)):
-            if len(row) < len(a):  # an antiparallel pair lists its other end twice
-                a.sort()
-                antiparallel.update((i, j) for j, k in zip(a, a[1:]) if j == k and i < j)
-        return tuple(rows), tuple(keep), frozenset(antiparallel)
+        return tuple(tuple(sorted(set(a))) for a in adj), tuple(keep)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"

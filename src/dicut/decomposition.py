@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Digraph, _components, _sorted_contains
@@ -444,7 +445,7 @@ def star_decompose(
     if not 0 < epsilon < float("inf"):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     cap = degree_cap(digraph, epsilon)
-    adj, orig, antiparallel = digraph.induced_underlying(b_vertices)
+    adj, orig = digraph.induced_underlying(b_vertices)
 
     components = _components(adj)
     partner = maximum_matching(adj, components)
@@ -455,13 +456,14 @@ def star_decompose(
         for comp in tight:
             if len(comp) != 3:
                 continue
-            options = sorted(
-                (u, v) for u in comp for v in comp if u < v and (u, v) in antiparallel
-            )
-            if not options:
+            # comp is sorted, so the first antiparallel pair met is the smallest
+            for a, b in combinations(comp, 2):
+                u, v = orig[a], orig[b]
+                if digraph.has_edge(u, v) and digraph.has_edge(v, u):
+                    break
+            else:
                 continue
             sigma += 1
-            a, b = options[0]
             if partner[a] != b:  # the spare stays leftover: it has no free list
                 spare = next(v for v in comp if v not in (a, b))
                 partner[a] = b

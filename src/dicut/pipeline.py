@@ -53,10 +53,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d not in (2, 3):
-            raise ValueError(f"d must be 2 or 3, got {self.d}")
-        if not 0 < self.epsilon < 0.25:
-            raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
+        if not isinstance(self.d, int) or self.d not in (2, 3):
+            raise ValueError(f"d must be 2 or 3, got {self.d!r}")
+        # a float, so that the run's report serializes as JSON
+        if not isinstance(self.epsilon, float) or not 0 < self.epsilon < 0.25:
+            raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -230,24 +231,18 @@ def surplus_profile(
     return SurplusProfile(vertices, signed, theta, huge, delta_list, g, two_b // 2)
 
 
-def local_search(digraph: Digraph, partition: Bipartition) -> Bipartition:
+def local_search(
+    digraph: Digraph, partition: Bipartition, start: CutStats, two: list[int]
+) -> tuple[Bipartition, CutStats]:
     """Flip single vertices while any flip lexicographically raises
-    (min(e12, e21), e12 + e21); never returns a partition with a smaller
-    min cut than its input.
+    (min(e12, e21), e12 + e21), starting from `partition`, whose cuts `start`
+    and per-vertex side-2 end counts `two` are as core._cut_counts returns
+    them; returns the result and its cuts, never with a smaller min cut than
+    the input.  No row is read before the first pass, and `two` is copied,
+    not changed.
 
     The tie-breaking plateau moves cost nothing on the primary objective but
     let the search walk out of shallow local optima on small instances.
-    """
-    return _sweep(digraph, partition, *_cut_counts(digraph, partition))[0]
-
-
-def _sweep(
-    digraph: Digraph, partition: Bipartition, start: CutStats, two: list[int]
-) -> tuple[Bipartition, CutStats]:
-    """local_search from `partition`, whose cuts `start` and per-vertex
-    side-2 end counts `two` are as core._cut_counts returns them; returns
-    the result and its cuts.  No row is read before the first pass, and
-    `two` is copied, not changed.
 
     two[v] counts the side-2 ends of v's edges, so a visit costs O(1) and a
     flip of v O(deg v) (Fiduccia-Mattheyses gains).  The first pass visits
@@ -335,15 +330,15 @@ def _polish(
     two: list[int],
     seed: int,
 ) -> tuple[Bipartition, CutStats]:
-    """Local search from the sampled partition, with its counts as _sweep
-    takes them; tiny instances also restart from a few seeded random
-    partitions, keeping the best result seen.  Returns the best partition
-    and its exact cuts.
+    """Local search from the sampled partition, with its counts as
+    local_search takes them; tiny instances also restart from a few seeded
+    random partitions, keeping the best result seen.  Returns the best
+    partition and its exact cuts.
 
     Sampler guarantees are asymptotic, so at very small n the hill climb does
     real work; restarts are deterministic per seed.
     """
-    best, best_stats = _sweep(digraph, partition, start, two)
+    best, best_stats = local_search(digraph, partition, start, two)
     if digraph.n <= RESTART_MAX_N:
         best_key = best_stats.min_cut, best_stats.total
         rng = random.Random(seed)
@@ -351,7 +346,7 @@ def _polish(
             restart = Bipartition(
                 tuple(1 if rng.random() < 0.5 else 2 for _ in range(digraph.n))
             )
-            candidate, cand_stats = _sweep(
+            candidate, cand_stats = local_search(
                 digraph, restart, *_cut_counts(digraph, restart)
             )
             cand_key = cand_stats.min_cut, cand_stats.total
@@ -362,8 +357,8 @@ def _polish(
 
 def guarantee_target(d: int, m: int, epsilon: float) -> Fraction:
     """Exact target ((d-1)/(2(2d-1)) - epsilon) * m; 1/6 and 1/5 of m at eps=0."""
-    if d not in (2, 3):
-        raise ValueError(f"d must be 2 or 3, got {d}")
+    if not isinstance(d, int) or d not in (2, 3):
+        raise ValueError(f"d must be 2 or 3, got {d!r}")
     return (Fraction(d - 1, 2 * (2 * d - 1)) - exact_fraction(epsilon)) * m
 
 

@@ -162,9 +162,8 @@ class TestGatherEdgeCases:
         g = hub_digraph()
         for part in hub_partitions(g.n):
             start, ends = core_mod._cut_counts(g, part)
-            result, stats = pipeline._sweep(g, part, start, ends)
+            result, stats = pipeline.local_search(g, part, start, ends)
             assert (stats.e12, stats.e21) == recount(g, result.side)
-            assert pipeline.local_search(g, part) == result
             assert result == _rescanning_sweep(g, part, start)
 
     def test_verify_matches_per_edge_recount(self, tmp_path, capsys):
@@ -221,7 +220,7 @@ def test_cut_counts_scatter_matches_edge_by_edge_count(case):
         expected[v] += side[u] == 2
     assert two == expected
     assert (stats.e12, stats.e21) == recount(g, side)
-    result, swept = pipeline._sweep(g, part, stats, two)
+    result, swept = pipeline.local_search(g, part, stats, two)
     assert two == expected  # the sweep updates a copy
     assert swept == cut_stats(g, result)
 
@@ -281,12 +280,7 @@ def test_underlying_collapses_antiparallel(g):
 def test_induced_underlying_matches_two_builds(g, rng):
     keep = [v for v in range(g.n) if rng.random() < 0.7]
     sub, orig_ids = induced(g, keep)
-    rows, orig, antiparallel = g.induced_underlying(reversed(keep))
-    assert (rows, orig) == (underlying(sub), orig_ids)
-    assert antiparallel == {
-        (u, v) for u, v in sub.edges if u < v and sub.has_edge(v, u)
-    }
-    assert len(antiparallel) == antiparallel_pairs(sub)
+    assert g.induced_underlying(reversed(keep)) == (underlying(sub), orig_ids)
 
 
 @st.composite
@@ -316,9 +310,6 @@ def test_adjacency_agrees_with_edge_set(case, as_generator, rng):
         return
     g = Digraph(n, arg)
     assert g.edges == tuple(sorted(edge_set))
-    assert g.induced_underlying(range(n))[2] == {
-        (u, v) for (u, v) in edge_set if u < v and (v, u) in edge_set
-    }
     assert g.m == len(edge_set)
     keep = sorted(rng.sample(range(n), rng.randint(0, n)))
     index = {v: i for i, v in enumerate(keep)}
@@ -422,10 +413,9 @@ class TestUnderlying:
 
     def test_induced_mapping(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0), (0, 2)])
-        rows, orig, antiparallel = g.induced_underlying([2, 0])
+        rows, orig = g.induced_underlying([2, 0])
         assert orig == (0, 2)
         assert rows == ((1,), (0,))  # old (2,0) and (0,2) relabeled, collapsed
-        assert antiparallel == {(0, 1)}
 
     @pytest.mark.parametrize(
         "ids, bad", [([-1, 0], -1), ([5], 5), ([0, 3, 4], 3), ([7, -2, 0, 5], -2)]

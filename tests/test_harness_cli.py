@@ -551,8 +551,8 @@ class TestCli:
         self, tmp_path, m, body, flags, err
     ):
         """With n > m some vertex has no out-edge, so `partition` names the
-        first from the body alone, after the parse's and the config's errors
-        in their usual order, and never builds n adjacency lists."""
+        first from the body alone, after the config's and then the parse's
+        errors, and never builds n adjacency lists."""
         graph_file = tmp_path / "g.el"
         graph_file.write_text(f"2000000 {m}\n{body}")
         out, errf = tmp_path / "out", tmp_path / "err"
@@ -564,6 +564,25 @@ class TestCli:
         code, peak_kib = map(int, proc.stdout.split())
         assert (code, out.read_text(), errf.read_text()) == (1, "", f"error: {err}\n")
         assert peak_kib < 64 * 1024
+
+    @pytest.mark.parametrize("header", ["3 0", "3 6"], ids=["sink", "parse"])
+    def test_partition_checks_its_config_before_reading_the_body(
+        self, tmp_path, capsys, monkeypatch, header
+    ):
+        """A bad --epsilon exits 1 before the body is read, whether n > m
+        would send it to _first_sink or n <= m to parse_edge_list."""
+        def unreachable(*args):
+            raise AssertionError("the body was read before the config was checked")
+
+        monkeypatch.setattr(cli_mod, "_first_sink", unreachable)
+        monkeypatch.setattr(cli_mod, "parse_edge_list", unreachable)
+        graph_file = tmp_path / "g.el"
+        graph_file.write_text(f"{header}\n")
+        argv = ["partition", "-i", str(graph_file), "--d", "2", "--epsilon", "0.3"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: epsilon must lie in (0, 1/4), got 0.3\n"
+        )
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bench_jobs_below_one_exit_one(self, capsys, jobs):

@@ -241,12 +241,14 @@ class TestLocalSearch:
     def test_fixpoint_unchanged(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)])
         part = Bipartition((1, 2, 2))
-        assert local_search(g, part) == part  # min cut 1 is optimal here
+        result, _ = local_search(g, part, *_cut_counts(g, part))
+        assert result == part  # min cut 1 is optimal here
 
     def test_escapes_trivial_partition(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)])
-        out = local_search(g, Bipartition((1, 1, 1)))
-        assert cut_stats(g, out).min_cut == 1
+        part = Bipartition((1, 1, 1))
+        out, stats = local_search(g, part, *_cut_counts(g, part))
+        assert stats.min_cut == cut_stats(g, out).min_cut == 1
 
     def test_never_decreases(self):
         rng = random.Random(41)
@@ -254,8 +256,8 @@ class TestLocalSearch:
             g = random_digraph(rng, 14, 0.25)
             part = Bipartition(tuple(rng.choice((1, 2)) for _ in range(14)))
             before = cut_stats(g, part).min_cut
-            after = cut_stats(g, local_search(g, part)).min_cut
-            assert after >= before
+            after, _ = local_search(g, part, *_cut_counts(g, part))
+            assert cut_stats(g, after).min_cut >= before
 
 
 def _rescanning_sweep(
@@ -317,8 +319,7 @@ def _digraph_with_partition(draw):
 def test_local_search_matches_rescanning_sweep(case):
     g, part = case
     expected = _rescanning_sweep(g, part, cut_stats(g, part))
-    assert local_search(g, part) == expected
-    result, stats = pipeline_mod._sweep(g, part, *_cut_counts(g, part))
+    result, stats = local_search(g, part, *_cut_counts(g, part))
     assert result == expected and stats == cut_stats(g, result)
 
 
@@ -336,7 +337,7 @@ def test_local_search_matches_rescanning_sweep_at_n2000(monkeypatch, d):
         flips: list = []
         expected = _rescanning_sweep(g, part, cut_stats(g, part), flips)
         assert flips[-1][0] >= 2  # a flip in the third pass or later
-        result, stats = pipeline_mod._sweep(g, part, *_cut_counts(g, part))
+        result, stats = local_search(g, part, *_cut_counts(g, part))
         assert result == expected and stats == cut_stats(g, result)
 
 
@@ -352,7 +353,7 @@ def test_local_search_follows_the_lower_cut_across_sides():
     ]
     start, ends = _cut_counts(g, part)
     assert start == CutStats(0, 1)
-    assert pipeline_mod._sweep(g, part, start, ends) == (expected, CutStats(2, 2))
+    assert local_search(g, part, start, ends) == (expected, CutStats(2, 2))
 
 
 class TestGuaranteeTarget:
@@ -367,12 +368,12 @@ class TestGuaranteeTarget:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("d", [1, 4, 2.0])
     def test_config_rejects_d_outside_two_and_three(self, d):
         with pytest.raises(ValueError, match=f"d must be 2 or 3, got {d}"):
             PipelineConfig(d=d)
 
-    @pytest.mark.parametrize("epsilon", [0, -0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("epsilon", [0, -0.1, 0.25, 0.5, Fraction(1, 20)])
     def test_config_rejects_epsilon_outside_open_quarter(self, epsilon):
         with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/4\)"):
             PipelineConfig(d=2, epsilon=epsilon)
@@ -849,18 +850,18 @@ class TestEdgeEndReads:
 def test_every_sweep_starts_from_the_counts_of_its_partition(
     monkeypatch, build, d, dense, strips, sweeps
 ):
-    """Each _sweep in a run is handed the cuts and side-2 out-list end counts
-    of the partition it starts from, as recounted on the input itself."""
+    """Each local_search in a run is handed the cuts and side-2 end counts of
+    the partition it starts from, as recounted on the input itself."""
     g = build()
     if dense:
         lower_dense_cutoff(monkeypatch)
-    calls, real = [], pipeline_mod._sweep
+    calls, real = [], pipeline_mod.local_search
 
     def sweep(digraph, partition, start, side2_ends):
         calls.append((digraph, partition, start, side2_ends))
         return real(digraph, partition, start, side2_ends)
 
-    monkeypatch.setattr(pipeline_mod, "_sweep", sweep)
+    monkeypatch.setattr(pipeline_mod, "local_search", sweep)
     result = run(g, PipelineConfig(d=d, seed=1))
     assert result.branch_trace[0]["dense"] is dense
     assert (result.removed_a_edges > 0) is strips
